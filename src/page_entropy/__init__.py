@@ -25,8 +25,8 @@ from .errors import (ConfigError, DomainError, InfeasibleSizeError,
 from .haar_sampler import (McSummary, SectorBasis, build_sector_basis,
                            entropy_of_block_vector, mc_average,
                            sample_entropy)
-from .local_model import (LocalModel, catalog, from_json, power, product,
-                          shift_charges)
+from .local_model import (LocalModel, catalog, from_json, parse_model, power,
+                          product, shift_charges)
 from .saddle import SaddleSolution, beta_family, ln_dim_asymptotic, n_star
 from .spectra import (CutEntropies, MidSpectrumReport, SectorHamiltonian,
                       beta_spin1, build_bose_hubbard, build_spin1_xxz,
@@ -49,7 +49,7 @@ __all__ = [
     "exact_average", "exact_variance", "extended_binomial_closed",
     "from_json", "gaussian_moments", "kronecker_resolution",
     "ln_dim_asymptotic", "mc_average", "mid_spectrum_entropies", "n_crit",
-    "n_star", "power", "product", "report", "resolve_x1", "resolve_x2",
-    "resolved_average", "rho_weight", "sample_entropy", "shift_charges",
-    "x1_powerlaw", "x2_powerlaw", "y_exponent",
+    "n_star", "parse_model", "power", "product", "report", "resolve_x1",
+    "resolve_x2", "resolved_average", "rho_weight", "sample_entropy",
+    "shift_charges", "x1_powerlaw", "x2_powerlaw", "y_exponent",
 ]

@@ -24,7 +24,7 @@ from .dimensions import dim_table
 from .errors import (ConfigError, DomainError, InfeasibleSizeError,
                      NumericalError)
 from .haar_sampler import build_sector_basis, mc_average
-from .local_model import LocalModel, catalog, from_json
+from .local_model import LocalModel, parse_model
 from .saddle import beta_family, n_star
 from .spectra import build_bose_hubbard, build_spin1_xxz, \
     mid_spectrum_entropies
@@ -157,23 +157,7 @@ def _require(merged, field, flag):
 
 
 def _get_model(merged) -> LocalModel:
-    text = str(_require(merged, "model", "model"))
-    if text.endswith(".json") or os.path.sep in text:
-        try:
-            with open(text) as fh:
-                return from_json(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read model file: {exc}")
-    name, _, param = text.partition(":")
-    try:
-        if not param:
-            return catalog(name)
-        value = float(param)
-        if name == "capped_bosons":
-            value = int(float(param))
-        return catalog(name, value)
-    except DomainError as exc:
-        raise ConfigError(str(exc))
+    return parse_model(str(_require(merged, "model", "model")))
 
 
 def _get_positive_int(merged, field, flag) -> int:

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erfc
 from typing import Optional
 
 from .dimensions import dim_fixed_n, dim_table, distinguishable_dim
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
-from .numerics import (digamma_of_dim, erfc, exp_times_erfc, ln_big,
+from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
                        trigamma_of_dim)
 from .saddle import beta_family, n_star
 

@@ -87,24 +87,6 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
                        blocks=tuple(blocks), dim=offset)
 
 
-def iter_sector_states(model: LocalModel, V: int, N: int):
-    """All product states of the sector as tuples of (charge, which-state).
-
-    The second entry indexes the a_k-fold local degeneracy explicitly, so
-    the count matches the sector dimension even when a_k > 1.  Intended
-    for small sectors (tests, debugging); sampling never materializes it.
-    """
-    if V == 0:
-        if N == 0:
-            yield ()
-        return
-    k_hi = N if model.n_max is None else min(N, model.n_max)
-    for k in range(k_hi + 1):
-        for c in range(model.coefficient(k)):
-            for rest in iter_sector_states(model, V - 1, N - k):
-                yield ((k, c),) + rest
-
-
 def sample_entropy(basis: SectorBasis, rng) -> float:
     """Entanglement entropy of one Haar-random sector state.
 

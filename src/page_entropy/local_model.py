@@ -1,433 +1,290 @@
-"""Local state-counting models and their generating functions.
+"""Local state-counting models as rational generating functions.
 
-A site of the lattice carries a_k >= 0 distinct local states with charge
-(particle number) k; the whole local structure is encoded by the generating
-function zeta(z) = sum_k a_k z^k.  Everything downstream (sector dimensions,
-saddle points, entropy asymptotics) only ever sees a LocalModel.
-
-Models compose: `product` convolves coefficient sequences (sites carrying
-several species), `power` repeats a model m times per site, and
-`shift_charges` re-bases a charge window that starts at a negative charge
-(spin language) onto nonnegative particle numbers.
+A site carries a_k >= 0 local states of charge (particle number) k, encoded
+by zeta(z) = sum_k a_k z^k = P(z)/Q(z): integer polynomials P, Q with
+Q(0) = 1 and no common factor.  Every catalog model has this form (fermions
+1 + z, bosons 1/(1 - z), spin-j 1 + z + ... + z^(2j)), and so does every
+`product` or `power` of them.  Everything else is derived from (P, Q):
+a_k from the linear recurrence fixed by Q (Stanley, Enumerative
+Combinatorics 1, ch. 4); n_max = deg P when Q = 1, else None; the
+convergence radius, +inf when Q = 1, else the smallest positive root of Q,
+the dominant singularity of a series with a_k >= 0 (Flajolet & Sedgewick,
+Analytic Combinatorics, ch. IV); and zeta, zeta', zeta'' by Horner passes
+over P and over the square-free factors of Q (see `eval_zeta`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Optional, Sequence
+import os
+from fractions import Fraction
+from typing import Sequence
 
-from .errors import ConfigError, DomainError, NumericalError
-from .numerics import ln_big
+import numpy as np
 
-# Window used by the heuristic growth check of a declared convergence radius.
-_GROWTH_WINDOW = 512
-# Polynomial headroom allowed on a_k * R^k over the window (degree 4).
-_GROWTH_HEADROOM = 4.0 * math.log(_GROWTH_WINDOW + 1.0)
+from .errors import ConfigError, DomainError
 
-_SERIES_TOL = 1e-14
-_SERIES_CAP = 10 ** 6
+_SIGN_PROBE = 64  # a_k of unbounded models checked when built; later lazily
+_ROOT_TOL = 1e-9  # relative imaginary part up to which a root of Q is real
+_MAX_DEGREE = 10 ** 6  # largest catalog n_max; P is stored densely
 
 
 class LocalModel:
-    """Immutable description of a site's charge-resolved state counts.
+    """Immutable site model zeta = P/Q: integer coefficient lists, lowest
+    degree first, with Q(0) = 1, no common factor and a_0 = P(0) >= 1 (a
+    charge-0 vacuum state).  `charge_offset` is the physical charge of k = 0
+    (negative for spin windows)."""
 
-    Parameters
-    ----------
-    label : str
-        Human-readable name, carried into reports and serialized documents.
-    coeff_fn : callable
-        k -> a_k for k >= 0.  Values must be nonnegative integers; queries
-        beyond a finite n_max are clamped to 0 without calling the rule.
-    n_max : int or None
-        Largest charge a site can carry; None means unbounded support.
-    radius : float or None
-        Convergence radius of zeta for unbounded models (0 < R <= 1).
-        Finite-support models get the +inf sentinel automatically.
-    closed_form : callable or None
-        z -> (zeta, zeta', zeta'') evaluated exactly; optional.
-    charge_offset : int
-        Physical charge of the k = 0 coefficient (negative for spin windows).
-    rule : str or None
-        Catalog tag ("fermions", "spin_j:1", ...) used to round-trip JSON.
-    """
-
-    def __init__(self, label: str, coeff_fn: Callable[[int], int],
-                 n_max: Optional[int] = None, radius: Optional[float] = None,
-                 closed_form=None, charge_offset: int = 0,
-                 rule: Optional[str] = None):
+    def __init__(self, label: str, P: Sequence[int], Q: Sequence[int] = (1,),
+                 charge_offset: int = 0):
         self.label = str(label)
-        self._coeff_fn = coeff_fn
-        self.n_max = None if n_max is None else int(n_max)
-        self.closed_form = closed_form
-        self.charge_offset = int(charge_offset)
-        self.rule = rule
-        self._cache: dict[int, int] = {}
-
-        if self.n_max is not None:
-            if self.n_max < 1:
-                raise DomainError("n_max must be >= 1 for a finite model")
-            if radius is not None and not math.isinf(radius):
-                raise DomainError("finite-support models use the +inf radius "
-                                  "sentinel, not a declared radius")
-            self.radius = math.inf
+        for c in [*P, *Q, charge_offset]:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise DomainError(f"{self.label}: P, Q and charge_offset "
+                                  f"must be integers, got {c!r}")
+        self.P, self.Q = _trim(list(P)), _trim(list(Q))
+        self.charge_offset = charge_offset
+        if not self.Q or self.Q[0] != 1:
+            raise DomainError(f"{self.label}: Q(0) must be 1")
+        if not self.P or self.P[0] < 1:
+            raise DomainError(f"{self.label}: a_0 must be >= 1 "
+                              "(a site needs a charge-0 vacuum state)")
+        if len(self.Q) > 1 and len(_poly_gcd(self.P, self.Q)) > 1:
+            raise DomainError(f"{self.label}: P and Q share a common factor")
+        factors = _square_free_factors(self.Q)
+        # float coefficients, highest degree first, for Horner evaluation
+        self._p_rev = tuple(map(float, reversed(self.P)))
+        self._q_revs = tuple(tuple(map(float, reversed(s))) for s in factors)
+        if factors:
+            self.n_max = None
+            self.radius = _dominant_root(factors[0], self.label)
+        elif len(self.P) < 2:
+            raise DomainError(f"{self.label}: no positive-charge states")
         else:
-            if radius is None:
-                raise DomainError("unbounded models must declare a "
-                                  "convergence radius")
-            radius = float(radius)
-            if not 0.0 < radius <= 1.0:
-                raise DomainError(f"radius must lie in (0, 1], got {radius}")
-            self.radius = radius
-
-        self._validate()
-
-    # -- coefficients -----------------------------------------------------
+            self.n_max = len(self.P) - 1
+            self.radius = math.inf
+        self._a = [self.P[0]]
+        self.coefficients(_SIGN_PROBE if factors else len(self.P))
 
     def coefficient(self, k: int) -> int:
         """a_k, exact integer; 0 outside the support."""
-        if k < 0:
+        if k < 0 or (self.n_max is not None and k > self.n_max):
             return 0
-        if self.n_max is not None and k > self.n_max:
-            return 0
-        value = self._cache.get(k)
-        if value is None:
-            value = self._coeff_fn(k)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DomainError(f"{self.label}: a_{k} is not an integer "
-                                  f"({value!r})")
+        a, P, Q = self._a, self.P, self.Q
+        while len(a) <= k:
+            j = len(a)
+            value = (P[j] if j < len(P) else 0) - sum(
+                Q[i] * a[j - i] for i in range(1, min(j, len(Q) - 1) + 1))
             if value < 0:
-                raise DomainError(f"{self.label}: a_{k} is negative")
-            self._cache[k] = value
-        return value
+                raise DomainError(f"{self.label}: a_{j} is negative")
+            a.append(value)
+        return a[k]
 
     def coefficients(self, count: int) -> list[int]:
         """First `count` coefficients a_0 .. a_{count-1}."""
         return [self.coefficient(k) for k in range(count)]
 
-    def _validate(self):
-        if self.coefficient(0) < 1:
-            raise DomainError(f"{self.label}: a_0 must be >= 1 "
-                              "(a site needs a charge-0 vacuum state)")
-        probe = self.n_max if self.n_max is not None else _GROWTH_WINDOW
-        if not any(self.coefficient(k) > 0 for k in range(1, probe + 1)):
-            raise DomainError(f"{self.label}: no positive-charge states found")
-        if self.n_max is None:
-            self._check_growth()
-
-    def _check_growth(self):
-        """Heuristic check that a_k = O(R^-k) holds for the declared radius.
-
-        Compares log(a_k R^k) over the first _GROWTH_WINDOW coefficients
-        against its early values plus polynomial headroom.  Catches a radius
-        declared even a few percent too large; this is a sanity check on the
-        declaration, not a derivation of the true radius.
-        """
-        log_r = math.log(self.radius)
-        def log_weighted(k):
-            a = self.coefficient(k)
-            return None if a == 0 else ln_big(a) + k * log_r
-        base = max((log_weighted(k) or 0.0) for k in range(9))
-        bound = base + _GROWTH_HEADROOM
-        for k in range(9, _GROWTH_WINDOW + 1):
-            lw = log_weighted(k)
-            if lw is not None and lw > bound:
-                raise DomainError(
-                    f"{self.label}: coefficient growth at k={k} exceeds the "
-                    f"declared convergence radius {self.radius}")
-
-    # -- serialization ----------------------------------------------------
-
     def to_json(self) -> str:
         """Serialize to a JSON document (see `from_json`)."""
-        if self.n_max is not None:
-            coeffs = self.coefficients(self.n_max + 1)
-            radius = None  # +inf sentinel
-        else:
-            coeffs = self.coefficients(64)
-            radius = self.radius
-        doc = {
-            "label": self.label,
-            "n_max": self.n_max,
-            "radius": radius,
-            "coefficients": coeffs,
-            "charge_offset": self.charge_offset,
-            "rule": self.rule,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps({"label": self.label, "P": self.P, "Q": self.Q,
+                           "charge_offset": self.charge_offset}, indent=2)
 
     def __repr__(self):
-        return f"LocalModel({self.label!r}, n_max={self.n_max})"
+        return f"LocalModel({self.label!r}, P={self.P}, Q={self.Q})"
 
 
 def from_json(document) -> LocalModel:
-    """Rebuild a model from `LocalModel.to_json` output (str or dict).
-
-    Documents with a recognized catalog rule reconstruct through the
-    catalog; otherwise the explicit coefficient list is used, which requires
-    finite n_max (an unbounded series cannot be continued from a prefix).
-    """
+    """Rebuild a model from `LocalModel.to_json` output (str or dict)."""
     if isinstance(document, str):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"model document is not valid JSON: {exc}")
     if not isinstance(document, dict):
         raise ConfigError("model document must be a JSON object")
-    rule = document.get("rule")
-    if rule:
-        return _catalog_from_rule(rule)
-    coeffs = document.get("coefficients")
-    if not coeffs:
-        raise ConfigError("model document needs a coefficient list or rule")
-    n_max = document.get("n_max")
-    if n_max is None:
-        raise ConfigError("cannot rebuild an unbounded model from a "
-                          "coefficient prefix; supply a catalog rule")
-    if int(n_max) != len(coeffs) - 1:
-        raise ConfigError("n_max does not match the coefficient list length")
-    coeffs = [int(c) for c in coeffs]
-    return LocalModel(
-        label=document.get("label", "custom"),
-        coeff_fn=lambda k, _c=coeffs: _c[k],
-        n_max=len(coeffs) - 1,
-        charge_offset=int(document.get("charge_offset", 0)),
-    )
+    P, Q = document.get("P"), document.get("Q", [1])
+    if not isinstance(P, list) or not isinstance(Q, list):
+        raise ConfigError("model document needs integer lists P (and Q)")
+    return LocalModel(document.get("label", "custom"), P, Q,
+                      document.get("charge_offset", 0))
 
 
-# -- evaluation -----------------------------------------------------------
+def parse_model(text: str) -> LocalModel:
+    """Model named on the command line: a catalog name, `name:param`, or
+    the path of a JSON model file."""
+    if text.endswith(".json") or os.path.sep in text:
+        try:
+            with open(text) as fh:
+                return from_json(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read model file: {exc}")
+    name, _, param = text.partition(":")
+    if not param:
+        return catalog(name)
+    try:
+        value = float(param)
+    except ValueError:
+        raise ConfigError(f"model parameter must be a number, got {param!r}")
+    return catalog(name, value)
+
 
 def eval_zeta(model: LocalModel, z: float):
-    """(zeta, zeta', zeta'') at z > 0.
+    """(zeta, zeta', zeta'') at 0 < z < radius, by the quotient rule.
 
-    Uses the model's closed form when it has one, otherwise the coefficient
-    series: summed exactly over the finite support, or truncated with a
-    geometric tail bound for unbounded models (which requires z < radius).
-    """
+    Q is evaluated factor by factor, so a repeated pole such as (1 - z)^2
+    stays as accurate near the radius as a simple one; the expanded
+    polynomial would cancel there."""
     z = float(z)
-    if not z > 0.0:
-        raise DomainError(f"eval_zeta requires z > 0, got {z}")
-    if model.closed_form is not None:
-        return model.closed_form(z)
-    return _eval_series(model, z)
+    if not 0.0 < z < model.radius:
+        raise DomainError(f"eval_zeta for {model.label} needs 0 < z < "
+                          f"radius {model.radius}, got z={z}")
+    p, p1, p2 = _horner(model._p_rev, z)
+    q, q1, q2 = 1.0, 0.0, 0.0
+    for coeffs in model._q_revs:
+        s, s1, s2 = _horner(coeffs, z)
+        q, q1, q2 = q * s, q1 * s + q * s1, q2 * s + 2.0 * q1 * s1 + q * s2
+    f = p / q
+    f1 = (p1 - f * q1) / q
+    f2 = (p2 - 2.0 * f1 * q1 - f * q2) / q
+    return f, f1, f2
 
 
-def _eval_series(model: LocalModel, z: float):
-    if model.n_max is not None:
-        s0 = s1 = s2 = 0.0
-        zk = 1.0  # z^k
-        for k in range(model.n_max + 1):
-            a = model.coefficient(k)
-            if a:
-                term = a * zk
-                s0 += term
-                if k >= 1:
-                    s1 += k * term / z
-                if k >= 2:
-                    s2 += k * (k - 1) * term / (z * z)
-            zk *= z
-        return s0, s1, s2
-
-    if z >= model.radius:
-        raise DomainError(f"series for {model.label} diverges at z={z} "
-                          f">= radius {model.radius}")
-    q = z / model.radius
-    tail_factor = _SERIES_TOL * (1.0 - q)
-    log_z = math.log(z)
-    s0 = s1 = s2 = 0.0
-    k = 0
-    while k <= _SERIES_CAP:
-        a = model.coefficient(k)
-        if a:
-            # Big coefficients (e.g. a_k = 2^k) overflow float on their own;
-            # the combined term a_k z^k never does for z < R.
-            if a.bit_length() > 500:
-                term = math.exp(ln_big(a) + k * log_z)
-            else:
-                term = a * z ** k
-            s0 += term
-            s1 += k * term / z
-            s2 += k * (k - 1) * term / (z * z)
-            if k >= 8:
-                t1 = k * term / z
-                t2 = k * (k - 1) * term / (z * z)
-                if (term <= tail_factor * s0
-                        and (s1 == 0.0 or t1 <= tail_factor * s1)
-                        and (s2 == 0.0 or t2 <= tail_factor * s2)):
-                    return s0, s1, s2
-        k += 1
-    raise NumericalError(f"zeta series for {model.label} did not converge "
-                         f"within {_SERIES_CAP} terms at z={z}")
+def _horner(coeffs, z: float):
+    """(c(z), c'(z), c''(z)) for coefficients given highest degree first."""
+    v = d1 = d2 = 0.0
+    for c in coeffs:
+        d2 = d2 * z + d1
+        d1 = d1 * z + v
+        v = v * z + c
+    return v, d1, 2.0 * d2
 
 
-# -- catalog --------------------------------------------------------------
+# -- catalog and composition ------------------------------------------------
 
-def _fermions():
-    return LocalModel(
-        "fermions", lambda k: 1, n_max=1,
-        closed_form=lambda z: (1.0 + z, 1.0, 0.0),
-        rule="fermions")
-
-
-def _hardcore_bosons_2species():
-    return LocalModel(
-        "hardcore_bosons_2species", lambda k: (1, 2)[k], n_max=1,
-        closed_form=lambda z: (1.0 + 2.0 * z, 2.0, 0.0),
-        rule="hardcore_bosons_2species")
-
-
-def _bosons():
-    def cf(z):
-        u = 1.0 / (1.0 - z)
-        return u, u * u, 2.0 * u ** 3
-    return LocalModel("bosons", lambda k: 1, radius=1.0, closed_form=cf,
-                      rule="bosons")
-
-
-def _bosons_2species_unordered():
-    def cf(z):
-        u = 1.0 / (1.0 - z)
-        return u * u, 2.0 * u ** 3, 6.0 * u ** 4
-    return LocalModel("bosons_2species_unordered", lambda k: k + 1,
-                      radius=1.0, closed_form=cf,
-                      rule="bosons_2species_unordered")
-
-
-def _bosons_2species_ordered():
-    def cf(z):
-        v = 1.0 / (1.0 - 2.0 * z)
-        return v, 2.0 * v * v, 8.0 * v ** 3
-    return LocalModel("bosons_2species_ordered", lambda k: 2 ** k,
-                      radius=0.5, closed_form=cf,
-                      rule="bosons_2species_ordered")
-
-
-def _spin_j(j) -> LocalModel:
-    two_j = 2.0 * float(j)
-    if abs(two_j - round(two_j)) > 1e-12 or round(two_j) < 1:
-        raise DomainError(f"j must be a positive half-integer, got {j}")
-    n_max = int(round(two_j))
-    label = f"spin_{j:g}" if isinstance(j, float) else f"spin_{j}"
-    return LocalModel(label, lambda k: 1, n_max=n_max,
-                      rule=f"spin_j:{two_j / 2:g}")
-
-
+# name -> (P, Q)
 CATALOG = {
-    "fermions": _fermions,
-    "hardcore_bosons_2species": _hardcore_bosons_2species,
-    "bosons": _bosons,
-    "bosons_2species_unordered": _bosons_2species_unordered,
-    "bosons_2species_ordered": _bosons_2species_ordered,
+    "fermions": ((1, 1), (1,)),
+    "hardcore_bosons_2species": ((1, 2), (1,)),
+    "bosons": ((1,), (1, -1)),
+    "bosons_2species_unordered": ((1,), (1, -2, 1)),
+    "bosons_2species_ordered": ((1,), (1, -2)),
 }
 
 
 def catalog(name: str, param=None) -> LocalModel:
-    """Construct a named catalog model.
+    """Named catalog model.  ``spin_j`` (param j, a positive half-integer)
+    and ``capped_bosons`` (param n_max >= 1) are 1 + z + ... + z^n_max,
+    with n_max = 2j for spin_j."""
+    if name not in (*CATALOG, "spin_j", "capped_bosons") or \
+            (name in CATALOG) != (param is None):
+        raise DomainError(f"no catalog model {name!r} with parameter "
+                          f"{param!r} (only spin_j, capped_bosons take one)")
+    if name in CATALOG:
+        return LocalModel(name, *CATALOG[name])
+    n_max = 2.0 * float(param) if name == "spin_j" else float(param)
+    if not 1 <= n_max <= _MAX_DEGREE or abs(n_max - round(n_max)) > 1e-12:
+        what = "2j" if name == "spin_j" else "n_max"
+        raise DomainError(f"{name}: {what} must be an integer in "
+                          f"[1, {_MAX_DEGREE}], got param {param}")
+    label = (f"spin_{float(param):g}" if name == "spin_j"
+             else f"capped_bosons_{round(n_max)}")
+    return LocalModel(label, (1,) * (round(n_max) + 1))
 
-    Parameterized entries: ``spin_j`` (param j, positive half-integer) and
-    ``capped_bosons`` (param n_max >= 1).
-    """
-    if name == "spin_j":
-        if param is None:
-            raise DomainError("spin_j needs the spin j as its parameter")
-        return _spin_j(param)
-    if name == "capped_bosons":
-        if param is None:
-            raise DomainError("capped_bosons needs n_max as its parameter")
-        n_max = int(param)
-        if n_max < 1 or n_max != param:
-            raise DomainError(f"capped_bosons n_max must be an integer >= 1, "
-                              f"got {param}")
-        return LocalModel(f"capped_bosons_{n_max}", lambda k: 1, n_max=n_max,
-                          rule=f"capped_bosons:{n_max}")
-    maker = CATALOG.get(name)
-    if maker is None:
-        raise DomainError(f"unknown catalog model {name!r}")
-    if param is not None:
-        raise DomainError(f"catalog model {name!r} takes no parameter")
-    return maker()
-
-
-def _catalog_from_rule(rule: str) -> LocalModel:
-    name, _, param = rule.partition(":")
-    if not param:
-        return catalog(name)
-    value = float(param)
-    if name == "capped_bosons":
-        value = int(value)
-    return catalog(name, value)
-
-
-# -- composition ----------------------------------------------------------
 
 def product(models: Sequence[LocalModel]) -> LocalModel:
-    """Model of a site carrying all the given species at once.
-
-    Coefficients convolve, n_max adds (None if any factor is unbounded),
-    the radius is the smallest factor radius, and closed forms compose by
-    the product rule when every factor has one.
-    """
+    """Site carrying all the given species: P's and Q's multiply (common
+    factors cancel), charge offsets add."""
     models = list(models)
     if not models:
         raise DomainError("product needs at least one model")
-    if len(models) == 1:
-        return models[0]
     result = models[0]
     for other in models[1:]:
-        result = _product_pair(result, other)
+        P, Q = _poly_mul(result.P, other.P), _poly_mul(result.Q, other.Q)
+        g = _poly_gcd(P, Q)
+        result = LocalModel(f"product({result.label},{other.label})",
+                            _poly_div(P, g), _poly_div(Q, g),
+                            result.charge_offset + other.charge_offset)
     return result
 
 
-def _product_pair(a: LocalModel, b: LocalModel) -> LocalModel:
-    if a.n_max is None or b.n_max is None:
-        n_max = None
-        radius = min(a.radius, b.radius)
-    else:
-        n_max = a.n_max + b.n_max
-        radius = None
-
-    def coeff(k):
-        # convolution bounds respecting both supports
-        i_lo = max(0, k - b.n_max) if b.n_max is not None else 0
-        i_hi = min(k, a.n_max) if a.n_max is not None else k
-        return sum(a.coefficient(i) * b.coefficient(k - i)
-                   for i in range(i_lo, i_hi + 1))
-
-    closed = None
-    if a.closed_form is not None and b.closed_form is not None:
-        def closed(z, _fa=a.closed_form, _fb=b.closed_form):
-            f, f1, f2 = _fa(z)
-            g, g1, g2 = _fb(z)
-            return f * g, f1 * g + f * g1, f2 * g + 2.0 * f1 * g1 + f * g2
-
-    return LocalModel(
-        f"product({a.label},{b.label})", coeff, n_max=n_max, radius=radius,
-        closed_form=closed, charge_offset=a.charge_offset + b.charge_offset)
-
-
 def power(model: LocalModel, m: int) -> LocalModel:
-    """m identical species on one site (repeated `product`)."""
+    """m identical species on one site: P^m / Q^m."""
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"power exponent must be an integer >= 1, got {m}")
     if m == 1:
         return model
-    result = model
-    for _ in range(m - 1):
-        result = _product_pair(result, model)
-    result.label = f"{model.label}^{m}"
-    return result
+    result = product([model] * m)
+    return LocalModel(f"{model.label}^{m}", result.P, result.Q,
+                      result.charge_offset)
 
 
 def shift_charges(coefficients: Sequence[int], k_min: int,
                   label: str = "shifted") -> LocalModel:
-    """Model for a charge window k_min .. k_min + len(coefficients) - 1.
+    """Polynomial model of the charge window k_min .. k_min + len - 1, re-based
+    onto particle numbers: at magnetization M, N = M - V * k_min."""
+    return LocalModel(label, coefficients, charge_offset=k_min)
 
-    The returned model lives on nonnegative particle numbers with the
-    offset recorded, so a length-V system at magnetization M maps to
-    N = M - V * k_min particles.
-    """
-    if k_min is None or not isinstance(k_min, int):
-        raise DomainError("k_min must be a finite integer "
-                          "(unbounded-below charge is not supported)")
-    coeffs = [int(c) for c in coefficients]
-    if not coeffs:
-        raise DomainError("shift_charges needs at least one coefficient")
-    return LocalModel(label, lambda k: coeffs[k], n_max=len(coeffs) - 1,
-                      charge_offset=k_min)
+
+# -- polynomials: coefficient lists, lowest degree first --------------------
+
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(p: Sequence, q: Sequence) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _poly_divmod(p: Sequence, d: Sequence):
+    """Quotient and remainder over the rationals (d trimmed, nonzero)."""
+    rem = [Fraction(c) for c in p]
+    quot = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
+    while len(rem) >= len(d):
+        shift = len(rem) - len(d)
+        quot[shift] = factor = rem[-1] / d[-1]
+        for i, c in enumerate(d):
+            rem[shift + i] -= factor * c
+        _trim(rem)
+    return quot, rem
+
+
+def _poly_div(p: Sequence[int], d: Sequence) -> list[int]:
+    """Exact quotient of integer polynomials, d(0) = 1 (Gauss's lemma)."""
+    return [int(c) for c in _poly_divmod(p, d)[0]]
+
+
+def _poly_gcd(p: Sequence, q: Sequence) -> list:
+    """Greatest common divisor, scaled to constant term 1 (q(0) != 0)."""
+    a, b = _trim(list(p)), _trim(list(q))
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [Fraction(c) / a[0] for c in a]
+
+
+def _square_free_factors(Q: Sequence[int]) -> list[list[int]]:
+    """S_1, S_2, ... with Q = S_1 S_2 ..., S_j the product of the
+    irreducible factors of multiplicity >= j; S_1 is the square-free part."""
+    factors, rest = [], list(Q)
+    while len(rest) > 1:
+        deriv = [i * c for i, c in enumerate(rest)][1:]
+        factors.append(_poly_div(rest, _poly_gcd(rest, deriv)))
+        rest = _poly_div(rest, factors[-1])
+    return factors
+
+
+def _dominant_root(square_free: Sequence[int], label: str) -> float:
+    """Smallest positive root of Q's square-free part, in which a double
+    root cannot split into a numerical complex pair."""
+    roots = np.roots(square_free[::-1])
+    positive = [float(r.real) for r in roots
+                if r.real > 0.0 and abs(r.imag) <= _ROOT_TOL * abs(r)]
+    if not positive or min(positive) > 1.0 + _ROOT_TOL:
+        raise DomainError(f"{label}: Q has no root in (0, 1]")
+    return min(min(positive), 1.0)

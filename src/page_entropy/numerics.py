@@ -101,15 +101,6 @@ def trigamma_of_dim(d) -> float:
     return result
 
 
-def erfc(x: float) -> float:
-    """Complementary error function, saturating to 2 / 0 beyond |x| = 30."""
-    if x >= 30.0:
-        return 0.0
-    if x <= -30.0:
-        return 2.0
-    return math.erfc(x)
-
-
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) erfc(x).
 

@@ -6,10 +6,11 @@ unique positive root z0 of
     Z(z) = z zeta'(z) / zeta(z) = n,
 
 with beta(n) = ln zeta(z0) - n ln z0.  Z is strictly increasing from 0 to
-n_max (or to infinity inside the convergence disk), so the root is found by
-bracketing + bisection and polished with Newton steps.  First and second
-derivatives of beta come in closed form from the same evaluation, never
-from finite differences.
+n_max (or to infinity inside the convergence disk), so the root is
+bracketed and then found by safeguarded Newton steps: each step tightens
+the bracket, and a step that would leave it bisects instead.  First and
+second derivatives of beta come in closed form from the same evaluation,
+never from finite differences.
 """
 
 from __future__ import annotations
@@ -121,17 +122,6 @@ def _z_of(model: LocalModel, z: float) -> float:
 
 def _bracketed_root(model: LocalModel, n: float) -> float:
     lo, hi = _initial_bracket(model, n)
-
-    # bisect to ~1e-6 relative, enough for Newton to take over
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _z_of(model, mid) < n:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-6 * mid:
-            break
-
     z = 0.5 * (lo + hi)
     for _ in range(60):
         f, f1, f2 = eval_zeta(model, z)

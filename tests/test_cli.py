@@ -9,7 +9,7 @@ import pytest
 
 import page_entropy.cli as cli
 from page_entropy.errors import NumericalError
-from page_entropy.local_model import catalog
+from page_entropy.local_model import catalog, product
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +220,17 @@ def test_model_from_json_file(capsys, tmp_path):
     assert code == 0
     _, rows = parse_csv(out)
     assert [r[1] for r in rows] == ["1", "3", "6", "7", "6", "3", "1"]
+
+
+def test_unbounded_composed_model_from_json_file(capsys, tmp_path):
+    doc = tmp_path / "mixed.json"
+    doc.write_text(product([catalog("fermions"), catalog("bosons")]).to_json())
+    code, out, err = run_cli(capsys, "dims", "--model", str(doc), "--V", "4",
+                             "--N", "3")
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    # [z^N] (1 + z)^4 / (1 - z)^4
+    assert [r[1] for r in rows] == ["1", "8", "32", "88"]
 
 
 def test_error_exit_codes(capsys, monkeypatch):

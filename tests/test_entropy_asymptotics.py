@@ -15,7 +15,7 @@ from page_entropy.entropy import (BipartitionSpec, asymptotic_average,
                                   y_exponent)
 from page_entropy.errors import DomainError, NumericalError
 from page_entropy.local_model import catalog
-from page_entropy.numerics import erfc, erfcx, exp_times_erfc
+from page_entropy.numerics import erfcx, exp_times_erfc
 from page_entropy.saddle import beta_family, n_star
 
 TWO_PI = 2.0 * math.pi
@@ -230,7 +230,8 @@ def test_x2_powerlaw_case_table():
         assert x2_powerlaw(m, n, 0.3, lf, V) == 0.0
         got = x2_powerlaw(m, n, 0.5, lf, V)
         ref = math.sqrt(V) * (
-            abs(lf) * beta * erfc(math.sqrt(2 * ab2) * abs(lf) * beta / ab1)
+            abs(lf) * beta
+            * math.erfc(math.sqrt(2 * ab2) * abs(lf) * beta / ab1)
             - ab1 / math.sqrt(TWO_PI * ab2)
             * math.exp(-2 * ab2 * lf * lf * beta * beta / (ab1 * ab1)))
         assert abs(got - ref) < 1e-10 * max(1.0, abs(ref))

@@ -9,10 +9,26 @@ from page_entropy.dimensions import dim_fixed_n
 from page_entropy.entropy import BipartitionSpec, exact_average
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import (SectorBlock, build_sector_basis,
-                                       entropy_of_block_vector,
-                                       iter_sector_states, mc_average,
+                                       entropy_of_block_vector, mc_average,
                                        sample_entropy)
 from page_entropy.local_model import catalog
+
+
+def iter_sector_states(model, V: int, N: int):
+    """All product states of the sector as tuples of (charge, which-state).
+
+    The second entry indexes the a_k-fold local degeneracy explicitly, so
+    the count matches the sector dimension even when a_k > 1.
+    """
+    if V == 0:
+        if N == 0:
+            yield ()
+        return
+    k_hi = N if model.n_max is None else min(N, model.n_max)
+    for k in range(k_hi + 1):
+        for c in range(model.coefficient(k)):
+            for rest in iter_sector_states(model, V - 1, N - k):
+                yield ((k, c),) + rest
 
 
 def test_basis_layout_matches_sector_dimension():

@@ -1,4 +1,4 @@
-"""Catalog models, series evaluation, composition, serialization."""
+"""Catalog models, P/Q evaluation, composition, serialization."""
 
 import json
 import math
@@ -7,6 +7,7 @@ import random
 import mpmath as mp
 import pytest
 
+import page_entropy.cli as cli
 from page_entropy.errors import ConfigError, DomainError
 from page_entropy.local_model import (LocalModel, catalog, eval_zeta,
                                       from_json, power, product,
@@ -57,6 +58,9 @@ def test_catalog_rejects_bad_names_and_params():
         catalog("capped_bosons", 0)
     with pytest.raises(DomainError):
         catalog("spin_j")
+    for huge in (1e9, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            catalog("spin_j", huge)
 
 
 def test_closed_forms_match_series():
@@ -73,50 +77,78 @@ def test_closed_forms_match_series():
                 assert abs(g - float(r)) <= 1e-12 * max(1.0, abs(float(r)))
 
 
+def taylor_oracle(P, Q, count):
+    """First `count` Taylor coefficients of P/Q at 0, by mpmath."""
+    def f(z):
+        return mp.polyval(P[::-1], z) / mp.polyval(Q[::-1], z)
+    return [int(mp.nint(c)) for c in mp.taylor(f, 0, count - 1)]
+
+
 def test_series_path_agrees_with_closed_form():
-    # same rule, closed form stripped: exercises the truncated series
-    bosons = catalog("bosons")
-    bare = LocalModel("bare_bosons", lambda k: 1, radius=1.0)
-    ordered = catalog("bosons_2species_ordered")
-    bare_ordered = LocalModel("bare_ordered", lambda k: 2**k, radius=0.5)
-    for z in (0.05, 0.3, 0.7, 0.95):
-        for a, b in ((bosons, bare), (ordered, bare_ordered)):
-            if z >= b.radius:
-                continue
-            got = eval_zeta(b, z)
-            ref = eval_zeta(a, z)
-            for g, r in zip(got, ref):
-                assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
+    # a_k from the Q recurrence against the Taylor series of P/Q
+    models = [catalog(name) for name in FIVE]
+    models += [catalog("spin_j", 1.5), catalog("capped_bosons", 2),
+               product([catalog("fermions"), catalog("bosons")]),
+               power(catalog("bosons"), 3),
+               LocalModel("mixed", [2, 1, 3], [1, -3, 2])]
+    for model in models:
+        assert model.coefficients(24) == taylor_oracle(model.P, model.Q, 24)
 
 
 def test_series_rejects_z_at_or_beyond_radius():
-    bare = LocalModel("bare_bosons", lambda k: 1, radius=1.0)
+    bosons = catalog("bosons")
+    ordered = catalog("bosons_2species_ordered")
+    for model, bad in ((bosons, (1.0, 1.3)), (ordered, (0.5, 0.75))):
+        for z in bad + (0.0, -0.2):
+            with pytest.raises(DomainError):
+                eval_zeta(model, z)
     with pytest.raises(DomainError):
-        eval_zeta(bare, 1.0)
-    with pytest.raises(DomainError):
-        eval_zeta(bare, 1.3)
-    with pytest.raises(DomainError):
-        eval_zeta(bare, 0.0)
+        eval_zeta(catalog("fermions"), 0.0)
 
 
-def test_validation_rules():
+def test_radius_is_smallest_positive_root():
+    assert catalog("bosons").radius == 1.0
+    assert catalog("bosons_2species_unordered").radius == 1.0  # (1 - z)^2
+    assert catalog("bosons_2species_ordered").radius == 0.5
+    assert power(catalog("bosons"), 3).radius == 1.0
+    assert catalog("fermions").radius == math.inf
+    golden = LocalModel("golden", [1], [1, -1, -1])  # Fibonacci numbers
+    assert abs(golden.radius - (math.sqrt(5) - 1) / 2) < 1e-15
+    assert golden.coefficients(8) == [1, 1, 2, 3, 5, 8, 13, 21]
+
+
+# (P, Q) pairs each of which construction must reject
+INVALID = {
+    "q0_not_one": ([1, 1], [2, -1]),
+    "no_vacuum": ([0, 1], [1]),
+    "no_charge": ([1], [1]),
+    "fractional": ([1, 1.5], [1]),
+    "boolean": ([1, True], [1]),
+    "negative_finite": ([1, -1, 1], [1]),
+    "negative_unbounded": ([1, -2], [1, -1]),  # 1 - z - z^2 - ...
+    "common_factor": ([1, 0, -1], [1, -1]),  # (1 - z^2)/(1 - z)
+    "no_root_in_unit_interval": ([1], [1, 1]),  # 1/(1 + z)
+    "positive_root_beyond_one": ([1], [1, 1, -1]),  # roots 1.618, -0.618
+}
+
+
+def test_validation_rules(capsys, tmp_path):
+    for name, (P, Q) in INVALID.items():
+        with pytest.raises(DomainError):
+            LocalModel(name, P, Q)
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(json.dumps({"label": name, "P": P, "Q": Q}))
+        assert cli.main(["dims", "--model", str(doc), "--V", "3",
+                         "--N", "4"]) == 2
+        assert "config error" in capsys.readouterr().err
     with pytest.raises(DomainError):
-        LocalModel("no_vacuum", lambda k: 0 if k == 0 else 1, n_max=2)
+        LocalModel("offset", [1, 1], charge_offset=0.5)
+    # (1 - 2 z^70)/(1 - z): the first negative a_k lies past the probe
+    # made at construction and is refused when first computed
+    late = LocalModel("late_negative", [1] + [0] * 69 + [-2], [1, -1])
+    assert late.coefficient(69) == 1
     with pytest.raises(DomainError):
-        LocalModel("no_charge", lambda k: 1 if k == 0 else 0, n_max=3)
-    # bad values surface on first access of the offending coefficient
-    lazy = LocalModel("negative", lambda k: -1 if k == 2 else 1, n_max=3)
-    with pytest.raises(DomainError):
-        lazy.coefficient(2)
-    with pytest.raises(DomainError):
-        LocalModel("fractional", lambda k: 1.5, n_max=2)
-    with pytest.raises(DomainError):
-        LocalModel("unbounded_no_radius", lambda k: 1)
-    with pytest.raises(DomainError):
-        LocalModel("radius_too_big", lambda k: 1, radius=1.8)
-    # factorial growth cannot hide behind radius 1
-    with pytest.raises(DomainError):
-        LocalModel("factorial", math.factorial, radius=1.0)
+        late.coefficient(70)
 
 
 def test_coefficient_clamps_and_caches():
@@ -127,38 +159,40 @@ def test_coefficient_clamps_and_caches():
 
 
 def test_json_round_trip_catalog():
-    for name in FIVE:
-        model = catalog(name)
+    models = [catalog(name) for name in FIVE]
+    models += [catalog("spin_j", 1.5), catalog("capped_bosons", 3),
+               product([catalog("fermions"), catalog("bosons")]),
+               power(catalog("bosons"), 3)]
+    for model in models:
         clone = from_json(model.to_json())
         assert clone.label == model.label
         assert clone.n_max == model.n_max
-        assert clone.coefficients(8) == model.coefficients(8)
-    spinny = catalog("spin_j", 1.5)
-    clone = from_json(spinny.to_json())
-    assert clone.n_max == 3
-    assert clone.rule == spinny.rule
+        assert clone.radius == model.radius
+        assert clone.coefficients(64) == model.coefficients(64)
 
 
 def test_json_round_trip_explicit_list():
     model = shift_charges([1, 2, 1], k_min=-1, label="triplet")
     doc = json.loads(model.to_json())
-    assert doc["coefficients"] == [1, 2, 1]
+    assert doc == {"label": "triplet", "P": [1, 2, 1], "Q": [1],
+                   "charge_offset": -1}
     clone = from_json(doc)
     assert clone.coefficients(4) == [1, 2, 1, 0]
     assert clone.charge_offset == -1
     assert clone.n_max == 2
 
 
-def test_json_rejects_unbounded_prefix():
-    bare = LocalModel("bare_bosons", lambda k: 1, radius=1.0)
-    with pytest.raises(ConfigError):
-        from_json(bare.to_json())
+def test_json_rejects_malformed_documents():
     with pytest.raises(ConfigError):
         from_json({"coefficients": [1, 1], "n_max": 3})
     with pytest.raises(ConfigError):
         from_json("[1, 2]")
     with pytest.raises(ConfigError):
         from_json({"label": "empty"})
+    with pytest.raises(ConfigError):
+        from_json({"P": [1, 1], "Q": "1 - z"})
+    with pytest.raises(ConfigError):
+        from_json("{not json")
 
 
 def test_product_convolves():
@@ -167,6 +201,11 @@ def test_product_convolves():
     assert mixed.coefficients(5) == [1, 2, 2, 2, 2]
     assert mixed.n_max is None
     assert mixed.radius == 1.0
+    # (1 + z)/(1 - z^2) shares the factor 1 + z, which cancels
+    even = LocalModel("even_bosons", [1], [1, 0, -1])
+    assert even.coefficients(4) == [1, 0, 1, 0]
+    cancelled = product([catalog("fermions"), even])
+    assert (cancelled.P, cancelled.Q) == ([1], [1, -1])
     two = product([catalog("fermions"), catalog("fermions")])
     assert two.coefficients(4) == [1, 2, 1, 0]
     assert two.n_max == 2

@@ -7,8 +7,8 @@ import mpmath as mp
 import pytest
 
 from page_entropy.errors import DomainError
-from page_entropy.numerics import (digamma_of_dim, erfc, erfcx,
-                                   exp_times_erfc, ln_big, trigamma_of_dim)
+from page_entropy.numerics import (digamma_of_dim, erfcx, exp_times_erfc,
+                                   ln_big, trigamma_of_dim)
 
 mp.mp.dps = 50
 
@@ -89,18 +89,20 @@ def test_trigamma_known_values():
 
 
 def test_erfc_reference_points():
-    assert erfc(0.0) == 1.0
-    assert abs(erfc(1.0) - 0.15729920705028513) < 1e-15
-    assert erfc(30.0) == 0.0
-    assert erfc(35.0) == 0.0
-    assert erfc(-30.0) == 2.0
+    # the resolved kernels rely on math.erfc saturating to exactly 0 and 2
+    assert math.erfc(0.0) == 1.0
+    assert abs(math.erfc(1.0) - 0.15729920705028513) < 1e-15
+    assert math.erfc(28.0) == 0.0
+    assert math.erfc(30.0) == 0.0
+    assert math.erfc(35.0) == 0.0
+    assert math.erfc(-30.0) == 2.0
 
 
 def test_erfc_reflection():
     rng = random.Random(5)
     for _ in range(100):
         x = rng.uniform(-8, 8)
-        assert abs(erfc(x) + erfc(-x) - 2.0) < 1e-13
+        assert abs(math.erfc(x) + math.erfc(-x) - 2.0) < 1e-13
 
 
 def test_erfcx_matches_scaled_erfc():
