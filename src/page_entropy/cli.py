@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import entropy as ent
@@ -29,15 +28,13 @@ from .saddle import beta_family, n_star
 from .spectra import build_bose_hubbard, build_spin1_xxz, \
     mid_spectrum_entropies
 
-THREADS_ENV = "PAGE_ENTROPY_THREADS"
-
 # config-file key -> argparse dest (keys match the long flag names)
 _CONFIG_KEYS = {
     "model": "model", "V": "V", "N": "N", "n": "n", "VA": "VA",
     "grid": "grid", "samples": "samples", "seed": "seed",
     "window": "window", "lambda": "lam", "Delta": "Delta", "U": "U",
     "nmax": "nmax", "f": "f", "V-list": "V_list", "out": "out",
-    "format": "format", "threads": "threads", "methods": "methods",
+    "format": "format", "methods": "methods",
 }
 
 _PAGE_METHODS = ("exact", "asymptotic", "resolved", "exact_var", "asym_var")
@@ -100,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(default {','.join(_PAGE_METHODS)})")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--threads", type=int)
         p.set_defaults(run=run)
         return p
 
@@ -132,18 +128,6 @@ def _merge_config(args) -> dict:
                 raise ConfigError(f"unknown config field {key!r}")
             if merged.get(dest) is None:  # flags win
                 merged[dest] = value
-    if merged.get("threads") is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                merged["threads"] = int(env)
-            except ValueError:
-                raise ConfigError(f"{THREADS_ENV} must be an integer, "
-                                  f"got {env!r}")
-    if merged.get("threads") is None:
-        merged["threads"] = 1
-    elif int(merged["threads"]) < 1:
-        raise ConfigError("threads must be >= 1")
     return merged
 
 
@@ -378,8 +362,7 @@ def _cmd_mc(merged):
     seed = merged.get("seed")
     seed = 0 if seed is None else int(seed)
     basis = build_sector_basis(model, V, N, cuts[0])
-    summary = mc_average(basis, samples, seed,
-                         threads=int(merged["threads"]))
+    summary = mc_average(basis, samples, seed)
     doc = {"model": model.label, "V": V, "N": N, "V_A": cuts[0],
            "samples": summary.samples, "seed": summary.seed,
            "mean": summary.mean, "sem": summary.sem,

@@ -1,10 +1,12 @@
 """Exact sector dimensions d_N(V) = [z^N] zeta(z)^V.
 
 Everything here is exact integer arithmetic on Python ints (which serve as
-the arbitrary-precision dimension type throughout the package): polynomial
-coefficient lists convolved with binary exponentiation, truncated at the
-requested particle number.  Floats never appear, so dimensions with
-thousands of digits are fine.
+the arbitrary-precision dimension type throughout the package).  For
+zeta = P/Q, h = zeta^V solves the first-order equation
+P Q h' = V (P'Q - P Q') h, so each d_N follows from the previous deg(PQ)
+entries with small-integer multipliers: Miller's recurrence for powers of
+a power series (Knuth, TAOCP Vol. 2, 4.7), extended to a rational base.
+Floats never appear, so dimensions with thousands of digits are fine.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .local_model import LocalModel
-
-# Per-model cache of computed tables, keyed (V, cap); evicted FIFO.
-_TABLE_CACHE_SLOTS = 64
+from .local_model import LocalModel, _poly_mul
 
 
 def dim_fixed_n(model: LocalModel, V: int, N: int) -> int:
@@ -28,38 +27,42 @@ def dim_fixed_n(model: LocalModel, V: int, N: int) -> int:
 def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
     """All sector dimensions d_0 .. d_{N_cap} for V sites, exact.
 
-    One truncated polynomial power serves every N at once; results are
-    cached on the model.
+    With A = P Q and R = P'Q - P Q', the coefficients of z^(m-1) in
+    A h' = V R h give d_0 = a_0^V and, for m >= 1,
+
+        m a_0 d_m = sum_{i=1..deg A} (V R_{i-1} - (m - i) A_i) d_{m-i},
+
+    an exact division.
     """
     if V < 0:
         raise DomainError(f"V must be nonnegative, got {V}")
     if N_cap < 0:
         raise DomainError(f"N_cap must be nonnegative, got {N_cap}")
-    if model.n_max is not None:
-        # beyond V * n_max every entry is 0; avoid pointless convolutions
-        N_eff = min(N_cap, V * model.n_max)
-    else:
-        N_eff = N_cap
-    cache = getattr(model, "_dim_tables", None)
-    if cache is None:
-        cache = {}
-        model._dim_tables = cache
-    hit = cache.get((V, N_eff))
-    if hit is None:
-        hit = tuple(_power_coefficients(model, V, N_eff))
-        if len(cache) >= _TABLE_CACHE_SLOTS:
-            cache.pop(next(iter(cache)))
-        cache[(V, N_eff)] = hit
-    if N_cap == N_eff:
-        return hit
-    return hit + (0,) * (N_cap - N_eff)
+    # beyond V * n_max every entry is 0
+    N_eff = N_cap if model.n_max is None else min(N_cap, V * model.n_max)
+    model.coefficient(N_eff)  # refuses a negative a_k up to the cap
+    P, Q = model.P, model.Q
+    A = _poly_mul(P, Q)
+    R = [x - y for x, y in zip(_poly_mul(_derivative(P), Q),
+                               _poly_mul(P, _derivative(Q)))]
+    # terms with i > N_eff only ever meet d_{m-i} with m - i < 0
+    reach = min(len(A) - 1, N_eff)
+    # (i, V R_{i-1} + i A_i, A_i): the multiplier of d_{m-i} is u - m a
+    steps = [(i, V * R[i - 1] + i * A[i], A[i]) for i in range(1, reach + 1)]
+    a_0 = P[0]
+    h = [0] * reach + [a_0 ** V]  # d_m sits at h[reach + m]
+    for m in range(1, N_eff + 1):
+        top = reach + m
+        h.append(sum((u - m * a) * h[top - i] for i, u, a in steps)
+                 // (m * a_0))
+    return tuple(h[reach:]) + (0,) * (N_cap - N_eff)
 
 
 def extended_binomial_closed(V: int, N: int, n_max: int) -> int:
     """Closed form for [z^N] (1 + z + ... + z^n_max)^V.
 
     Alternating sum of ordinary binomials; exact, and independent of the
-    convolution route for cross-checks.
+    recurrence route for cross-checks.
     """
     if V < 0 or n_max < 1:
         raise DomainError("extended binomial needs V >= 0 and n_max >= 1")
@@ -82,35 +85,5 @@ def distinguishable_dim(V: int, N: int) -> int:
     return V ** N
 
 
-def _power_coefficients(model: LocalModel, V: int, cap: int) -> list[int]:
-    """Coefficients of zeta(z)^V mod z^(cap+1), by binary exponentiation."""
-    if V == 0:
-        return [1] + [0] * cap
-    base_len = cap if model.n_max is None else min(cap, model.n_max)
-    base = [model.coefficient(k) for k in range(base_len + 1)]
-    result = [1]
-    e = V
-    while True:
-        if e & 1:
-            result = _mul_trunc(result, base, cap)
-        e >>= 1
-        if not e:
-            break
-        base = _mul_trunc(base, base, cap)
-    result.extend(0 for _ in range(cap + 1 - len(result)))
-    return result
-
-
-def _mul_trunc(p: list[int], q: list[int], cap: int) -> list[int]:
-    """Product of coefficient lists, truncated at degree cap."""
-    out = [0] * min(len(p) + len(q) - 1, cap + 1)
-    n_out = len(out)
-    for i, pi in enumerate(p):
-        if not pi or i >= n_out:
-            continue
-        j_hi = min(len(q), n_out - i)
-        for j in range(j_hi):
-            qj = q[j]
-            if qj:
-                out[i + j] += pi * qj
-    return out
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]

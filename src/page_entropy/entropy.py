@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import erfc
 from typing import Optional
 
-from .dimensions import dim_fixed_n, dim_table, distinguishable_dim
+from .dimensions import dim_table, distinguishable_dim
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
@@ -176,6 +176,11 @@ def exact_variance(model: LocalModel, spec: BipartitionSpec) -> VarianceEstimate
     stays finite as long as the scaled numerator is positive.
     """
     _, numerator, d_n = _sector_sums(model, spec, want_variance=True)
+    return _variance_estimate(numerator, d_n)
+
+
+def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
+    """Variance numerator / (d_N + 1), with its log side channel."""
     if numerator <= 0.0:
         # roundoff can leave a ~1e-16 negative residue on a zero variance
         return VarianceEstimate(value=0.0, log_value=None,
@@ -583,9 +588,12 @@ def report(model: LocalModel, spec: BipartitionSpec,
     """
     f = spec.f
     boundary = spec.V_A in (0, spec.V)
-    exact_mean = asym = resolved = exact_var = asym_var = None
-    if "exact" in methods:
-        exact_mean = 0.0 if boundary else exact_average(model, spec)
+    exact_mean = asym = resolved = exact_var = asym_var = sums = None
+    if "exact" in methods and boundary:
+        exact_mean = 0.0
+    elif "exact" in methods:  # one pass serves the exact variance too
+        sums = _sector_sums(model, spec, "exact_variance" in methods)
+        exact_mean = sums[0]
     if "asymptotic" in methods:
         asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False) if boundary
                 else asymptotic_terms(model, spec.V, f, spec.n))
@@ -593,8 +601,11 @@ def report(model: LocalModel, spec: BipartitionSpec,
         resolved = 0.0 if boundary else resolved_average(model, spec.V, f,
                                                          spec.n)
     if "exact_variance" in methods:
-        exact_var = (VarianceEstimate(0.0, None, 0.0) if boundary
-                     else exact_variance(model, spec))
+        if boundary:
+            exact_var = VarianceEstimate(0.0, None, 0.0)
+        else:
+            _, numerator, d_n = sums or _sector_sums(model, spec, True)
+            exact_var = _variance_estimate(numerator, d_n)
     if "asymptotic_variance" in methods:
         asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None) if boundary
                     else asymptotic_variance(model, spec.V, f, spec.n))

@@ -6,14 +6,13 @@ subsystem particle number N_A; the reduced spectrum is the union of the
 squared singular values of the per-block (d_A x d_B) amplitude matrices.
 
 Sampling is reproducible by construction: sample i of a run draws from its
-own substream seeded by (seed, i), and reductions always run in sample
-order, so the summary is bit-identical for any worker count.
+own substream seeded by (seed, i), so the summary depends only on the seed
+and the sample count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,27 +126,16 @@ def _schmidt_weights(mat: np.ndarray) -> np.ndarray:
     return np.clip(lam, 0.0, None)
 
 
-def mc_average(basis: SectorBasis, n_samples: int, seed: int,
-               threads: int = 1) -> McSummary:
+def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
     """Mean/variance of the sampled entropy over n_samples Haar states.
 
-    Sample i always draws from the substream seeded (seed, i); the result
-    does not depend on `threads`.
+    Sample i always draws from the substream seeded (seed, i).
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     values = np.empty(n_samples)
-
-    def run(i: int):
+    for i in range(n_samples):
         values[i] = sample_entropy(basis, np.random.default_rng([seed, i]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_samples)))
-    else:
-        for i in range(n_samples):
-            run(i)
-
     mean = float(np.mean(values))
     variance = float(np.var(values, ddof=1)) if n_samples > 1 else 0.0
     sem = math.sqrt(variance / n_samples)

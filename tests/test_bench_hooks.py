@@ -1,0 +1,38 @@
+"""The benchmark's layer tracer (perfbench/spans.py) patches names in the
+package by string; a rename that breaks `run.py --trace 1` fails here."""
+
+import sys
+from pathlib import Path
+
+import page_entropy.cli as cli
+import page_entropy.entropy as entropy
+import page_entropy.haar_sampler as haar_sampler
+import page_entropy.saddle as saddle
+import page_entropy.spectra as spectra
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = {"cli": cli, "entropy": entropy, "saddle": saddle,
+           "haar_sampler": haar_sampler, "spectra": spectra}
+
+
+def test_tracer_installs_on_live_modules_and_restores(capsys):
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    before = {name: dict(vars(mod)) for name, mod in MODULES.items()}
+    tracer = spans.Tracer()
+    restore = tracer.install(MODULES)
+    try:
+        assert cli.main(["page", "--model", "fermions", "--V", "6",
+                         "--N", "3", "--VA", "2"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    names = {rec[0] for rec in tracer.spans}
+    assert {"entropy.report", "dimensions.dim_table",
+            "saddle.beta_family"} <= names
+    for name, mod in MODULES.items():
+        for key, value in before[name].items():
+            assert getattr(mod, key) is value, f"{name}.{key} not restored"

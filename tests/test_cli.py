@@ -151,16 +151,17 @@ def test_mc_json_and_determinism(capsys):
     assert code == 2 and "exactly one" in err
 
 
-def test_mc_threads_do_not_change_results(capsys, monkeypatch):
+def test_threads_flag_and_config_key_rejected(capsys, tmp_path):
     args = ("mc", "--model", "bosons", "--V", "5", "--N", "4", "--VA", "2",
             "--samples", "32", "--seed", "1")
-    _, serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert serial == threaded
-    monkeypatch.setenv(cli.THREADS_ENV, "zero")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2 and cli.THREADS_ENV in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--threads", "4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps({"threads": 4}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), *args)
+    assert code == 2 and "unknown config field" in err
 
 
 def test_ed_csv_shape(capsys):

@@ -3,10 +3,13 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from page_entropy.dimensions import (dim_fixed_n, dim_table,
                                      distinguishable_dim,
                                      extended_binomial_closed)
-from page_entropy.local_model import catalog, power, product
+from page_entropy.local_model import LocalModel, catalog, power, product
 
 FIVE = ("fermions", "hardcore_bosons_2species", "bosons",
         "bosons_2species_unordered", "bosons_2species_ordered")
@@ -67,6 +70,22 @@ def test_dim_table_matches_naive_polynomial_power():
             got = dim_table(m, V, cap)
             ref = poly_power_oracle(m.coefficients(cap + 1), V, cap)
             assert list(got) == ref[:cap + 1]
+
+
+# P with a_0 in 1..3 and nonnegative coefficients over Q in {1, 1 - z,
+# (1 - z)^2, 1 - 2z}: a_k >= 0, and P shares no root with Q.
+random_models = st.builds(
+    lambda low, rest, Q: LocalModel("random", [low, *rest], Q),
+    st.integers(1, 3), st.lists(st.integers(0, 3), max_size=3).map(
+        lambda rest: rest + [1]),
+    st.sampled_from(([1], [1, -1], [1, -2, 1], [1, -2])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_models, st.integers(0, 12), st.integers(0, 30))
+def test_dim_table_recurrence_matches_naive_power(model, V, cap):
+    ref = poly_power_oracle(model.coefficients(cap + 1), V, cap)
+    assert list(dim_table(model, V, cap)) == (ref + [0] * cap)[:cap + 1]
 
 
 def test_dim_table_edges():

@@ -226,6 +226,11 @@ def test_report_panel_and_errors():
     assert rep.asymptotic is not None and rep.asymptotic.a > 0
     assert rep.resolved is not None
     assert rep.exact_variance.value >= 0
+    # both exact methods come from one pass over the blocks, unchanged
+    for spec in (BipartitionSpec(8, 4, 2), BipartitionSpec(9, 4, 5)):
+        rep = report(m, spec, methods=("exact", "exact_variance"))
+        assert rep.exact_mean == exact_average(m, spec)
+        assert rep.exact_variance == exact_variance(m, spec)
     with pytest.raises(DomainError):
         exact_average(m, BipartitionSpec(4, 9, 2))  # empty sector
     with pytest.raises(ValueError):

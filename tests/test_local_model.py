@@ -149,6 +149,13 @@ def test_validation_rules(capsys, tmp_path):
     assert late.coefficient(69) == 1
     with pytest.raises(DomainError):
         late.coefficient(70)
+    # a sector table reaching past a_70 is refused too, though its
+    # recurrence never reads a_k
+    doc = tmp_path / "late_negative.json"
+    doc.write_text(late.to_json())
+    assert cli.main(["dims", "--model", str(doc), "--V", "2",
+                     "--N", "80"]) == 2
+    assert "a_70 is negative" in capsys.readouterr().err
 
 
 def test_coefficient_clamps_and_caches():
