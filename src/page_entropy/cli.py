@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: beta, page, scaling, variance, mc, ed, dims.  Every flag can
-also be supplied through a single JSON config file (--config); explicit
-flags win over config values.  CSV output carries floats at 17 significant
-digits and exact integers as full decimal strings.
+Subcommands: beta, page, scaling, variance, mc, ed, dims.  Each takes only
+the flags it reads; any of them can also be supplied through a single JSON
+config file (--config), where a key the subcommand does not read is an
+error.  Explicit flags win over config values.  CSV output carries floats
+at 17 significant digits and exact integers as full decimal strings.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 infeasible size.
@@ -28,16 +29,31 @@ from .saddle import beta_family, n_star
 from .spectra import build_bose_hubbard, build_spin1_xxz, \
     mid_spectrum_entropies
 
-# config-file key -> argparse dest (keys match the long flag names)
-_CONFIG_KEYS = {
-    "model": "model", "V": "V", "N": "N", "n": "n", "VA": "VA",
-    "grid": "grid", "samples": "samples", "seed": "seed",
-    "window": "window", "lambda": "lam", "Delta": "Delta", "U": "U",
-    "nmax": "nmax", "f": "f", "V-list": "V_list", "out": "out",
-    "format": "format", "methods": "methods",
+_PAGE_METHODS = ("exact", "asymptotic", "resolved", "exact_var", "asym_var")
+
+# long flag (also its config key) -> add_argument keywords
+_FLAGS = {
+    "model": {"help": "catalog name, name:param, or JSON model file"},
+    "V": {"type": int},
+    "N": {"type": int},
+    "n": {"type": float, "help": "filling; N = round(n V)"},
+    "VA": {"help": "comma-separated cut sizes"},
+    "grid": {"help": "n grid as lo:hi:count"},
+    "samples": {"type": int},
+    "seed": {"type": int},
+    "window": {"type": int},
+    "lambda": {"dest": "lam", "type": float},
+    "Delta": {"type": float},
+    "U": {"type": float},
+    "nmax": {"type": int},
+    "f": {"type": float, "help": "subsystem fraction"},
+    "V-list": {"dest": "V_list", "help": "comma-separated system sizes"},
+    "methods": {"help": "comma-separated page columns "
+                        f"(default {','.join(_PAGE_METHODS)})"},
+    "out": {"help": "output path (default stdout)"},
+    "format": {"choices": ("csv", "json")},
 }
 
-_PAGE_METHODS = ("exact", "asymptotic", "resolved", "exact_var", "asym_var")
 # column name -> EntropyReport method key
 _METHOD_KEYS = {
     "exact": "exact", "asymptotic": "asymptotic", "resolved": "resolved",
@@ -72,41 +88,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "sectors: exact, asymptotic, sampled, and diagonalized.")
     parser.add_argument("--config", help="JSON file with flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, run):
+    # each subcommand takes only the flags its _cmd_* reads, plus output
+    commands = (
+        ("beta", "saddle family over an n grid", _cmd_beta, "model grid"),
+        ("page", "page curve of one sector (all methods)", _cmd_page,
+         "model V N n VA methods"),
+        ("scaling", "mean vs V at fixed f and n", _cmd_scaling,
+         "model f n V-list"),
+        ("variance", "exact and asymptotic variance over cuts",
+         _cmd_variance, "model V N n VA"),
+        ("mc", "Haar Monte Carlo average", _cmd_mc,
+         "model V N n VA samples seed"),
+        ("ed", "mid-spectrum eigenstate entropies", _cmd_ed,
+         "model V N n VA window lambda Delta U nmax"),
+        ("dims", "exact sector dimension table", _cmd_dims, "model V N"),
+    )
+    for name, help_text, run, flags in commands:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", help="catalog name, name:param, or JSON "
-                                       "model file")
-        p.add_argument("--V", type=int)
-        p.add_argument("--N", type=int)
-        p.add_argument("--n", type=float, help="filling; N = round(n V)")
-        p.add_argument("--VA", help="comma-separated cut sizes")
-        p.add_argument("--grid", help="n grid as lo:hi:count")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--window", type=int)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--Delta", type=float)
-        p.add_argument("--U", type=float)
-        p.add_argument("--nmax", type=int)
-        p.add_argument("--f", type=float, help="subsystem fraction")
-        p.add_argument("--V-list", dest="V_list",
-                       help="comma-separated system sizes")
-        p.add_argument("--methods",
-                       help="comma-separated page columns "
-                            f"(default {','.join(_PAGE_METHODS)})")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.set_defaults(run=run)
-        return p
-
-    add("beta", "saddle family over an n grid", _cmd_beta)
-    add("page", "page curve of one sector (all methods)", _cmd_page)
-    add("scaling", "mean vs V at fixed f and n", _cmd_scaling)
-    add("variance", "exact and asymptotic variance over cuts", _cmd_variance)
-    add("mc", "Haar Monte Carlo average", _cmd_mc)
-    add("ed", "mid-spectrum eigenstate entropies", _cmd_ed)
-    add("dims", "exact sector dimension table", _cmd_dims)
+        flags = flags.split() + ["out", "format"]
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(run=run, flags=flags)
     return parser
 
 
@@ -123,9 +125,12 @@ def _merge_config(args) -> dict:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object of flag values")
         for key, value in config.items():
-            dest = _CONFIG_KEYS.get(key)
-            if dest is None:
+            if key not in _FLAGS:
                 raise ConfigError(f"unknown config field {key!r}")
+            if key not in args.flags:
+                raise ConfigError(f"config field {key!r} does not apply to "
+                                  f"the {args.command} command")
+            dest = _FLAGS[key].get("dest", key)
             if merged.get(dest) is None:  # flags win
                 merged[dest] = value
     return merged
@@ -183,6 +188,15 @@ def _get_int_list(merged, field, flag, default=None):
         return [int(item) for item in items]
     except (TypeError, ValueError):
         raise ConfigError(f"--{flag} must be a comma-separated integer list")
+
+
+def _get_cut_specs(merged, V: int, N: int):
+    """One BipartitionSpec per --VA cut size (default: every V_A)."""
+    cuts = _get_int_list(merged, "VA", "VA", default=list(range(V + 1)))
+    for v_a in cuts:
+        if not 0 <= v_a <= V:
+            raise ConfigError(f"--VA entries must lie in [0, V]; got {v_a}")
+    return [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
 
 
 def _get_grid(merged):
@@ -245,18 +259,17 @@ def _cmd_page(merged):
     V = _get_positive_int(merged, "V", "V")
     N = _get_particles(merged, V)
     methods = _methods(merged)
-    cuts = _get_int_list(merged, "VA", "VA", default=list(range(V + 1)))
+    specs = _get_cut_specs(merged, V, N)
     header = ["V_A", "f"] + list(methods)
     rows = []
     reports = []
     keys = tuple(dict.fromkeys(_METHOD_KEYS[m] for m in methods))
-    for v_a in cuts:
-        if not 0 <= v_a <= V:
-            raise ConfigError(f"--VA entries must lie in [0, V]; got {v_a}")
-        rep = ent.report(model, ent.BipartitionSpec(V=V, N=N, V_A=v_a),
-                         methods=keys)
+    if {"exact", "exact_variance"} & set(keys):
+        ent.check_exact_work(model, specs, "exact_variance" in keys)
+    for spec in specs:
+        rep = ent.report(model, spec, methods=keys)
         reports.append(rep)
-        row = [v_a, rep.f]
+        row = [spec.V_A, rep.f]
         for method in methods:
             row.append(_report_value(rep, _METHOD_KEYS[method]))
         rows.append(row)
@@ -313,15 +326,17 @@ def _cmd_scaling(merged):
     n = float(_require(merged, "n", "n"))
     sizes = _get_int_list(merged, "V_list", "V-list")
     header = ["V", "inv_V", "N", "V_A", "exact", "asymptotic", "sqrt_coeff"]
-    rows = []
+    specs = []
     for V in sizes:
         v_a = f * V
         if abs(v_a - round(v_a)) > 1e-9:
             raise ConfigError(f"f*V must be an integer for the exact sum; "
                               f"f={f}, V={V}")
-        v_a = round(v_a)
-        N = round(n * V)
-        spec = ent.BipartitionSpec(V=V, N=N, V_A=v_a)
+        specs.append(ent.BipartitionSpec(V=V, N=round(n * V), V_A=round(v_a)))
+    ent.check_exact_work(model, specs, False)
+    rows = []
+    for spec in specs:
+        V, N, v_a = spec.V, spec.N, spec.V_A
         exact = ent.exact_average(model, spec)
         terms = ent.asymptotic_terms(model, V, spec.f, spec.n)
         sqrt_coeff = (exact - terms.a * V - terms.c) / math.sqrt(V)
@@ -334,16 +349,15 @@ def _cmd_variance(merged):
     model = _get_model(merged)
     V = _get_positive_int(merged, "V", "V")
     N = _get_particles(merged, V)
-    cuts = _get_int_list(merged, "VA", "VA", default=list(range(V + 1)))
+    specs = _get_cut_specs(merged, V, N)
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
               "asymptotic_variance", "log_asymptotic_variance"]
     rows = []
-    for v_a in cuts:
-        if not 0 <= v_a <= V:
-            raise ConfigError(f"--VA entries must lie in [0, V]; got {v_a}")
-        rep = ent.report(model, ent.BipartitionSpec(V=V, N=N, V_A=v_a),
+    ent.check_exact_work(model, specs, True)
+    for spec in specs:
+        rep = ent.report(model, spec,
                          methods=("exact_variance", "asymptotic_variance"))
-        rows.append([v_a, rep.f,
+        rows.append([spec.V_A, rep.f,
                      rep.exact_variance.value, rep.exact_variance.log_value,
                      rep.asymptotic_variance.value,
                      rep.asymptotic_variance.log_value])

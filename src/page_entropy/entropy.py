@@ -39,6 +39,10 @@ KRONECKER_TOL = 1e-12
 # Exact sums stay practical up to roughly this many sites.
 _EXACT_V_LIMIT = 4000
 
+# Exact sums of one request estimated above this many seconds (see
+# `exact_work_seconds`) are refused before any table is built.
+EXACT_WORK_BUDGET_S = 60.0
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -194,11 +198,85 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
+def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
+    """Refuse exact sums over `specs`, the cuts of one request, up front.
+
+    Raises InfeasibleSizeError if any V exceeds 4000 or the summed
+    `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.
+    """
+    specs = list(specs)
+    if any(spec.V > _EXACT_V_LIMIT for spec in specs):
+        raise InfeasibleSizeError(
+            f"exact sum limited to V <= {_EXACT_V_LIMIT}")
+    seconds = sum(exact_work_seconds(model, spec, want_variance)
+                  for spec in specs)
+    if seconds > EXACT_WORK_BUDGET_S:
+        raise InfeasibleSizeError(
+            f"exact sums estimated at {seconds:.0f} s for {len(specs)} "
+            f"cut(s), above the {EXACT_WORK_BUDGET_S:.0f} s budget")
+
+
+def exact_work_seconds(model: LocalModel, spec: BipartitionSpec,
+                       want_variance: bool) -> float:
+    """Estimated run time of one cut's exact sums, from sizes alone.
+
+    Each of the two dimension tables takes N_eff * (reach + 2) big-int
+    steps of 0.35 us + 4 ns per 64-bit word, reach = min(deg PQ, N_eff);
+    each N_A block takes 4 us + 25 ns * w^1.6 for w-word dimensions, 2.5
+    times that with the variance.  Calibrated on a 2-vCPU x86 host with
+    Python 3.11 (fermions to capped_bosons:100000, V up to 4000), where it
+    matched measured times within a factor of two either way.
+    """
+    n_a_values = spec.n_a_range(model.n_max)
+    if spec.V_A in (0, spec.V) or not len(n_a_values):
+        return 0.0
+    bits = _dim_bits_bound(model, spec.N)
+    deg_pq = len(model.P) + len(model.Q) - 2
+    seconds = 0.0
+    for sites, cap in ((spec.V_A, n_a_values[-1]),
+                       (spec.V - spec.V_A, spec.N)):
+        n_eff = cap if model.n_max is None else min(cap, sites * model.n_max)
+        words = bits(sites, n_eff) / 64.0
+        seconds += n_eff * (min(deg_pq, n_eff) + 2) * (3.5e-7 + 4e-9 * words)
+    words = bits(spec.V, spec.N) / 64.0
+    per_block = 4e-6 + 2.5e-8 * words ** 1.6
+    return seconds + len(n_a_values) * per_block * (2.5 if want_variance
+                                                    else 1.0)
+
+
+def _dim_bits_bound(model: LocalModel, N: int):
+    """bits(V, M) ~ an upper bound on log2 d_M(V) for M <= N.
+
+    Uses d_M(V) <= a_0^V B^M C(V+M-1, M) where a_k <= a_0 B^k, with B
+    taken from a_1..a_16 and the radius, and for bounded models
+    d_M(V) <= (a_0 + ... + a_min(N, n_max))^V.
+    """
+    k_max = min(N, 16 if model.n_max is None else min(16, model.n_max))
+    a = model.coefficients(k_max + 1)
+    log2_a0 = math.log2(a[0])
+    rates = [(math.log2(a[k]) - log2_a0) / k
+             for k in range(1, k_max + 1) if a[k]]
+    if model.n_max is None:
+        rates.append(-math.log2(model.radius))
+        log2_total = math.inf
+    else:
+        log2_total = math.log2(sum(model.P[:min(N, model.n_max) + 1]))
+    log2_b = max(rates, default=0.0)
+
+    def bits(V: int, M: int) -> float:
+        if V == 0:
+            return 0.0
+        log2_paths = (math.lgamma(V + M) - math.lgamma(M + 1)
+                      - math.lgamma(V)) / math.log(2.0)
+        return max(0.0, min(V * log2_a0 + M * log2_b + log2_paths,
+                            V * log2_total))
+    return bits
+
+
 def _sector_sums(model: LocalModel, spec: BipartitionSpec,
                  want_variance: bool):
     """(mean, variance numerator, d_N) over the block decomposition."""
-    if spec.V > _EXACT_V_LIMIT:
-        raise InfeasibleSizeError(f"exact sum limited to V <= {_EXACT_V_LIMIT}")
+    check_exact_work(model, (spec,), want_variance)
     v_b = spec.V - spec.V_A
     n_a_values = spec.n_a_range(model.n_max)
     cap_a = n_a_values[-1] if len(n_a_values) else 0

@@ -1,9 +1,21 @@
 """Monte Carlo oracle: entanglement of Haar-random sector states.
 
-A Haar-random state of a fixed-N sector is a complex Gaussian vector,
-normalized.  The cut splits the sector into blocks labeled by the
-subsystem particle number N_A; the reduced spectrum is the union of the
-squared singular values of the per-block (d_A x d_B) amplitude matrices.
+A Haar-random state of a fixed-N sector is a normalized complex Gaussian
+vector.  The cut splits the sector into blocks labeled by the subsystem
+particle number N_A, and the reduced spectrum is the union of the squared
+singular values of the per-block (d_A x d_B) amplitude matrices G, divided
+by the common norm sum |G|^2.
+
+Each block's G G^dagger is complex Wishart (Laguerre, beta = 2), so its
+spectrum has the law of B B^T for the real bidiagonal B of Dumitriu and
+Edelman (J. Math. Phys. 43, 5830 (2002)): with m = min(d_A, d_B) and
+n = max(d_A, d_B), the squared diagonal is Gamma(n), Gamma(n-1), ...,
+Gamma(n-m+1) and the squared sub-diagonal Gamma(m-1), ..., Gamma(1), all
+independent (Gamma(s) is chi^2_2s / 2, the scale of a unit complex
+Gaussian).  The trace of B B^T is the sum of the draws, i.e. the block's
+share of the norm.  So one sample draws sum(m) pairs of Gamma variates and
+takes the eigenvalues of one block-diagonal tridiagonal matrix: O(sum m^2)
+work, with no sector-sized vector and no dense SVD.
 
 Sampling is reproducible by construction: sample i of a run draws from its
 own substream seeded by (seed, i), so the summary depends only on the seed
@@ -14,15 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dimensions import dim_table
-from .errors import DomainError, InfeasibleSizeError
+from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 
-# Largest sector a dense Gaussian vector is allowed to span.
-MAX_SECTOR_DIM = 2 * 10 ** 6
+# Largest per-sample work sum(min(d_A, d_B)^2) the sampler accepts; the
+# tridiagonal eigenvalue solve costs about 1.7e-8 s per unit.
+MAX_SAMPLE_WORK = 5 * 10 ** 7
+
+# Gamma shapes are block sides; above 2^53 they are no longer exact floats.
+_MAX_BLOCK_SIDE = 2 ** 53
 
 # Blocks at most this slim on one side go through full SVD; squarer ones
 # through the (smaller) Gram matrix eigenproblem.
@@ -50,6 +67,23 @@ class SectorBasis:
     blocks: tuple[SectorBlock, ...]
     dim: int
 
+    @cached_property
+    def gamma_shapes(self) -> np.ndarray:
+        """Shapes of one sample's Gamma draws, read-only.
+
+        The squared bidiagonal entries of all blocks, diagonals first, then
+        sub-diagonals; each block's sub-diagonal ends in a Gamma(0) = 0
+        that decouples it from the next block.
+        """
+        diag, sub = [], []
+        for blk in self.blocks:
+            m, n = sorted((blk.d_a, blk.d_b))
+            diag.append(np.arange(n, n - m, -1, dtype=float))
+            sub.append(np.arange(m - 1, -1, -1, dtype=float))
+        shapes = np.concatenate(diag + sub)
+        shapes.flags.writeable = False
+        return shapes
+
 
 @dataclass(frozen=True)
 class McSummary:
@@ -63,23 +97,33 @@ class McSummary:
 
 def build_sector_basis(model: LocalModel, V: int, N: int,
                        V_A: int) -> SectorBasis:
-    """Block decomposition for sampling; sector dimension capped at 2e6."""
+    """Block decomposition for sampling.
+
+    Refuses (InfeasibleSizeError) a per-sample work sum(min(d_A, d_B)^2)
+    above 5e7 or a block side above 2^53.
+    """
     if V < 1 or not 0 <= V_A <= V or N < 0:
         raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
     table_a = dim_table(model, V_A, N)
     table_b = dim_table(model, V - V_A, N)
     blocks = []
     offset = 0
+    work = 0
     for n_a in range(N + 1):
-        d_a = table_a[n_a]
-        d_b = table_b[N - n_a]
+        d_a = int(table_a[n_a])
+        d_b = int(table_b[N - n_a])
         if d_a and d_b:
-            if offset + d_a * d_b > MAX_SECTOR_DIM:
+            if max(d_a, d_b) > _MAX_BLOCK_SIDE:
                 raise InfeasibleSizeError(
-                    f"sector too large for sampling (> {MAX_SECTOR_DIM})")
-            blocks.append(SectorBlock(n_a=n_a, d_a=int(d_a), d_b=int(d_b),
+                    f"block side above 2^53 at N_A={n_a}; cannot sample")
+            work += min(d_a, d_b) ** 2
+            if work > MAX_SAMPLE_WORK:
+                raise InfeasibleSizeError(
+                    f"sampling work sum(min(d_A, d_B)^2) above "
+                    f"{MAX_SAMPLE_WORK:.0e}")
+            blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b,
                                       offset=offset))
-            offset += int(d_a) * int(d_b)
+            offset += d_a * d_b
     if offset == 0:
         raise DomainError(f"empty sector: V={V}, N={N} for {model.label}")
     return SectorBasis(label=model.label, V=V, N=N, V_A=V_A,
@@ -92,12 +136,26 @@ def sample_entropy(basis: SectorBasis, rng) -> float:
     `rng` is a numpy Generator or an integer seed.  Schmidt coefficients
     below 1e-18 are dropped from the -sum(lam ln lam).
     """
+    # scipy.linalg costs ~60 ms to import; only sampling needs it
+    from scipy.linalg.lapack import dsterf
+
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    amps = rng.standard_normal(2 * basis.dim)
-    psi = amps[:basis.dim] + 1j * amps[basis.dim:]
-    psi /= np.linalg.norm(psi)
-    return entropy_of_block_vector(basis.blocks, psi)
+    shapes = basis.gamma_shapes
+    rank = shapes.size // 2
+    if rank == 1:
+        return 0.0  # a single 1 x n block is a product state
+    draws = rng.standard_gamma(shapes)
+    a2, b2 = draws[:rank], draws[rank:]
+    # T = B B^T: diagonal a_k^2 + b_{k-1}^2, off-diagonal a_k b_k
+    diag = a2.copy()
+    diag[1:] += b2[:-1]
+    lam, info = dsterf(diag, np.sqrt(a2[:-1] * b2[:-1]), overwrite_d=1)
+    if info:
+        raise NumericalError(f"tridiagonal eigenvalues failed (info={info})")
+    lam /= draws.sum()
+    lam = lam[lam > _EIGENVALUE_FLOOR]
+    return float(-(lam @ np.log(lam)))
 
 
 def entropy_of_block_vector(blocks, psi) -> float:

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +165,56 @@ def test_threads_flag_and_config_key_rejected(capsys, tmp_path):
     cfg.write_text(json.dumps({"threads": 4}))
     code, _, err = run_cli(capsys, "--config", str(cfg), *args)
     assert code == 2 and "unknown config field" in err
+
+
+def test_each_subcommand_takes_only_its_own_flags(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dims", "--model", "fermions", "--V", "3",
+                  "--samples", "9", "--Delta", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "samples.json"
+    cfg.write_text(json.dumps({"samples": 9}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "dims", "--model",
+                           "fermions", "--V", "3")
+    assert code == 2 and "'samples' does not apply to the dims" in err
+    code, _, _ = run_cli(capsys, "--config", str(cfg), "mc", "--model",
+                         "fermions", "--V", "4", "--N", "2", "--VA", "2")
+    assert code == 0  # the same key is fine where it is read
+
+
+def test_benchmark_invocations_still_parse():
+    bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench_dir))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench_dir))
+    parser = cli._build_parser()
+    for name in workloads.WORKLOADS:
+        for _, argv in workloads.invocations(name, seed=1):
+            assert parser.parse_args(argv).command == argv[0]
+
+
+def test_exact_sums_refused_up_front(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "page", "--model", "capped_bosons:200",
+                           "--V", "4000", "--n", "1")
+    assert code == 4 and "infeasible" in err and "budget" in err
+    assert time.perf_counter() - start < 2.0
+    code, _, err = run_cli(capsys, "variance", "--model", "fermions",
+                           "--V", "4000", "--n", "0.5")
+    assert code == 4 and "budget" in err
+    # one mid cut is cheap (~0.05 s) and still runs
+    code, out, _ = run_cli(capsys, "page", "--model", "fermions", "--V",
+                           "4000", "--n", "0.5", "--VA", "2000",
+                           "--methods", "exact")
+    assert code == 0 and parse_csv(out)[1][0][0] == "2000"
+    # asymptotic columns need no exact sum: the full V=4000 sweep runs
+    code, out, _ = run_cli(capsys, "page", "--model", "spin_j:1", "--V",
+                           "4000", "--n", "1", "--VA", "0,1,2000,3999,4000",
+                           "--methods", "asymptotic,resolved,asym_var")
+    assert code == 0 and len(parse_csv(out)[1]) == 5
 
 
 def test_ed_csv_shape(capsys):

@@ -14,6 +14,26 @@ from page_entropy.haar_sampler import (SectorBlock, build_sector_basis,
 from page_entropy.local_model import catalog
 
 
+def dense_sample_entropy(basis, rng) -> float:
+    """Oracle sampler: a normalized complex Gaussian vector over the whole
+    sector, then the Schmidt spectrum of every block (SVD or Gram)."""
+    amps = rng.standard_normal(2 * basis.dim)
+    psi = amps[:basis.dim] + 1j * amps[basis.dim:]
+    psi /= np.linalg.norm(psi)
+    return entropy_of_block_vector(basis.blocks, psi)
+
+
+def _mean_and_variance_errors(values):
+    """(mean, sem, variance, standard error of the variance) of a sample."""
+    x = np.asarray(values)
+    n = x.size
+    mean = float(x.mean())
+    var = float(x.var(ddof=1))
+    m4 = float(np.mean((x - mean) ** 4))
+    return mean, math.sqrt(var / n), var, math.sqrt(max(m4 - var * var,
+                                                        0.0) / n)
+
+
 def iter_sector_states(model, V: int, N: int):
     """All product states of the sector as tuples of (charge, which-state).
 
@@ -162,3 +182,45 @@ def test_big_block_gram_route_consistency():
     lam = lam[lam > 1e-18]
     ref = float(-np.sum(lam * np.log(lam)))
     assert abs(got - ref) < 1e-10
+
+
+@pytest.mark.parametrize("name,V,N,V_A", [
+    ("bosons", 6, 4, 2),                     # non-square blocks
+    ("hardcore_bosons_2species", 5, 3, 2),   # a_k > 1
+])
+def test_bidiagonal_sampler_matches_dense_oracle(name, V, N, V_A):
+    basis = build_sector_basis(catalog(name), V, N, V_A)
+    assert any(blk.d_a != blk.d_b for blk in basis.blocks)
+    n = 3000
+    fast = [sample_entropy(basis, np.random.default_rng([5, i]))
+            for i in range(n)]
+    dense = [dense_sample_entropy(basis, np.random.default_rng([6, i]))
+             for i in range(n)]
+    m1, sem1, v1, sev1 = _mean_and_variance_errors(fast)
+    m2, sem2, v2, sev2 = _mean_and_variance_errors(dense)
+    assert abs(m1 - m2) <= 3 * math.hypot(sem1, sem2)
+    assert abs(v1 - v2) <= 3 * math.hypot(sev1, sev2)
+
+
+def test_sampler_reaches_sectors_above_old_dimension_cap():
+    # C(24,12) ~ 2.7e6 states, beyond what a dense vector was allowed;
+    # the per-sample work sum(min^2) is the same 2.7e6
+    m = catalog("fermions")
+    basis = build_sector_basis(m, 24, 12, 12)
+    assert basis.dim == dim_fixed_n(m, 24, 12) > 2 * 10 ** 6
+    out = mc_average(basis, 8, seed=4)
+    ref = exact_average(m, BipartitionSpec(24, 12, 12))
+    assert abs(out.mean - ref) <= 5 * out.sem
+
+
+def test_sampler_refuses_work_above_cap():
+    # sum over N_A of min(d_A, d_B)^2 ~ 7.2e7 > 5e7
+    with pytest.raises(InfeasibleSizeError):
+        build_sector_basis(catalog("bosons"), 16, 16, 8)
+
+
+def test_single_rank_one_block_is_product_state():
+    basis = build_sector_basis(catalog("fermions"), 6, 3, 0)
+    assert sample_entropy(basis, 1) == 0.0
+    basis = build_sector_basis(catalog("fermions"), 6, 6, 3)
+    assert sample_entropy(basis, 1) == 0.0
