@@ -3,8 +3,10 @@
 Subcommands: beta, page, scaling, variance, mc, ed, dims.  Each takes only
 the flags it reads; any of them can also be supplied through a single JSON
 config file (--config), where a key the subcommand does not read is an
-error.  Explicit flags win over config values.  CSV output carries floats
-at 17 significant digits and exact integers as full decimal strings.
+error.  A config value is parsed by its flag's own argparse type, so it is
+checked exactly like the flag; explicit flags win over config values.
+CSV output carries floats at 17 significant digits and exact integers as
+full decimal strings.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 infeasible size.
@@ -31,29 +33,6 @@ from .spectra import build_bose_hubbard, build_spin1_xxz, \
 
 _PAGE_METHODS = ("exact", "asymptotic", "resolved", "exact_var", "asym_var")
 
-# long flag (also its config key) -> add_argument keywords
-_FLAGS = {
-    "model": {"help": "catalog name, name:param, or JSON model file"},
-    "V": {"type": int},
-    "N": {"type": int},
-    "n": {"type": float, "help": "filling; N = round(n V)"},
-    "VA": {"help": "comma-separated cut sizes"},
-    "grid": {"help": "n grid as lo:hi:count"},
-    "samples": {"type": int},
-    "seed": {"type": int},
-    "window": {"type": int},
-    "lambda": {"dest": "lam", "type": float},
-    "Delta": {"type": float},
-    "U": {"type": float},
-    "nmax": {"type": int},
-    "f": {"type": float, "help": "subsystem fraction"},
-    "V-list": {"dest": "V_list", "help": "comma-separated system sizes"},
-    "methods": {"help": "comma-separated page columns "
-                        f"(default {','.join(_PAGE_METHODS)})"},
-    "out": {"help": "output path (default stdout)"},
-    "format": {"choices": ("csv", "json")},
-}
-
 # column name -> EntropyReport method key
 _METHOD_KEYS = {
     "exact": "exact", "asymptotic": "asymptotic", "resolved": "resolved",
@@ -62,15 +41,95 @@ _METHOD_KEYS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+# -- flag types: argparse applies them to flags and config values alike ------
+
+def _number(cast, lo=None):
+    """argparse type: one finite `cast` number, at least `lo` if given."""
+    def parse(text):
+        value = cast(text)
+        if cast is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if lo is not None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+class _CommaList:
+    """argparse type: a comma-separated list of `item` values."""
+
+    def __init__(self, item, what):
+        self.item, self.what = item, what
+
+    def __call__(self, text):
+        try:
+            return [self.item(part.strip()) for part in text.split(",")]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"must be a comma-separated list of {self.what}: {exc}")
+
+
+def _method(text):
+    if text not in _METHOD_KEYS:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {text!r}; choose from {', '.join(_PAGE_METHODS)}")
+    return text
+
+
+def _grid(text):
+    """argparse type: lo:hi:count -> count evenly spaced fillings."""
     try:
+        lo, hi, count = text.split(":")
+        lo, hi = _number(float)(lo), _number(float)(hi)
+        count = _number(int, 1)(count)
+        if hi < lo:
+            raise ValueError
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            "must look like lo:hi:count with finite lo <= hi and count >= 1")
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
+
+
+# long flag (also its config key) -> add_argument keywords
+_FLAGS = {
+    "model": {"help": "catalog name, name:param, or JSON model file"},
+    "V": {"type": _number(int, 1)},
+    "N": {"type": _number(int, 0)},
+    "n": {"type": _number(float, 0), "help": "filling; N = round(n V)"},
+    "VA": {"type": _CommaList(_number(int, 0), "cut sizes"),
+           "help": "comma-separated cut sizes"},
+    "grid": {"type": _grid, "help": "n grid as lo:hi:count"},
+    "samples": {"type": _number(int, 1)},
+    "seed": {"type": _number(int, 0)},
+    "window": {"type": _number(int, 1)},
+    "lambda": {"dest": "lam", "type": _number(float)},
+    "Delta": {"type": _number(float)},
+    "U": {"type": _number(float)},
+    "nmax": {"type": int},
+    "f": {"type": _number(float), "help": "subsystem fraction"},
+    "V-list": {"dest": "V_list",
+               "type": _CommaList(_number(int, 1), "system sizes"),
+               "help": "comma-separated system sizes"},
+    "methods": {"type": _CommaList(_method, "page columns"),
+                "help": "comma-separated page columns "
+                        f"(default {','.join(_PAGE_METHODS)})"},
+    "out": {"help": "output path (default stdout)"},
+    "format": {"choices": ("csv", "json")},
+}
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
         merged = _merge_config(args)
         rows_or_doc = args.run(merged)
         _emit(rows_or_doc, merged)
         return 0
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, argparse.ArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
@@ -82,8 +141,9 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # exit_on_error=False: main reports a bad value as a config error
     parser = argparse.ArgumentParser(
-        prog="page-entropy",
+        prog="page-entropy", exit_on_error=False,
         description="Typical entanglement entropy of number-conserving "
                     "sectors: exact, asymptotic, sampled, and diagonalized.")
     parser.add_argument("--config", help="JSON file with flag defaults")
@@ -104,123 +164,98 @@ def _build_parser() -> argparse.ArgumentParser:
         ("dims", "exact sector dimension table", _cmd_dims, "model V N"),
     )
     for name, help_text, run, flags in commands:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, exit_on_error=False)
         flags = flags.split() + ["out", "format"]
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.set_defaults(run=run, flags=flags)
+        p.set_defaults(run=run, flags=flags, parser=p)
     return parser
 
 
 def _merge_config(args) -> dict:
-    merged = dict(vars(args))
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object of flag values")
-        for key, value in config.items():
-            if key not in _FLAGS:
-                raise ConfigError(f"unknown config field {key!r}")
-            if key not in args.flags:
-                raise ConfigError(f"config field {key!r} does not apply to "
-                                  f"the {args.command} command")
-            dest = _FLAGS[key].get("dest", key)
-            if merged.get(dest) is None:  # flags win
-                merged[dest] = value
-    return merged
+    """Flag values, with config values filled in where no flag was given.
+
+    Each such config value becomes one --key=value token for the
+    subcommand's own parser, so it is checked exactly like the flag.
+    """
+    if not args.config:
+        return dict(vars(args))
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object of flag values")
+    for key in config:
+        if key not in _FLAGS:
+            raise ConfigError(f"unknown config field {key!r}")
+        if key not in args.flags:
+            raise ConfigError(f"config field {key!r} does not apply to "
+                              f"the {args.command} command")
+    # flags win: only the keys no flag has set are parsed onto args
+    unset = [key for key in config if getattr(args, _dest(key)) is None]
+    args.parser.parse_args([_config_token(key, config[key]) for key in unset],
+                           namespace=args)
+    return dict(vars(args))
+
+
+def _config_token(key, value) -> str:
+    """The --key=value command-line token a JSON config value stands for."""
+    flag_type = _FLAGS[key].get("type")
+    if isinstance(value, list) and isinstance(flag_type, _CommaList):
+        value = ",".join(str(item) for item in value)
+    # a flag without a type takes a string (a path, a model, a choice)
+    takes = (str, int, float) if flag_type else str
+    if isinstance(value, bool) or not isinstance(value, takes):
+        raise ConfigError(f"config value {value!r} cannot be given as --{key}")
+    return f"--{key}={value}"
+
+
+def _dest(flag) -> str:
+    return _FLAGS[flag].get("dest", flag)
 
 
 # -- shared option handling -------------------------------------------------
 
-def _require(merged, field, flag):
-    value = merged.get(field)
+def _require(merged, flag):
+    value = merged.get(_dest(flag))
     if value is None:
         raise ConfigError(f"--{flag} is required for this command")
     return value
 
 
 def _get_model(merged) -> LocalModel:
-    return parse_model(str(_require(merged, "model", "model")))
-
-
-def _get_positive_int(merged, field, flag) -> int:
-    value = _require(merged, field, flag)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{flag} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"--{flag} must be positive, got {value}")
-    return value
+    return parse_model(_require(merged, "model"))
 
 
 def _get_particles(merged, V: int) -> int:
-    if merged.get("N") is not None:
-        N = int(merged["N"])
-        if N < 0:
-            raise ConfigError(f"--N must be nonnegative, got {N}")
+    N, n = merged.get("N"), merged.get("n")
+    if N is not None and n is not None:
+        raise ConfigError("give only one of --N and --n")
+    if N is not None:
         return N
-    if merged.get("n") is not None:
-        n = float(merged["n"])
-        if n < 0:
-            raise ConfigError(f"--n must be nonnegative, got {n}")
+    if n is not None:
         return round(n * V)
     raise ConfigError("one of --N or --n is required")
 
 
-def _get_int_list(merged, field, flag, default=None):
-    raw = merged.get(field)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"--{flag} is required for this command")
-        return default
-    if isinstance(raw, (list, tuple)):
-        items = raw
-    else:
-        items = str(raw).split(",")
-    try:
-        return [int(item) for item in items]
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{flag} must be a comma-separated integer list")
-
-
 def _get_cut_specs(merged, V: int, N: int):
     """One BipartitionSpec per --VA cut size (default: every V_A)."""
-    cuts = _get_int_list(merged, "VA", "VA", default=list(range(V + 1)))
+    cuts = merged.get("VA") or range(V + 1)
     for v_a in cuts:
-        if not 0 <= v_a <= V:
+        if v_a > V:
             raise ConfigError(f"--VA entries must lie in [0, V]; got {v_a}")
     return [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
-
-
-def _get_grid(merged):
-    raw = _require(merged, "grid", "grid")
-    parts = str(raw).split(":")
-    if len(parts) != 3:
-        raise ConfigError("--grid must look like lo:hi:count")
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ConfigError("--grid must look like lo:hi:count with numbers")
-    if count < 1 or hi < lo:
-        raise ConfigError("--grid needs hi >= lo and count >= 1")
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
 
 
 # -- commands ----------------------------------------------------------------
 
 def _cmd_beta(merged):
     model = _get_model(merged)
-    grid = _get_grid(merged)
+    grid = _require(merged, "grid")
     header = ["n", "z0", "beta", "beta1", "beta2", "alpha", "mark"]
     rows = []
     star = n_star(model)
@@ -237,28 +272,14 @@ def _cmd_beta(merged):
         rows.append([sol.n, sol.z0, sol.beta, sol.beta1, sol.beta2,
                      sol.alpha, "nmax"])
     rows.sort(key=lambda row: row[0])
-    return {"kind": "table", "header": header, "rows": rows,
-            "meta": {"model": model.label}}
-
-
-def _methods(merged):
-    raw = merged.get("methods")
-    if raw is None:
-        return _PAGE_METHODS
-    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    methods = tuple(item.strip() for item in items)
-    for item in methods:
-        if item not in _METHOD_KEYS:
-            raise ConfigError(f"unknown method {item!r}; choose from "
-                              f"{', '.join(_PAGE_METHODS)}")
-    return methods
+    return {"header": header, "rows": rows, "meta": {"model": model.label}}
 
 
 def _cmd_page(merged):
     model = _get_model(merged)
-    V = _get_positive_int(merged, "V", "V")
+    V = _require(merged, "V")
     N = _get_particles(merged, V)
-    methods = _methods(merged)
+    methods = merged.get("methods") or _PAGE_METHODS
     specs = _get_cut_specs(merged, V, N)
     header = ["V_A", "f"] + list(methods)
     rows = []
@@ -274,7 +295,7 @@ def _cmd_page(merged):
             row.append(_report_value(rep, _METHOD_KEYS[method]))
         rows.append(row)
     meta = {"model": model.label, "V": V, "N": N}
-    return {"kind": "table", "header": header, "rows": rows, "meta": meta,
+    return {"header": header, "rows": rows, "meta": meta,
             "json_doc": _page_json(reports, meta)}
 
 
@@ -322,9 +343,9 @@ def _page_json(reports, meta):
 
 def _cmd_scaling(merged):
     model = _get_model(merged)
-    f = float(_require(merged, "f", "f"))
-    n = float(_require(merged, "n", "n"))
-    sizes = _get_int_list(merged, "V_list", "V-list")
+    f = _require(merged, "f")
+    n = _require(merged, "n")
+    sizes = _require(merged, "V-list")
     header = ["V", "inv_V", "N", "V_A", "exact", "asymptotic", "sqrt_coeff"]
     specs = []
     for V in sizes:
@@ -341,13 +362,13 @@ def _cmd_scaling(merged):
         terms = ent.asymptotic_terms(model, V, spec.f, spec.n)
         sqrt_coeff = (exact - terms.a * V - terms.c) / math.sqrt(V)
         rows.append([V, 1.0 / V, N, v_a, exact, terms.value, sqrt_coeff])
-    return {"kind": "table", "header": header, "rows": rows,
+    return {"header": header, "rows": rows,
             "meta": {"model": model.label, "f": f, "n": n}}
 
 
 def _cmd_variance(merged):
     model = _get_model(merged)
-    V = _get_positive_int(merged, "V", "V")
+    V = _require(merged, "V")
     N = _get_particles(merged, V)
     specs = _get_cut_specs(merged, V, N)
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
@@ -361,20 +382,19 @@ def _cmd_variance(merged):
                      rep.exact_variance.value, rep.exact_variance.log_value,
                      rep.asymptotic_variance.value,
                      rep.asymptotic_variance.log_value])
-    return {"kind": "table", "header": header, "rows": rows,
+    return {"header": header, "rows": rows,
             "meta": {"model": model.label, "V": V, "N": N}}
 
 
 def _cmd_mc(merged):
     model = _get_model(merged)
-    V = _get_positive_int(merged, "V", "V")
+    V = _require(merged, "V")
     N = _get_particles(merged, V)
-    cuts = _get_int_list(merged, "VA", "VA")
+    cuts = _require(merged, "VA")
     if len(cuts) != 1:
         raise ConfigError("mc takes exactly one --VA cut")
-    samples = _get_positive_int(merged, "samples", "samples")
-    seed = merged.get("seed")
-    seed = 0 if seed is None else int(seed)
+    samples = _require(merged, "samples")
+    seed = merged.get("seed") or 0
     basis = build_sector_basis(model, V, N, cuts[0])
     summary = mc_average(basis, samples, seed)
     doc = {"model": model.label, "V": V, "N": N, "V_A": cuts[0],
@@ -382,32 +402,30 @@ def _cmd_mc(merged):
            "mean": summary.mean, "sem": summary.sem,
            "variance": summary.variance}
     header = list(doc)
-    return {"kind": "table", "header": header, "rows": [list(doc.values())],
+    return {"header": header, "rows": [list(doc.values())],
             "meta": {}, "json_doc": doc, "default_format": "json"}
 
 
 def _cmd_ed(merged):
-    kind = str(_require(merged, "model", "model"))
-    V = _get_positive_int(merged, "V", "V")
+    kind = _require(merged, "model")
+    V = _require(merged, "V")
     N = _get_particles(merged, V)
-    window = merged.get("window")
-    window = 100 if window is None else int(window)
+    window = merged.get("window") or 100
     if kind == "spin1_xxz":
         lam = merged.get("lam")
         delta = merged.get("Delta")
         if lam is None or delta is None:
             raise ConfigError("spin1_xxz needs --lambda and --Delta")
-        ham = build_spin1_xxz(V, M=N - V, lam=float(lam), delta=float(delta))
+        ham = build_spin1_xxz(V, M=N - V, lam=lam, delta=delta)
     elif kind == "bose_hubbard":
         U = merged.get("U")
         if U is None:
             raise ConfigError("bose_hubbard needs --U")
-        ham = build_bose_hubbard(V, N, U=float(U), n_max=merged.get("nmax"))
+        ham = build_bose_hubbard(V, N, U=U, n_max=merged.get("nmax"))
     else:
         raise ConfigError("--model must be spin1_xxz or bose_hubbard "
                           "for the ed command")
-    cuts = _get_int_list(merged, "VA", "VA",
-                         default=list(range(V // 2 + 1)))
+    cuts = merged.get("VA") or range(V // 2 + 1)
     rep = mid_spectrum_entropies(ham, window, cuts)
     params = ";".join(f"{k}={v}" for k, v in sorted(ham.couplings.items()))
     header = ["V_A", "f", "mean_S", "std_S", "window", "params"]
@@ -416,24 +434,20 @@ def _cmd_ed(merged):
             for cut in rep.cuts]
     meta = {"kind": kind, "V": V, "N": N, "dim": rep.dim,
             "window": [rep.window_lo, rep.window_hi]}
-    return {"kind": "table", "header": header, "rows": rows, "meta": meta}
+    return {"header": header, "rows": rows, "meta": meta}
 
 
 def _cmd_dims(merged):
     model = _get_model(merged)
-    V = _get_positive_int(merged, "V", "V")
+    V = _require(merged, "V")
     cap = merged.get("N")
     if cap is None:
         if model.n_max is None:
             raise ConfigError("--N cap is required for unbounded models")
         cap = V * model.n_max
-    else:
-        cap = int(cap)
-        if cap < 0:
-            raise ConfigError("--N must be nonnegative")
     table = dim_table(model, V, cap)
     rows = [[N, d] for N, d in enumerate(table)]
-    return {"kind": "table", "header": ["N", "d_N"], "rows": rows,
+    return {"header": ["N", "d_N"], "rows": rows,
             "meta": {"model": model.label, "V": V}}
 
 

@@ -41,10 +41,6 @@ MAX_SAMPLE_WORK = 5 * 10 ** 7
 # Gamma shapes are block sides; above 2^53 they are no longer exact floats.
 _MAX_BLOCK_SIDE = 2 ** 53
 
-# Blocks at most this slim on one side go through full SVD; squarer ones
-# through the (smaller) Gram matrix eigenproblem.
-_SVD_SIDE_LIMIT = 64
-
 _EIGENVALUE_FLOOR = 1e-18
 
 
@@ -164,24 +160,12 @@ def entropy_of_block_vector(blocks, psi) -> float:
     for blk in blocks:
         mat = psi[blk.offset:blk.offset + blk.d_a * blk.d_b]
         mat = np.asarray(mat).reshape(blk.d_a, blk.d_b)
-        lam = _schmidt_weights(mat)
+        sv = np.linalg.svd(mat, compute_uv=False)
+        lam = sv * sv
         lam = lam[lam > _EIGENVALUE_FLOOR]
         if lam.size:
             total -= float(np.sum(lam * np.log(lam)))
     return total
-
-
-def _schmidt_weights(mat: np.ndarray) -> np.ndarray:
-    """Squared singular values; Gram route once both sides exceed 64."""
-    if min(mat.shape) <= _SVD_SIDE_LIMIT:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        return sv * sv
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.conj().T
-    else:
-        gram = mat.conj().T @ mat
-    lam = np.linalg.eigvalsh(gram)
-    return np.clip(lam, 0.0, None)
 
 
 def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:

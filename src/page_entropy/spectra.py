@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimensions import extended_binomial_closed
 from .errors import DomainError, InfeasibleSizeError
 from .haar_sampler import SectorBlock, entropy_of_block_vector
 
@@ -63,7 +64,18 @@ class MidSpectrumReport:
 
 
 def _occupation_basis(V: int, N: int, cap: int) -> list[tuple[int, ...]]:
-    """All occupation tuples of length V summing to N with n_i <= cap."""
+    """All occupation tuples of length V summing to N with n_i <= cap.
+
+    The sector is counted in closed form first, so an empty or oversized
+    one is refused before any state is enumerated.
+    """
+    dim = 1 if N == 0 else extended_binomial_closed(V, N, cap)
+    if dim == 0:
+        raise DomainError(f"empty sector: V={V}, N={N}, cap={cap}")
+    if dim > MAX_DENSE_DIM:
+        size = dim if dim < 2 ** 64 else f"above 2^{dim.bit_length() - 1}"
+        raise InfeasibleSizeError(f"sector dimension {size} exceeds "
+                                  f"dense limit {MAX_DENSE_DIM}")
     states = []
 
     def grow(prefix, remaining, sites_left):
@@ -127,11 +139,6 @@ def build_spin1_xxz(V: int, M: int, lam: float, delta: float) -> SectorHamiltoni
                           f"{V} sites")
     N = M + V  # occupations n_i = s_i + 1
     basis = _occupation_basis(V, N, cap=2)
-    if not basis:
-        raise DomainError(f"empty sector: V={V}, M={M}")
-    if len(basis) > MAX_DENSE_DIM:
-        raise InfeasibleSizeError(f"sector dimension {len(basis)} exceeds "
-                                  f"dense limit {MAX_DENSE_DIM}")
     index = {occ: i for i, occ in enumerate(basis)}
     bond = _spin1_bond_matrix(lam, delta)
 
@@ -163,11 +170,6 @@ def build_bose_hubbard(V: int, N: int, U: float,
     if N > 0 and cap < 1:
         raise DomainError("occupation cap leaves no room for any particle")
     basis = _occupation_basis(V, N, cap=max(cap, 0))
-    if not basis:
-        raise DomainError(f"empty sector: V={V}, N={N}, n_max={n_max}")
-    if len(basis) > MAX_DENSE_DIM:
-        raise InfeasibleSizeError(f"sector dimension {len(basis)} exceeds "
-                                  f"dense limit {MAX_DENSE_DIM}")
     index = {occ: i for i, occ in enumerate(basis)}
 
     dim = len(basis)

@@ -183,17 +183,112 @@ def test_each_subcommand_takes_only_its_own_flags(capsys, tmp_path):
     assert code == 0  # the same key is fine where it is read
 
 
-def test_benchmark_invocations_still_parse():
+def bench_invocations():
     bench_dir = Path(__file__).resolve().parents[1] / "perfbench"
     sys.path.insert(0, str(bench_dir))
     try:
         import workloads
     finally:
         sys.path.remove(str(bench_dir))
+    return [argv for name in workloads.WORKLOADS
+            for _, argv in workloads.invocations(name, seed=1)]
+
+
+def test_benchmark_invocations_still_parse():
     parser = cli._build_parser()
-    for name in workloads.WORKLOADS:
-        for _, argv in workloads.invocations(name, seed=1):
-            assert parser.parse_args(argv).command == argv[0]
+    for argv in bench_invocations():
+        assert parser.parse_args(argv).command == argv[0]
+
+
+def test_config_file_gives_the_same_values_as_flags(tmp_path):
+    # every benchmark request, once as flags and once as a config file of
+    # JSON numbers, strings and lists: the merged values must agree
+    def as_json(text):
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
+
+    def merged_values(args):
+        return {key: (type(value), value)
+                for key, value in cli._merge_config(args).items()
+                if key not in ("config", "run", "parser")}
+
+    parser = cli._build_parser()
+    for i, argv in enumerate(bench_invocations()):
+        config = {}
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            key = flag[2:]
+            if key in ("VA", "V-list", "methods"):
+                config[key] = [as_json(item) for item in text.split(",")]
+            else:
+                config[key] = as_json(text)
+        cfg = tmp_path / f"bench{i}.json"
+        cfg.write_text(json.dumps(config))
+        from_config = parser.parse_args(["--config", str(cfg), argv[0]])
+        assert merged_values(from_config) == \
+            merged_values(parser.parse_args(argv))
+
+
+_DIMS4 = ("dims", "--model", "fermions", "--V", "4")
+_MC = ("mc", "--model", "fermions", "--V", "4", "--N", "2", "--VA", "2")
+_MC4 = _MC + ("--samples", "4")
+_ED_BH = ("ed", "--model", "bose_hubbard", "--V", "3", "--N", "2", "--U", "1")
+
+
+# (request, key, bad value, good value); "FLAG:" gives the bad value as a flag
+_BAD_VALUES = [
+    (("page", "--model", "fermions", "--V", "4"), "N", "abc", 2),
+    (("page", "--model", "fermions", "--V", "4"), "n", "half", 0.5),
+    (_MC4, "seed", "x", 3),
+    (_MC4, "seed", None, 3),
+    (_ED_BH, "window", "w", 5),
+    (("ed", "--model", "spin1_xxz", "--V", "3", "--N", "3", "--lambda",
+      "0"), "Delta", [1], 1),
+    (_ED_BH, "nmax", "two", 2),
+    (("scaling", "--model", "fermions", "--n", "0.5", "--V-list", "8"),
+     "f", "x", 0.5),
+    (("dims", "--model", "fermions"), "V", 8.7, 4),
+    (("dims", "--model", "fermions"), "V", 8.0, 4),
+    (("dims", "--model", "fermions"), "V", True, 4),
+    (("dims", "--model", "fermions"), "V", [4], 4),
+    (("dims", "--model", "fermions", "--V", "4"), "N", 2.9, 2),
+    (_MC + ("--seed", "1"), "samples", 2.5, 4),
+    (_DIMS4, "format", "xml", "json"),
+    (_DIMS4, "out", 5, "OUT"),
+    (_DIMS4, "out", None, "OUT"),
+    (_DIMS4, "out", True, "OUT"),
+    (_MC4, "seed", "FLAG:-1", 3),
+]
+
+
+@pytest.mark.parametrize("argv,key,bad,good", _BAD_VALUES,
+                         ids=[f"{k}={b!r}" for _, k, b, _ in _BAD_VALUES])
+def test_bad_values_exit_2_naming_the_flag(capsys, tmp_path, argv, key, bad,
+                                           good):
+    if good == "OUT":
+        good = str(tmp_path / "out.csv")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: good}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 0, err  # the same request with a good value runs
+    if isinstance(bad, str) and bad.startswith("FLAG:"):
+        code, _, err = run_cli(capsys, *argv, f"--{key}", bad[5:])
+    else:
+        cfg.write_text(json.dumps({key: bad}))
+        code, _, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2 and err.startswith("config error") and f"--{key}" in err
+
+
+def test_particle_number_and_filling_are_exclusive(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "page", "--model", "fermions", "--V", "8",
+                           "--N", "2", "--n", "0.5")
+    assert code == 2 and "--N" in err and "--n" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 2}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "page", "--model",
+                           "fermions", "--V", "8", "--n", "0.5")
+    assert code == 2 and "--N" in err and "--n" in err
 
 
 def test_exact_sums_refused_up_front(capsys):
@@ -233,6 +328,20 @@ def test_ed_csv_shape(capsys):
     code, _, err = run_cli(capsys, "ed", "--model", "heisenberg", "--V", "6",
                            "--N", "6")
     assert code == 2
+
+
+def test_oversized_ed_sectors_refused_up_front(capsys):
+    for argv in (("ed", "--model", "bose_hubbard", "--V", "20", "--N", "20",
+                  "--U", "1"),
+                 ("ed", "--model", "spin1_xxz", "--V", "16", "--N", "16",
+                  "--lambda", "0", "--Delta", "1"),
+                 # a dimension with more decimal digits than str() prints
+                 ("ed", "--model", "bose_hubbard", "--V", "20000", "--N",
+                  "20000", "--U", "1")):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4 and "dense limit" in err
+        assert time.perf_counter() - start < 2.0
 
 
 def test_ed_bose_hubbard(capsys):

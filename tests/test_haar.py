@@ -16,7 +16,7 @@ from page_entropy.local_model import catalog
 
 def dense_sample_entropy(basis, rng) -> float:
     """Oracle sampler: a normalized complex Gaussian vector over the whole
-    sector, then the Schmidt spectrum of every block (SVD or Gram)."""
+    sector, then the Schmidt spectrum (SVD) of every block."""
     amps = rng.standard_normal(2 * basis.dim)
     psi = amps[:basis.dim] + 1j * amps[basis.dim:]
     psi /= np.linalg.norm(psi)
