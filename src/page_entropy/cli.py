@@ -287,16 +287,19 @@ def _cmd_page(merged):
     keys = tuple(dict.fromkeys(_METHOD_KEYS[m] for m in methods))
     if {"exact", "exact_variance"} & set(keys):
         ent.check_exact_work(model, specs, "exact_variance" in keys)
+    memo = {}  # shared by the cuts of this request (see entropy.report)
     for spec in specs:
-        rep = ent.report(model, spec, methods=keys)
+        rep = ent.report(model, spec, methods=keys, memo=memo)
         reports.append(rep)
         row = [spec.V_A, rep.f]
         for method in methods:
             row.append(_report_value(rep, _METHOD_KEYS[method]))
         rows.append(row)
     meta = {"model": model.label, "V": V, "N": N}
-    return {"header": header, "rows": rows, "meta": meta,
-            "json_doc": _page_json(reports, meta)}
+    result = {"header": header, "rows": rows, "meta": meta}
+    if merged.get("format") == "json":
+        result["json_doc"] = _page_json(reports, meta)
+    return result
 
 
 def _report_value(rep, key):
@@ -355,13 +358,16 @@ def _cmd_scaling(merged):
                               f"f={f}, V={V}")
         specs.append(ent.BipartitionSpec(V=V, N=round(n * V), V_A=round(v_a)))
     ent.check_exact_work(model, specs, False)
-    rows = []
+    rows = {}  # V -> row: a repeated size is computed, and estimated, once
     for spec in specs:
         V, N, v_a = spec.V, spec.N, spec.V_A
+        if V in rows:
+            continue
         exact = ent.exact_average(model, spec)
         terms = ent.asymptotic_terms(model, V, spec.f, spec.n)
         sqrt_coeff = (exact - terms.a * V - terms.c) / math.sqrt(V)
-        rows.append([V, 1.0 / V, N, v_a, exact, terms.value, sqrt_coeff])
+        rows[V] = [V, 1.0 / V, N, v_a, exact, terms.value, sqrt_coeff]
+    rows = [rows[V] for V in sizes]
     return {"header": header, "rows": rows,
             "meta": {"model": model.label, "f": f, "n": n}}
 
@@ -375,9 +381,11 @@ def _cmd_variance(merged):
               "asymptotic_variance", "log_asymptotic_variance"]
     rows = []
     ent.check_exact_work(model, specs, True)
+    memo = {}  # shared by the cuts of this request (see entropy.report)
     for spec in specs:
         rep = ent.report(model, spec,
-                         methods=("exact_variance", "asymptotic_variance"))
+                         methods=("exact_variance", "asymptotic_variance"),
+                         memo=memo)
         rows.append([spec.V_A, rep.f,
                      rep.exact_variance.value, rep.exact_variance.log_value,
                      rep.asymptotic_variance.value,

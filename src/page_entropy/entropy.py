@@ -17,6 +17,15 @@ Dimension ratios are computed by exact big-integer true division (correctly
 rounded at any magnitude); logs enter only where a value itself underflows,
 e.g. the 1/(d_N + 1) variance prefactor, which is why variance results
 carry a log-value side channel.
+
+A request over many cuts of one sector (a page curve) passes one memo, a
+plain dict, to every `report` call, so that each shared quantity is solved
+once per request: the exact sums of the cuts V_A and V - V_A, which are the
+same bit for bit (the block kernels are symmetric in d_A, d_B and
+`math.fsum` is correctly rounded, so block order cannot matter), and the
+saddle solutions at n and n*, which depend on the filling alone.  Within a
+cut, Psi(d_N + 1) and (d_N + 1) Psi'(d_N + 1) are computed once, not once
+per block.
 """
 
 from __future__ import annotations
@@ -201,19 +210,28 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
 def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
     """Refuse exact sums over `specs`, the cuts of one request, up front.
 
-    Raises InfeasibleSizeError if any V exceeds 4000 or the summed
+    A request computes the sums of a cut and of its mirror V - V_A once
+    (see `report`), so each mirrored pair, like a repeated cut, is counted
+    once.  Raises InfeasibleSizeError if any V exceeds 4000 or the summed
     `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.
     """
-    specs = list(specs)
-    if any(spec.V > _EXACT_V_LIMIT for spec in specs):
+    distinct = {}
+    for spec in specs:
+        distinct.setdefault(_mirrored_cut(spec), spec)
+    if any(spec.V > _EXACT_V_LIMIT for spec in distinct.values()):
         raise InfeasibleSizeError(
             f"exact sum limited to V <= {_EXACT_V_LIMIT}")
     seconds = sum(exact_work_seconds(model, spec, want_variance)
-                  for spec in specs)
+                  for spec in distinct.values())
     if seconds > EXACT_WORK_BUDGET_S:
         raise InfeasibleSizeError(
-            f"exact sums estimated at {seconds:.0f} s for {len(specs)} "
-            f"cut(s), above the {EXACT_WORK_BUDGET_S:.0f} s budget")
+            f"exact sums estimated at {seconds:.0f} s for {len(distinct)} "
+            f"distinct cut(s), above the {EXACT_WORK_BUDGET_S:.0f} s budget")
+
+
+def _mirrored_cut(spec: BipartitionSpec) -> tuple[int, int, int]:
+    """Key shared by the cuts V_A and V - V_A of one sector."""
+    return spec.V, spec.N, min(spec.V_A, spec.V - spec.V_A)
 
 
 def exact_work_seconds(model: LocalModel, spec: BipartitionSpec,
@@ -295,34 +313,36 @@ def _sector_sums(model: LocalModel, spec: BipartitionSpec,
         raise DomainError(f"empty sector: V={spec.V}, N={spec.N} "
                           f"for {model.label}")
 
+    # the sector's kernel terms are fixed per cut
+    psi_n = digamma_of_dim(d_n)
+    trigamma_n = _dim_plus_one_times_trigamma(d_n) if want_variance else 0.0
     mean_terms = []
     square_terms = []
     for d_a, d_b in blocks:
         rho = (d_a * d_b) / d_n
-        phi = _phi(d_a, d_b, d_n)
+        phi = _phi(d_a, d_b, psi_n)
         mean_terms.append(rho * phi)
         if want_variance:
-            square_terms.append(rho * (phi * phi + _chi(d_a, d_b, d_n)))
+            square_terms.append(rho * (phi * phi + _chi(d_a, d_b, trigamma_n)))
     mean = math.fsum(mean_terms)
     numerator = math.fsum(square_terms) - mean * mean if want_variance else 0.0
     return mean, numerator, d_n
 
 
-def _phi(d_a: int, d_b: int, d_n: int) -> float:
-    """Mean entropy of one (d_a x d_b) block inside a d_n-dim sector."""
+def _phi(d_a: int, d_b: int, psi_n: float) -> float:
+    """Mean entropy of one (d_a x d_b) block; psi_n = Psi(d_N + 1)."""
     big, small = (d_a, d_b) if d_a >= d_b else (d_b, d_a)
-    return (digamma_of_dim(d_n) - digamma_of_dim(big)
-            - (small - 1) / (2 * big))
+    return psi_n - digamma_of_dim(big) - (small - 1) / (2 * big)
 
 
-def _chi(d_a: int, d_b: int, d_n: int) -> float:
-    """Second-moment kernel of one block (d_a <= d_b branch; ties too)."""
+def _chi(d_a: int, d_b: int, trigamma_n: float) -> float:
+    """Second-moment kernel of one block (d_a <= d_b branch; ties too);
+    trigamma_n = (d_N + 1) Psi'(d_N + 1)."""
     if d_a > d_b:
         d_a, d_b = d_b, d_a
     term1 = ((d_a + d_b) / d_b) * _dim_times_trigamma(d_b)
-    term2 = _dim_plus_one_times_trigamma(d_n)
     term3 = ((d_a - 1) * (d_a + 2 * d_b - 1)) / (4 * d_b * d_b)
-    return term1 - term2 - term3
+    return term1 - trigamma_n - term3
 
 
 def _dim_times_trigamma(d: int) -> float:
@@ -381,10 +401,15 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
     only at f = 1/2 exactly (tolerance 1e-12); the constant picks up an
     extra -1/2 only at f = 1/2 and n = n* simultaneously.
     """
+    return _asymptotic_terms(model, V, f, n, None)
+
+
+def _asymptotic_terms(model: LocalModel, V: float, f: float, n: float,
+                      memo: Optional[dict]) -> AsymptoticTerms:
     f = _normalized_fraction(f)
-    sol = _interior_solution(model, n, "asymptotic_terms")
+    sol = _interior_solution(model, n, "asymptotic_terms", memo)
     at_half = abs(f - 0.5) < KRONECKER_TOL
-    star = n_star(model)
+    star = _once(memo, "n_star", n_star, model)
     at_star = star is not None and abs(n - star) < KRONECKER_TOL
     a = sol.beta * f
     b = -abs(sol.beta1) / math.sqrt(_TWO_PI * abs(sol.beta2)) if at_half else 0.0
@@ -406,16 +431,21 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     through f = 1/2 (sqrt(V) deficit) and n = n* (extra -1/2); valid for
     all 0 < f < 1 at moderate V.
     """
+    return _resolved_average(model, V, f, n, None)
+
+
+def _resolved_average(model: LocalModel, V: float, f: float, n: float,
+                      memo: Optional[dict]) -> float:
     if V < 4:
         raise DomainError("resolved_average needs V >= 4")
     f = _normalized_fraction(f)
-    sol = _interior_solution(model, n, "resolved_average")
+    sol = _interior_solution(model, n, "resolved_average", memo)
     value = sol.beta * f * V + 0.5 * (f + math.log1p(-f))
     if sol.beta1 != 0.0:
         value += _x2_kernel(V, f, sol.beta, abs(sol.beta1), abs(sol.beta2))
-    star = n_star(model)
+    star = _once(memo, "n_star", n_star, model)
     if star is not None:
-        sol_star = beta_family(model, star)
+        sol_star = _once(memo, ("saddle", star), beta_family, model, star)
         value -= 0.5 * _x1_kernel((f - 0.5) * V, (n - star) * math.sqrt(V),
                                   sol_star.beta, abs(sol_star.beta2))
     return value
@@ -601,8 +631,13 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2.
     Returned with the log side channel since the value underflows quickly.
     """
+    return _asymptotic_variance(model, V, f, n, None)
+
+
+def _asymptotic_variance(model: LocalModel, V: float, f: float, n: float,
+                         memo: Optional[dict]) -> AsymptoticVariance:
     f = _normalized_fraction(f)
-    sol = _interior_solution(model, n, "asymptotic_variance")
+    sol = _interior_solution(model, n, "asymptotic_variance", memo)
     at_half = abs(f - 0.5) < KRONECKER_TOL
     shape = f * (1.0 - f) - (1.0 / _TWO_PI if at_half else 0.0)
     prefactor = (math.sqrt(_TWO_PI) * sol.beta1 * sol.beta1
@@ -625,6 +660,7 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     if V < 1 or not 0 <= V_A <= V or N < 0:
         raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
     d_n = distinguishable_dim(V, N)
+    psi_n = digamma_of_dim(d_n)
     v_b = V - V_A
     terms = []
     for n_a in range(N + 1):
@@ -633,7 +669,7 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
         if d_a == 0 or d_b == 0:
             continue
         rho = (math.comb(N, n_a) * d_a * d_b) / d_n
-        terms.append(rho * _phi(d_a, d_b, d_n))
+        terms.append(rho * _phi(d_a, d_b, psi_n))
     return math.fsum(terms)
 
 
@@ -658,35 +694,51 @@ def distinguishable_asymptotic(V: float, N: float,
 def report(model: LocalModel, spec: BipartitionSpec,
            methods: tuple[str, ...] = ("exact", "asymptotic", "resolved",
                                        "exact_variance",
-                                       "asymptotic_variance")) -> EntropyReport:
+                                       "asymptotic_variance"),
+           memo: Optional[dict] = None) -> EntropyReport:
     """Assemble the requested mean/variance panel for one bipartition.
 
     Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
     or its complement is trivial.
+
+    `memo` is one dict per request, passed to the `report` call of every
+    cut of that request and dropped after it.  It keeps the exact sums
+    under the mirrored cut min(V_A, V - V_A), so the second cut of each
+    pair reuses them, and the saddle solutions and n* under the filling,
+    so each is solved once.  The panel is bit-identical with or without
+    it.  A memo serves one model; passing it with another raises.
     """
+    if memo is not None and memo.setdefault("model", model) is not model:
+        raise ValueError("a request memo serves one model only")
     f = spec.f
     boundary = spec.V_A in (0, spec.V)
+    want_variance = "exact_variance" in methods
+
+    def exact_sums():  # one pass serves the mean and the variance
+        return _once(memo, ("sums", *_mirrored_cut(spec), want_variance),
+                     _sector_sums, model, spec, want_variance)
+
     exact_mean = asym = resolved = exact_var = asym_var = sums = None
     if "exact" in methods and boundary:
         exact_mean = 0.0
-    elif "exact" in methods:  # one pass serves the exact variance too
-        sums = _sector_sums(model, spec, "exact_variance" in methods)
+    elif "exact" in methods:
+        sums = exact_sums()
         exact_mean = sums[0]
     if "asymptotic" in methods:
         asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False) if boundary
-                else asymptotic_terms(model, spec.V, f, spec.n))
+                else _asymptotic_terms(model, spec.V, f, spec.n, memo))
     if "resolved" in methods:
-        resolved = 0.0 if boundary else resolved_average(model, spec.V, f,
-                                                         spec.n)
-    if "exact_variance" in methods:
+        resolved = 0.0 if boundary else _resolved_average(model, spec.V, f,
+                                                          spec.n, memo)
+    if want_variance:
         if boundary:
             exact_var = VarianceEstimate(0.0, None, 0.0)
         else:
-            _, numerator, d_n = sums or _sector_sums(model, spec, True)
+            _, numerator, d_n = sums or exact_sums()
             exact_var = _variance_estimate(numerator, d_n)
     if "asymptotic_variance" in methods:
         asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None) if boundary
-                    else asymptotic_variance(model, spec.V, f, spec.n))
+                    else _asymptotic_variance(model, spec.V, f, spec.n, memo))
     return EntropyReport(V=spec.V, N=spec.N, V_A=spec.V_A, f=f, n=spec.n,
                          exact_mean=exact_mean, asymptotic=asym,
                          resolved=resolved, exact_variance=exact_var,
@@ -702,9 +754,19 @@ def _normalized_fraction(f: float) -> float:
     return min(f, 1.0 - f)
 
 
-def _interior_solution(model: LocalModel, n: float, where: str):
-    sol = beta_family(model, n)
+def _interior_solution(model: LocalModel, n: float, where: str,
+                       memo: Optional[dict] = None):
+    sol = _once(memo, ("saddle", float(n)), beta_family, model, n)
     if sol.at_boundary:
         raise DomainError(f"{where} is undefined at the filling boundary "
                           f"n={n}")
     return sol
+
+
+def _once(memo: Optional[dict], key, solve, *args):
+    """solve(*args), solved once per key of a request memo (if one is given)."""
+    if memo is None:
+        return solve(*args)
+    if key not in memo:
+        memo[key] = solve(*args)
+    return memo[key]

@@ -38,6 +38,11 @@ from .local_model import LocalModel
 # tridiagonal eigenvalue solve costs about 1.7e-8 s per unit.
 MAX_SAMPLE_WORK = 5 * 10 ** 7
 
+# Largest work of one run, samples x (per-sample work + about 80 us of
+# fixed cost per sample, 4700 units): 60 s at 1.7e-8 s per unit.
+MAX_RUN_WORK = 3.5 * 10 ** 9
+_SAMPLE_OVERHEAD_WORK = 4700
+
 # Gamma shapes are block sides; above 2^53 they are no longer exact floats.
 _MAX_BLOCK_SIDE = 2 ** 53
 
@@ -171,10 +176,17 @@ def entropy_of_block_vector(blocks, psi) -> float:
 def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
     """Mean/variance of the sampled entropy over n_samples Haar states.
 
-    Sample i always draws from the substream seeded (seed, i).
+    Sample i always draws from the substream seeded (seed, i).  Refuses
+    (InfeasibleSizeError) a run whose work exceeds MAX_RUN_WORK.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    per_sample = sum(min(blk.d_a, blk.d_b) ** 2 for blk in basis.blocks)
+    if n_samples * (per_sample + _SAMPLE_OVERHEAD_WORK) > MAX_RUN_WORK:
+        raise InfeasibleSizeError(
+            f"{n_samples} samples of work sum(min(d_A, d_B)^2) = {per_sample} "
+            f"each exceed the run budget of {MAX_RUN_WORK:.1e} units "
+            f"(about 60 s)")
     values = np.empty(n_samples)
     for i in range(n_samples):
         values[i] = sample_entropy(basis, np.random.default_rng([seed, i]))

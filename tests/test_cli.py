@@ -1,5 +1,6 @@
 """End-to-end command-line checks: output shape, config merge, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,10 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import page_entropy.cli as cli
+import page_entropy.entropy as entropy
 from page_entropy.errors import NumericalError
-from page_entropy.local_model import catalog, product
+from page_entropy.local_model import catalog, parse_model, product
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +127,11 @@ def test_scaling_columns(capsys):
     # the exact mean approaches the asymptotic value as V grows
     gaps = [abs(float(r[4]) - float(r[5])) for r in rows]
     assert gaps[-1] < gaps[0]
+    # a repeated size repeats its row
+    code, out, _ = run_cli(capsys, "scaling", "--model", "fermions",
+                           "--f", "0.5", "--n", "0.5",
+                           "--V-list", "8,12,16,8")
+    assert code == 0 and parse_csv(out)[1] == rows + rows[:1]
     code, _, err = run_cli(capsys, "scaling", "--model", "fermions",
                            "--f", "0.3", "--n", "0.5", "--V-list", "8")
     assert code == 2 and "integer" in err
@@ -310,6 +319,110 @@ def test_exact_sums_refused_up_front(capsys):
                            "4000", "--n", "1", "--VA", "0,1,2000,3999,4000",
                            "--methods", "asymptotic,resolved,asym_var")
     assert code == 0 and len(parse_csv(out)[1]) == 5
+
+
+def test_oversized_mc_runs_refused_up_front(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "4",
+                           "--N", "2", "--VA", "2",
+                           "--samples", "1000000000000000")
+    assert code == 4 and "infeasible" in err
+    assert "1000000000000000 samples" in err
+    assert time.perf_counter() - start < 2.0
+
+
+# catalog models with the particle range that keeps 0 < n < n_max
+_ORACLE_MODELS = {"fermions": 1, "hardcore_bosons_2species": 1, "bosons": 2,
+                  "bosons_2species_unordered": 2, "bosons_2species_ordered": 2,
+                  "spin_j:1": 2, "capped_bosons:3": 3}
+
+
+@st.composite
+def sweep_requests(draw):
+    """(argv, model name, V, N, cuts or None) of a page or variance request.
+
+    Cut lists mix one side of a mirrored pair, repeats, the V/2 cut and
+    full pairs; None is the default full sweep.
+    """
+    name = draw(st.sampled_from(sorted(_ORACLE_MODELS)))
+    V = draw(st.integers(4, 12))
+    N = draw(st.integers(1, V * _ORACLE_MODELS[name] - 1))
+    command = draw(st.sampled_from(["page", "variance"]))
+    argv = [command, "--model", name, "--V", str(V), "--N", str(N),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+    cuts = None
+    if draw(st.booleans()):
+        one_side = draw(st.lists(st.integers(0, (V - 1) // 2), min_size=1,
+                                 max_size=3))
+        pairs = draw(st.lists(st.integers(0, V), max_size=2))
+        cuts = draw(st.permutations(one_side + [one_side[0], V // 2]
+                                    + pairs + [V - c for c in pairs]))
+        argv += ["--VA", ",".join(map(str, cuts))]
+    if command == "page" and draw(st.booleans()):
+        methods = draw(st.lists(st.sampled_from(cli._PAGE_METHODS),
+                                min_size=1, max_size=5, unique=True))
+        argv += ["--methods", ",".join(methods)]
+    return argv, name, V, N, cuts
+
+
+def _independent_output(argv, name, V, N, cuts):
+    """The request's output from one memo-free `report` call per cut."""
+    command, fmt = argv[0], argv[argv.index("--format") + 1]
+    model = parse_model(name)
+    meta = {"model": model.label, "V": V, "N": N}
+    if command == "page":
+        methods = (argv[argv.index("--methods") + 1].split(",")
+                   if "--methods" in argv else list(cli._PAGE_METHODS))
+        keys = tuple(dict.fromkeys(cli._METHOD_KEYS[m] for m in methods))
+        header = ["V_A", "f"] + methods
+    else:
+        keys = ("exact_variance", "asymptotic_variance")
+        header = ["V_A", "f", "exact_variance", "log_exact_variance",
+                  "asymptotic_variance", "log_asymptotic_variance"]
+    reports = [entropy.report(model, entropy.BipartitionSpec(V, N, v_a), keys)
+               for v_a in (range(V + 1) if cuts is None else cuts)]
+    if command == "page":
+        rows = [[rep.V_A, rep.f] + [cli._report_value(rep, cli._METHOD_KEYS[m])
+                                    for m in methods] for rep in reports]
+    else:
+        rows = [[rep.V_A, rep.f, rep.exact_variance.value,
+                 rep.exact_variance.log_value, rep.asymptotic_variance.value,
+                 rep.asymptotic_variance.log_value] for rep in reports]
+    result = {"header": header, "rows": rows, "meta": meta}
+    if fmt == "csv":
+        return cli.render_csv(result)
+    if command == "page":
+        result["json_doc"] = cli._page_json(reports, meta)
+    return cli.render_json(result)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sweep_requests())
+def test_sweep_output_equals_independent_per_cut_reports(request):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):  # capsys is per test, not example
+        code = cli.main(request[0])
+    assert code == 0
+    assert out.getvalue() == _independent_output(*request)
+
+
+def test_full_sweep_solves_each_saddle_and_mirrored_cut_once(capsys,
+                                                             monkeypatch):
+    calls = {"beta_family": 0, "dim_table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(entropy, name, counted(name, getattr(entropy, name)))
+    code, out, _ = run_cli(capsys, "page", "--model", "spin_j:1", "--V", "40",
+                           "--n", "1")
+    assert code == 0 and len(parse_csv(out)[1]) == 41
+    assert calls["beta_family"] <= 2  # once at n, once at n*
+    assert calls["dim_table"] == 2 * 20  # two tables per cut V_A <= V/2
 
 
 def test_ed_csv_shape(capsys):

@@ -8,9 +8,10 @@ import mpmath as mp
 import pytest
 
 from page_entropy.dimensions import dim_fixed_n, dim_table
-from page_entropy.entropy import (BipartitionSpec, exact_average,
-                                  exact_variance, exact_work_seconds,
-                                  gaussian_moments, report, rho_weight)
+from page_entropy.entropy import (BipartitionSpec, check_exact_work,
+                                  exact_average, exact_variance,
+                                  exact_work_seconds, gaussian_moments,
+                                  report, rho_weight)
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import build_sector_basis, mc_average
 from page_entropy.local_model import catalog
@@ -250,3 +251,31 @@ def test_exact_sums_refused_before_any_table():
     assert 0.01 < one_cut < 0.2
     assert exact_work_seconds(fermions, BipartitionSpec(8, 4, 0),
                               want_variance=True) == 0.0
+
+
+def test_estimate_counts_each_mirrored_pair_once():
+    fermions = catalog("fermions")
+    sweep = [BipartitionSpec(4000, 2000, v_a) for v_a in range(4001)]
+    half = sum(exact_work_seconds(fermions, spec, want_variance=False)
+               for spec in sweep[:2001])
+    # the page sweep computes V_A and V - V_A once: about 55 s, not 110 s
+    assert half < 60.0 < 2 * half
+    check_exact_work(fermions, sweep, want_variance=False)
+    check_exact_work(fermions, sweep + sweep[::-1], want_variance=False)
+    with pytest.raises(InfeasibleSizeError, match="2001 distinct"):
+        check_exact_work(fermions, sweep, want_variance=True)  # ~123 s
+
+
+def test_report_memo_is_bit_identical_and_serves_one_model():
+    model = catalog("spin_j", 1)
+    memo = {}
+    # one memo across method sets: mean-only sums must not serve a variance
+    for methods in (("exact",), ("exact_variance", "asymptotic"),
+                    ("exact", "resolved", "exact_variance",
+                     "asymptotic_variance")):
+        for v_a in (2, 7, 4, 5, 0):
+            spec = BipartitionSpec(9, 6, v_a)
+            assert report(model, spec, methods, memo=memo) == \
+                report(model, spec, methods)
+    with pytest.raises(ValueError, match="one model"):
+        report(catalog("fermions"), BipartitionSpec(9, 4, 3), memo=memo)

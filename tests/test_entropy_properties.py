@@ -38,6 +38,17 @@ def test_mean_is_symmetric_under_swapping_the_halves(sector):
 
 @SETTINGS
 @given(sectors)
+def test_variance_is_symmetric_under_swapping_the_halves(sector):
+    # bit for bit: a page request computes only one cut of each pair
+    model, V, N, V_A = sector
+    est = exact_variance(model, BipartitionSpec(V, N, V_A))
+    mirror = exact_variance(model, BipartitionSpec(V, N, V - V_A))
+    assert est.numerator == mirror.numerator
+    assert est.value == mirror.value
+
+
+@SETTINGS
+@given(sectors)
 def test_mean_lies_between_zero_and_log_schmidt_rank(sector):
     model, V, N, V_A = sector
     mean = exact_average(model, BipartitionSpec(V, N, V_A))
