@@ -285,9 +285,9 @@ def _cmd_page(merged):
     rows = []
     reports = []
     keys = tuple(dict.fromkeys(_METHOD_KEYS[m] for m in methods))
-    if {"exact", "exact_variance"} & set(keys):
-        ent.check_exact_work(model, specs, "exact_variance" in keys)
     memo = {}  # shared by the cuts of this request (see entropy.report)
+    if {"exact", "exact_variance"} & set(keys):
+        ent.check_exact_work(model, specs, "exact_variance" in keys, memo)
     for spec in specs:
         rep = ent.report(model, spec, methods=keys, memo=memo)
         reports.append(rep)
@@ -380,8 +380,8 @@ def _cmd_variance(merged):
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
               "asymptotic_variance", "log_asymptotic_variance"]
     rows = []
-    ent.check_exact_work(model, specs, True)
     memo = {}  # shared by the cuts of this request (see entropy.report)
+    ent.check_exact_work(model, specs, True, memo)
     for spec in specs:
         rep = ent.report(model, spec,
                          methods=("exact_variance", "asymptotic_variance"),
@@ -453,6 +453,7 @@ def _cmd_dims(merged):
         if model.n_max is None:
             raise ConfigError("--N cap is required for unbounded models")
         cap = V * model.n_max
+    ent.check_table_work(model, ((V, cap),))
     table = dim_table(model, V, cap)
     rows = [[N, d] for N, d in enumerate(table)]
     return {"header": ["N", "d_N"], "rows": rows,

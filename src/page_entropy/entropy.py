@@ -207,14 +207,18 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
-def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
+def check_exact_work(model: LocalModel, specs, want_variance: bool,
+                     memo: Optional[dict] = None) -> None:
     """Refuse exact sums over `specs`, the cuts of one request, up front.
 
     A request computes the sums of a cut and of its mirror V - V_A once
     (see `report`), so each mirrored pair, like a repeated cut, is counted
     once.  Raises InfeasibleSizeError if any V exceeds 4000 or the summed
-    `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.
+    `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.  Given the request's
+    memo, the checked cuts are noted there, so that `report` does not check
+    them again one at a time.
     """
+    _claim_memo(memo, model)
     distinct = {}
     for spec in specs:
         distinct.setdefault(_mirrored_cut(spec), spec)
@@ -227,6 +231,20 @@ def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
         raise InfeasibleSizeError(
             f"exact sums estimated at {seconds:.0f} s for {len(distinct)} "
             f"distinct cut(s), above the {EXACT_WORK_BUDGET_S:.0f} s budget")
+    if memo is not None:
+        memo.setdefault("checked", set()).update(
+            (key, want_variance) for key in distinct)
+
+
+def check_table_work(model: LocalModel, tables) -> None:
+    """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
+    front: raises InfeasibleSizeError if their `_table_work_seconds` exceed
+    EXACT_WORK_BUDGET_S."""
+    seconds = _table_work_seconds(model, tables)
+    if seconds > EXACT_WORK_BUDGET_S:
+        raise InfeasibleSizeError(
+            f"dimension tables estimated at {seconds:.0f} s, above the "
+            f"{EXACT_WORK_BUDGET_S:.0f} s budget")
 
 
 def _mirrored_cut(spec: BipartitionSpec) -> tuple[int, int, int]:
@@ -238,28 +256,38 @@ def exact_work_seconds(model: LocalModel, spec: BipartitionSpec,
                        want_variance: bool) -> float:
     """Estimated run time of one cut's exact sums, from sizes alone.
 
-    Each of the two dimension tables takes N_eff * (reach + 2) big-int
-    steps of 0.35 us + 4 ns per 64-bit word, reach = min(deg PQ, N_eff);
-    each N_A block takes 4 us + 25 ns * w^1.6 for w-word dimensions, 2.5
-    times that with the variance.  Calibrated on a 2-vCPU x86 host with
-    Python 3.11 (fermions to capped_bosons:100000, V up to 4000), where it
-    matched measured times within a factor of two either way.
+    The two dimension tables cost their `_table_work_seconds`; each N_A
+    block takes 4 us + 25 ns * w^1.6 for w-word dimensions, 2.5 times that
+    with the variance.  Calibrated on a 2-vCPU x86 host with Python 3.11
+    (fermions to capped_bosons:100000, V up to 4000), where it matched
+    measured times within a factor of two either way.
     """
     n_a_values = spec.n_a_range(model.n_max)
     if spec.V_A in (0, spec.V) or not len(n_a_values):
         return 0.0
-    bits = _dim_bits_bound(model, spec.N)
-    deg_pq = len(model.P) + len(model.Q) - 2
-    seconds = 0.0
-    for sites, cap in ((spec.V_A, n_a_values[-1]),
-                       (spec.V - spec.V_A, spec.N)):
-        n_eff = cap if model.n_max is None else min(cap, sites * model.n_max)
-        words = bits(sites, n_eff) / 64.0
-        seconds += n_eff * (min(deg_pq, n_eff) + 2) * (3.5e-7 + 4e-9 * words)
-    words = bits(spec.V, spec.N) / 64.0
+    seconds = _table_work_seconds(model, ((spec.V_A, n_a_values[-1]),
+                                         (spec.V - spec.V_A, spec.N)))
+    words = _dim_bits_bound(model, spec.N)(spec.V, spec.N) / 64.0
     per_block = 4e-6 + 2.5e-8 * words ** 1.6
     return seconds + len(n_a_values) * per_block * (2.5 if want_variance
                                                     else 1.0)
+
+
+def _table_work_seconds(model: LocalModel, tables) -> float:
+    """Estimated run time of `dim_table` over `tables`, (V, N_cap) pairs.
+
+    Each table takes N_eff * (reach + 2) big-int steps of 0.35 us + 4 ns
+    per 64-bit word, reach = min(deg PQ, N_eff) (calibrated with
+    `exact_work_seconds`).
+    """
+    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
+    deg_pq = len(model.P) + len(model.Q) - 2
+    seconds = 0.0
+    for sites, cap in tables:
+        n_eff = cap if model.n_max is None else min(cap, sites * model.n_max)
+        words = bits(sites, n_eff) / 64.0
+        seconds += n_eff * (min(deg_pq, n_eff) + 2) * (3.5e-7 + 4e-9 * words)
+    return seconds
 
 
 def _dim_bits_bound(model: LocalModel, N: int):
@@ -292,9 +320,13 @@ def _dim_bits_bound(model: LocalModel, N: int):
 
 
 def _sector_sums(model: LocalModel, spec: BipartitionSpec,
-                 want_variance: bool):
-    """(mean, variance numerator, d_N) over the block decomposition."""
-    check_exact_work(model, (spec,), want_variance)
+                 want_variance: bool, checked: bool = False):
+    """(mean, variance numerator, d_N) over the block decomposition.
+
+    Refuses the cut up front unless the request already `checked` it.
+    """
+    if not checked:
+        check_exact_work(model, (spec,), want_variance)
     v_b = spec.V - spec.V_A
     n_a_values = spec.n_a_range(model.n_max)
     cap_a = n_a_values[-1] if len(n_a_values) else 0
@@ -705,18 +737,21 @@ def report(model: LocalModel, spec: BipartitionSpec,
     cut of that request and dropped after it.  It keeps the exact sums
     under the mirrored cut min(V_A, V - V_A), so the second cut of each
     pair reuses them, and the saddle solutions and n* under the filling,
-    so each is solved once.  The panel is bit-identical with or without
-    it.  A memo serves one model; passing it with another raises.
+    so each is solved once, and skips the size check of each cut that
+    `check_exact_work` noted in it.  The panel is bit-identical with or
+    without it.  A memo serves one model; passing it with another raises.
     """
-    if memo is not None and memo.setdefault("model", model) is not model:
-        raise ValueError("a request memo serves one model only")
+    _claim_memo(memo, model)
     f = spec.f
     boundary = spec.V_A in (0, spec.V)
     want_variance = "exact_variance" in methods
 
     def exact_sums():  # one pass serves the mean and the variance
-        return _once(memo, ("sums", *_mirrored_cut(spec), want_variance),
-                     _sector_sums, model, spec, want_variance)
+        cut = _mirrored_cut(spec)
+        checked = (memo is not None
+                   and (cut, want_variance) in memo.get("checked", ()))
+        return _once(memo, ("sums", *cut, want_variance),
+                     _sector_sums, model, spec, want_variance, checked)
 
     exact_mean = asym = resolved = exact_var = asym_var = sums = None
     if "exact" in methods and boundary:
@@ -761,6 +796,12 @@ def _interior_solution(model: LocalModel, n: float, where: str,
         raise DomainError(f"{where} is undefined at the filling boundary "
                           f"n={n}")
     return sol
+
+
+def _claim_memo(memo: Optional[dict], model: LocalModel) -> None:
+    """Tie a request memo to its model; a memo serves one model only."""
+    if memo is not None and memo.setdefault("model", model) is not model:
+        raise ValueError("a request memo serves one model only")
 
 
 def _once(memo: Optional[dict], key, solve, *args):

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .dimensions import dim_table
+from .entropy import check_table_work
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 
@@ -100,11 +101,14 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
                        V_A: int) -> SectorBasis:
     """Block decomposition for sampling.
 
-    Refuses (InfeasibleSizeError) a per-sample work sum(min(d_A, d_B)^2)
-    above 5e7 or a block side above 2^53.
+    Refuses (InfeasibleSizeError) tables estimated above the exact-sum
+    budget before building them (`entropy.check_table_work`), then a
+    per-sample work sum(min(d_A, d_B)^2) above 5e7 or a block side above
+    2^53.
     """
     if V < 1 or not 0 <= V_A <= V or N < 0:
         raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
+    check_table_work(model, ((V_A, N), (V - V_A, N)))
     table_a = dim_table(model, V_A, N)
     table_b = dim_table(model, V - V_A, N)
     blocks = []

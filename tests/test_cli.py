@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import page_entropy.cli as cli
 import page_entropy.entropy as entropy
+import page_entropy.numerics as numerics
 from page_entropy.errors import NumericalError
 from page_entropy.local_model import catalog, parse_model, product
 
@@ -548,3 +551,67 @@ def test_grid_validation(capsys):
     code, _, err = run_cli(capsys, "beta", "--model", "fermions",
                            "--grid", "0.9:0.1:5")
     assert code == 2
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import page_entropy.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), ("import", scipy_modules())
+for argv in ARGVS:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+"""
+
+
+def test_every_subcommand_but_mc_runs_without_scipy():
+    argvs = [
+        # spin_j:1 away from n* = 1 reaches erfcx through exp_times_erfc
+        ["page", "--model", "spin_j:1", "--V", "12", "--n", "0.75"],
+        ["variance", "--model", "fermions", "--V", "10", "--N", "3"],
+        ["scaling", "--model", "fermions", "--f", "0.5", "--n", "0.5",
+         "--V-list", "8,12"],
+        ["dims", "--model", "bosons", "--V", "4", "--N", "6"],
+        ["beta", "--model", "fermions", "--grid", "0.1:0.9:5"],
+        ["ed", "--model", "spin1_xxz", "--V", "4", "--N", "4", "--lambda",
+         "0", "--Delta", "0.55", "--window", "4"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"ARGVS = {argvs!r}\n{_NO_SCIPY_SCRIPT}"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_huge_table_requests_refused_before_any_table(capsys):
+    # bosons V=4 up to N = 1e8: about 106 s of table steps for dims and
+    # 211 s for mc's two V=2 tables, estimated from the sizes alone
+    for argv, seconds in ((("dims", "--model", "bosons", "--V", "4", "--N",
+                            "100000000"), 106),
+                          (("mc", "--model", "bosons", "--V", "4", "--N",
+                            "100000000", "--VA", "2", "--samples", "1"), 211)):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4 and "budget" in err
+        assert f"estimated at {seconds} s" in err
+        assert time.perf_counter() - start < 2.0
+
+
+def test_bounded_page_off_peak_equals_memo_free_reports(capsys, monkeypatch):
+    # fermions at n = 0.375 != n* = 1/2: exp_times_erfc takes both erfcx
+    # branches, which no benchmark workload reaches
+    args = []
+    real_erfcx = numerics.erfcx
+    monkeypatch.setattr(numerics, "erfcx",
+                        lambda x: args.append(x) or real_erfcx(x))
+    argv = ["page", "--model", "fermions", "--V", "400", "--N", "150",
+            "--format", "csv"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert min(args) < 26.0 <= max(args)
+    assert out == _independent_output(argv, "fermions", 400, 150, None)

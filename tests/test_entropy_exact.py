@@ -279,3 +279,35 @@ def test_report_memo_is_bit_identical_and_serves_one_model():
                 report(model, spec, methods)
     with pytest.raises(ValueError, match="one model"):
         report(catalog("fermions"), BipartitionSpec(9, 4, 3), memo=memo)
+
+
+def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
+    import page_entropy.entropy as entropy
+
+    checks = []
+    real_check = entropy.check_exact_work
+
+    def counted(model, specs, want_variance, memo=None):
+        checks.append([(spec.V_A, want_variance) for spec in specs])
+        return real_check(model, specs, want_variance, memo)
+
+    monkeypatch.setattr(entropy, "check_exact_work", counted)
+    model = catalog("fermions")
+    sweep = [BipartitionSpec(12, 6, v_a) for v_a in range(13)]
+    memo = {}
+    counted(model, sweep[:5], False, memo)  # the request checks V_A 0..4
+    checks.clear()
+    for spec in sweep:
+        report(model, spec, ("exact",), memo=memo)
+    # V_A 0..4 and their mirrors 8..12 were checked; 5, 6, 7 are checked
+    # one at a time (6 is its own mirror, 7 mirrors 5 and shares its sums)
+    assert checks == [[(5, False)], [(6, False)]]
+    checks.clear()
+    report(model, sweep[3], ("exact_variance",), memo=memo)
+    assert checks == [[(3, True)]]  # a mean-only check does not cover it
+    checks.clear()
+    report(model, sweep[3], ("exact",))
+    exact_average(model, sweep[3])
+    assert checks == [[(3, False)], [(3, False)]]  # memo-free: always
+    with pytest.raises(ValueError, match="one model"):
+        real_check(catalog("bosons"), sweep, False, memo)

@@ -134,3 +134,48 @@ def test_exp_times_erfc_extreme_no_overflow():
     got2 = exp_times_erfc(3.0, -2.0)
     ref2 = float(mp.exp(3) * mp.erfc(-2))
     assert abs(got2 - ref2) < 1e-12 * ref2
+
+
+def _erfcx_grid():
+    """Dense fixed grid plus seeded jitter: [0, 1], both sides of the
+    continued-fraction switch at x = 26, log-spaced up to 1e8, and x < 0."""
+    grid = [k / 256 for k in range(257)]
+    grid += [25.0 + k / 256 for k in range(513)]
+    grid += [10 ** (k / 40) for k in range(321)]  # 1 .. 1e8
+    grid += [-k / 16 for k in range(1, 427)]  # -1/16 .. -26.625
+    rng = random.Random(26)
+    grid += [rng.uniform(25.9, 26.1) for _ in range(200)]
+    grid += [rng.uniform(-5.0, 40.0) for _ in range(300)]
+    return grid
+
+
+def test_erfcx_against_mpmath_dense_grid():
+    worst = 0.0
+    for x in _erfcx_grid():
+        ref = mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x))
+        worst = max(worst, float(abs((erfcx(x) - ref) / ref)))
+    assert worst < 2e-15
+    assert erfcx(-30.0) == math.inf  # exp(900) overflows; no OverflowError
+    assert erfcx(-math.inf) == math.inf and erfcx(math.inf) == 0.0
+    assert math.isnan(erfcx(math.nan))
+
+
+def test_erfcx_matches_scipy():
+    scipy_erfcx = pytest.importorskip("scipy.special").erfcx
+    for x in _erfcx_grid() + [-26.7, -30.0, 1e300]:
+        ref = float(scipy_erfcx(x))
+        if math.isinf(ref):
+            assert erfcx(x) == ref
+        else:
+            assert abs(erfcx(x) - ref) <= 4e-15 * ref
+
+
+def test_dimension_checks_refuse_what_they_refused_before():
+    class Dim(int):
+        pass
+
+    for kernel in (digamma_of_dim, trigamma_of_dim, ln_big):
+        for bad in (True, False, -1, -(2 ** 70), 3.0, "3", None, Dim(-2)):
+            with pytest.raises(DomainError):
+                kernel(bad)
+        assert kernel(Dim(5)) == kernel(5)  # int subclasses still accepted
