@@ -141,7 +141,8 @@ def sample_entropy(basis: SectorBasis, rng) -> float:
     `rng` is a numpy Generator or an integer seed.  Schmidt coefficients
     below 1e-18 are dropped from the -sum(lam ln lam).
     """
-    # scipy.linalg costs ~60 ms to import; only sampling needs it
+    # scipy costs ~0.3 s to import and only sampling needs it, so no other
+    # subcommand loads it
     from scipy.linalg.lapack import dsterf
 
     if isinstance(rng, (int, np.integer)):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import page_entropy.entropy as entropy
 from page_entropy.dimensions import dim_fixed_n, dim_table
 from page_entropy.entropy import (BipartitionSpec, check_exact_work,
                                   exact_average, exact_variance,
@@ -282,8 +283,6 @@ def test_report_memo_is_bit_identical_and_serves_one_model():
 
 
 def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
-    import page_entropy.entropy as entropy
-
     checks = []
     real_check = entropy.check_exact_work
 
