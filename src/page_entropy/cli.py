@@ -242,13 +242,19 @@ def _get_particles(merged, V: int) -> int:
     raise ConfigError("one of --N or --n is required")
 
 
-def _get_cut_specs(merged, V: int, N: int):
-    """One BipartitionSpec per --VA cut size (default: every V_A)."""
-    cuts = merged.get("VA") or range(V + 1)
+def _get_cuts(merged, V: int, default):
+    """The --VA cut sizes (`default` if none are given), each in [0, V]."""
+    cuts = merged.get("VA") or default
     for v_a in cuts:
         if v_a > V:
             raise ConfigError(f"--VA entries must lie in [0, V]; got {v_a}")
-    return [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
+    return cuts
+
+
+def _get_cut_specs(merged, V: int, N: int):
+    """One BipartitionSpec per --VA cut size (default: every V_A)."""
+    return [ent.BipartitionSpec(V=V, N=N, V_A=v_a)
+            for v_a in _get_cuts(merged, V, range(V + 1))]
 
 
 # -- commands ----------------------------------------------------------------
@@ -350,6 +356,8 @@ def _cmd_scaling(merged):
     n = _require(merged, "n")
     sizes = _require(merged, "V-list")
     header = ["V", "inv_V", "N", "V_A", "exact", "asymptotic", "sqrt_coeff"]
+    if not 0.0 < f < 1.0:
+        raise ConfigError(f"--f must lie in (0, 1); got {f}")
     specs = []
     for V in sizes:
         v_a = f * V
@@ -357,14 +365,16 @@ def _cmd_scaling(merged):
             raise ConfigError(f"f*V must be an integer for the exact sum; "
                               f"f={f}, V={V}")
         specs.append(ent.BipartitionSpec(V=V, N=round(n * V), V_A=round(v_a)))
-    ent.check_exact_work(model, specs, False)
+    memo = {}  # shared by the sizes of this request (see entropy.report)
+    ent.check_exact_work(model, specs, False, memo)
     rows = {}  # V -> row: a repeated size is computed, and estimated, once
     for spec in specs:
         V, N, v_a = spec.V, spec.N, spec.V_A
         if V in rows:
             continue
-        exact = ent.exact_average(model, spec)
-        terms = ent.asymptotic_terms(model, V, spec.f, spec.n)
+        rep = ent.report(model, spec, methods=("exact", "asymptotic"),
+                         memo=memo)
+        exact, terms = rep.exact_mean, rep.asymptotic
         sqrt_coeff = (exact - terms.a * V - terms.c) / math.sqrt(V)
         rows[V] = [V, 1.0 / V, N, v_a, exact, terms.value, sqrt_coeff]
     rows = [rows[V] for V in sizes]
@@ -419,6 +429,7 @@ def _cmd_ed(merged):
     V = _require(merged, "V")
     N = _get_particles(merged, V)
     window = merged.get("window") or 100
+    cuts = _get_cuts(merged, V, range(V // 2 + 1))
     if kind == "spin1_xxz":
         lam = merged.get("lam")
         delta = merged.get("Delta")
@@ -433,7 +444,6 @@ def _cmd_ed(merged):
     else:
         raise ConfigError("--model must be spin1_xxz or bose_hubbard "
                           "for the ed command")
-    cuts = merged.get("VA") or range(V // 2 + 1)
     rep = mid_spectrum_entropies(ham, window, cuts)
     params = ";".join(f"{k}={v}" for k, v in sorted(ham.couplings.items()))
     header = ["V_A", "f", "mean_S", "std_S", "window", "params"]
@@ -453,7 +463,7 @@ def _cmd_dims(merged):
         if model.n_max is None:
             raise ConfigError("--N cap is required for unbounded models")
         cap = V * model.n_max
-    ent.check_table_work(model, ((V, cap),))
+    ent.check_table_work(model, ((V, cap),), rows=cap + 1)
     table = dim_table(model, V, cap)
     rows = [[N, d] for N, d in enumerate(table)]
     return {"header": ["N", "d_N"], "rows": rows,

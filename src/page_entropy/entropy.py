@@ -236,15 +236,19 @@ def check_exact_work(model: LocalModel, specs, want_variance: bool,
             (key, want_variance) for key in distinct)
 
 
-def check_table_work(model: LocalModel, tables) -> None:
+def check_table_work(model: LocalModel, tables, rows: int = 0) -> None:
     """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
-    front: raises InfeasibleSizeError if their `_table_work_seconds` exceed
+    front: raises InfeasibleSizeError if their `_table_work_seconds`, plus
+    `_render_seconds` for printing `rows` entries of them, exceed
     EXACT_WORK_BUDGET_S."""
     seconds = _table_work_seconds(model, tables)
-    if seconds > EXACT_WORK_BUDGET_S:
+    render = _render_seconds(model, tables, rows) if rows else 0.0
+    if seconds + render > EXACT_WORK_BUDGET_S:
+        printing = (f", plus {render:.0f} s to print {rows} rows" if rows
+                    else "")
         raise InfeasibleSizeError(
-            f"dimension tables estimated at {seconds:.0f} s, above the "
-            f"{EXACT_WORK_BUDGET_S:.0f} s budget")
+            f"dimension tables estimated at {seconds:.0f} s{printing}, above "
+            f"the {EXACT_WORK_BUDGET_S:.0f} s budget")
 
 
 def _mirrored_cut(spec: BipartitionSpec) -> tuple[int, int, int]:
@@ -288,6 +292,18 @@ def _table_work_seconds(model: LocalModel, tables) -> float:
         words = bits(sites, n_eff) / 64.0
         seconds += n_eff * (min(deg_pq, n_eff) + 2) * (3.5e-7 + 4e-9 * words)
     return seconds
+
+
+def _render_seconds(model: LocalModel, tables, rows: int) -> float:
+    """Estimated time to build and print `rows` CSV rows (N, d_N) of the
+    tables: 4 us + 0.6 us * w + 7.5 ns * w^2 a row for w-word entries, w
+    taken from the largest table's bound, since decimal conversion is
+    superlinear in w.  Calibrated on the host of `exact_work_seconds`
+    with entries of 1 to 190 words; `dims` for bosons V=4, N=1e6 took
+    6.0 s there against 5.6 s estimated, tables included."""
+    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
+    words = max(bits(sites, cap) for sites, cap in tables) / 64.0
+    return rows * (4e-6 + 6e-7 * words + 7.5e-9 * words ** 2)
 
 
 def _dim_bits_bound(model: LocalModel, N: int):

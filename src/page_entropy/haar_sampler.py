@@ -164,18 +164,33 @@ def sample_entropy(basis: SectorBasis, rng) -> float:
     return float(-(lam @ np.log(lam)))
 
 
-def entropy_of_block_vector(blocks, psi) -> float:
-    """-sum(lam ln lam) over the Schmidt spectrum of a block-layout vector."""
-    total = 0.0
+def entropy_of_block_vector(blocks, psi):
+    """-sum(lam ln lam) over the Schmidt spectrum of block-layout vectors.
+
+    `psi` is one vector of shape (dim,), which gives a float, or K vectors
+    as the columns of a (dim, K) array, which give K entropies.  Each block
+    takes one batched SVD of its (K, d_A, d_B) stack; Schmidt coefficients
+    below 1e-18 are dropped.  A column's entropy is bit for bit that of the
+    column passed alone: LAPACK sees the same matrix either way, and the
+    kept coefficients (a prefix of the descending spectrum) are summed
+    with `np.sum` over rows of exactly the kept length, the length that
+    numpy's pairwise summation depends on.
+    """
+    psi = np.asarray(psi)
+    columns = psi.reshape(psi.shape[0], -1)
+    K = columns.shape[1]
+    total = np.zeros(K)
     for blk in blocks:
-        mat = psi[blk.offset:blk.offset + blk.d_a * blk.d_b]
-        mat = np.asarray(mat).reshape(blk.d_a, blk.d_b)
-        sv = np.linalg.svd(mat, compute_uv=False)
+        part = columns[blk.offset:blk.offset + blk.d_a * blk.d_b]
+        stack = part.T.reshape(K, blk.d_a, blk.d_b)
+        sv = np.linalg.svd(stack, compute_uv=False)
         lam = sv * sv
-        lam = lam[lam > _EIGENVALUE_FLOOR]
-        if lam.size:
-            total -= float(np.sum(lam * np.log(lam)))
-    return total
+        kept = np.count_nonzero(lam > _EIGENVALUE_FLOOR, axis=1)
+        for count in np.unique(kept[kept > 0]):
+            rows = np.flatnonzero(kept == count)
+            x = lam[rows, :count]
+            total[rows] -= np.sum(x * np.log(x), axis=1)
+    return float(total[0]) if psi.ndim == 1 else total
 
 
 def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:

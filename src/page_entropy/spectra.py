@@ -12,6 +12,20 @@ an occupation basis (site occupations n_i >= 0, sum fixed):
 of the spectrum (window centered on the median index, never splitting a
 degenerate multiplet) and returns mean/std of their entanglement entropies
 per cut position.
+
+Everything around the dense `np.linalg.eigh` works on arrays:
+
+* The basis is a (dim, V) int array in lexicographic order, so base-(cap+1)
+  state keys ascend and `np.searchsorted` finds the row a move leads to.
+  The Hamiltonian is assembled by one Python loop over bonds, with one
+  vectorized `matrix[rows, cols] += amp` per bond and move (spin-1: each
+  nonzero entry of the 9x9 bond operator; Bose-Hubbard: each hop
+  direction).  Every entry receives its terms one bond at a time in site
+  order, so the matrix is fixed bit for bit by the couplings, and so are
+  the eigenvectors LAPACK returns for a given thread count.
+* Each cut takes the whole window at once, `states[perm, lo:hi]`, and
+  `entropy_of_block_vector` runs one batched SVD per block over it; each
+  state's entropy is bit-identical to passing that state alone.
 """
 
 from __future__ import annotations
@@ -29,6 +43,8 @@ from .haar_sampler import SectorBlock, entropy_of_block_vector
 MAX_DENSE_DIM = 4000
 
 _DEGENERACY_TOL = 1e-10
+
+_MAX_PARTICLES = 2 ** 31
 
 
 @dataclass(frozen=True)
@@ -63,11 +79,12 @@ class MidSpectrumReport:
     cuts: tuple[CutEntropies, ...]
 
 
-def _occupation_basis(V: int, N: int, cap: int) -> list[tuple[int, ...]]:
-    """All occupation tuples of length V summing to N with n_i <= cap.
+def _occupation_basis(V: int, N: int, cap: int) -> np.ndarray:
+    """All occupation rows of length V summing to N with n_i <= cap.
 
-    The sector is counted in closed form first, so an empty or oversized
-    one is refused before any state is enumerated.
+    Returns a (dim, V) int array in lexicographic order.  The sector is
+    counted in closed form first, so an empty or oversized one is refused
+    before any state is enumerated.
     """
     dim = 1 if N == 0 else extended_binomial_closed(V, N, cap)
     if dim == 0:
@@ -76,23 +93,45 @@ def _occupation_basis(V: int, N: int, cap: int) -> list[tuple[int, ...]]:
         size = dim if dim < 2 ** 64 else f"above 2^{dim.bit_length() - 1}"
         raise InfeasibleSizeError(f"sector dimension {size} exceeds "
                                   f"dense limit {MAX_DENSE_DIM}")
-    states = []
-
-    def grow(prefix, remaining, sites_left):
-        if sites_left == 0:
-            if remaining == 0:
-                states.append(tuple(prefix))
-            return
+    if N >= _MAX_PARTICLES:
+        # int64 occupations: products and sums of two occupations stay exact
+        raise InfeasibleSizeError(f"N={N} particles exceed the occupation "
+                                  f"limit 2^31")
+    # one level per site: every feasible prefix and its last digit, in
+    # lexicographic order (np.repeat keeps each prefix's digits together)
+    parents, digits = [], []
+    left = np.array([N], dtype=np.int64)
+    for sites_left in range(V, 0, -1):
         # leave enough capacity for the remaining sites
-        lo = max(0, remaining - cap * (sites_left - 1))
-        hi = min(cap, remaining)
-        for k in range(lo, hi + 1):
-            prefix.append(k)
-            grow(prefix, remaining - k, sites_left - 1)
-            prefix.pop()
+        lo = np.maximum(0, left - cap * (sites_left - 1))
+        count = np.minimum(cap, left) - lo + 1
+        parent = np.repeat(np.arange(left.size), count)
+        start = np.cumsum(count) - count
+        digit = lo[parent] + np.arange(parent.size) - start[parent]
+        parents.append(parent)
+        digits.append(digit)
+        left = left[parent] - digit
+    occ = np.empty((dim, V), dtype=np.int64)
+    row = np.arange(dim)
+    for site in range(V - 1, -1, -1):
+        occ[:, site] = digits[site][row]
+        row = parents[site][row]
+    return occ
 
-    grow([], N, V)
-    return states
+
+def _state_keys(occ: np.ndarray, cap: int):
+    """Base-(cap + 1) keys of the occupation rows, and each site's weight.
+
+    The rows are in lexicographic order, so the keys ascend and
+    `np.searchsorted(keys, key)` finds the row of a state.  The keys are
+    Python ints (an object array) once (cap + 1)^V overflows int64.
+    """
+    V = occ.shape[1]
+    base = cap + 1
+    weight = [base ** (V - 1 - site) for site in range(V)]
+    dtype = np.int64 if base ** V < 2 ** 63 else object
+    keys = occ.astype(dtype) @ np.array(weight, dtype=dtype)
+    return keys, weight
 
 
 def _spin1_bond_matrix(lam: float, delta: float) -> np.ndarray:
@@ -138,25 +177,30 @@ def build_spin1_xxz(V: int, M: int, lam: float, delta: float) -> SectorHamiltoni
         raise DomainError(f"magnetization M={M} impossible for spin-1 on "
                           f"{V} sites")
     N = M + V  # occupations n_i = s_i + 1
-    basis = _occupation_basis(V, N, cap=2)
-    index = {occ: i for i, occ in enumerate(basis)}
+    occ = _occupation_basis(V, N, cap=2)
+    keys, weight = _state_keys(occ, cap=2)
     bond = _spin1_bond_matrix(lam, delta)
+    # (pair, new_pair) with a nonzero amplitude; pair = 3 n_i + n_j
+    moves = [(int(pair), int(new)) for pair, new in zip(*np.nonzero(bond.T))]
 
-    dim = len(basis)
+    dim = len(occ)
     matrix = np.zeros((dim, dim))
-    for col, occ in enumerate(basis):
-        for i in range(V):
-            j = (i + 1) % V
-            pair = occ[i] * 3 + occ[j]
-            for new_pair in np.nonzero(bond[:, pair])[0]:
-                amp = bond[new_pair, pair]
-                new_occ = list(occ)
-                new_occ[i], new_occ[j] = new_pair // 3, new_pair % 3
-                matrix[index[tuple(new_occ)], col] += amp
+    # an entry takes at most one term per bond, so it sums its terms in
+    # bond order; within one move the (row, col) pairs are distinct
+    for i in range(V):
+        j = (i + 1) % V
+        pairs = 3 * occ[:, i] + occ[:, j]
+        for pair, new in moves:
+            cols = np.flatnonzero(pairs == pair)
+            shift = ((new // 3 - pair // 3) * weight[i]
+                     + (new % 3 - pair % 3) * weight[j])
+            rows = np.searchsorted(keys, keys[cols] + shift)
+            matrix[rows, cols] += bond[new, pair]
     return SectorHamiltonian(kind="spin1_xxz", V=V, N=N,
                              couplings={"lambda": lam, "Delta": delta,
                                         "M": M},
-                             basis=tuple(basis), matrix=matrix)
+                             basis=tuple(map(tuple, occ.tolist())),
+                             matrix=matrix)
 
 
 def build_bose_hubbard(V: int, N: int, U: float,
@@ -169,25 +213,25 @@ def build_bose_hubbard(V: int, N: int, U: float,
     cap = N if n_max is None else min(int(n_max), N)
     if N > 0 and cap < 1:
         raise DomainError("occupation cap leaves no room for any particle")
-    basis = _occupation_basis(V, N, cap=max(cap, 0))
-    index = {occ: i for i, occ in enumerate(basis)}
+    cap = max(cap, 0)
+    occ = _occupation_basis(V, N, cap)
+    keys, weight = _state_keys(occ, cap)
 
-    dim = len(basis)
+    dim = len(occ)
     matrix = np.zeros((dim, dim))
-    for col, occ in enumerate(basis):
-        matrix[col, col] = 0.5 * U * sum(k * (k - 1) for k in occ)
-        for i in range(V):
-            j = (i + 1) % V
-            for src, dst in ((j, i), (i, j)):  # b+_dst b_src + h.c. halves
-                if occ[src] > 0 and occ[dst] < cap:
-                    amp = -math.sqrt((occ[dst] + 1) * occ[src])
-                    new_occ = list(occ)
-                    new_occ[src] -= 1
-                    new_occ[dst] += 1
-                    matrix[index[tuple(new_occ)], col] += amp
+    matrix[np.diag_indices(dim)] = 0.5 * U * np.sum(occ * (occ - 1), axis=1)
+    for i in range(V):
+        j = (i + 1) % V
+        for src, dst in ((j, i), (i, j)):  # b+_dst b_src + h.c. halves
+            cols = np.flatnonzero((occ[:, src] > 0) & (occ[:, dst] < cap))
+            rows = np.searchsorted(keys,
+                                   keys[cols] + (weight[dst] - weight[src]))
+            matrix[rows, cols] += -np.sqrt((occ[cols, dst] + 1)
+                                           * occ[cols, src])
     return SectorHamiltonian(kind="bose_hubbard", V=V, N=N,
                              couplings={"U": U, "n_max": n_max},
-                             basis=tuple(basis), matrix=matrix)
+                             basis=tuple(map(tuple, occ.tolist())),
+                             matrix=matrix)
 
 
 def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
@@ -200,6 +244,10 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
     """
     if window < 1:
         raise DomainError("window must be >= 1")
+    cuts = tuple(v_a_list)
+    for v_a in cuts:
+        if not 0 <= v_a <= ham.V:
+            raise DomainError(f"cut position {v_a} outside [0, {ham.V}]")
     energies, states = np.linalg.eigh(ham.matrix)
     dim = len(energies)
     lo = max(0, dim // 2 - window // 2)
@@ -209,20 +257,15 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
     while hi < dim and energies[hi] - energies[hi - 1] < _DEGENERACY_TOL:
         hi += 1
 
-    cuts = []
-    for v_a in v_a_list:
-        if not 0 <= v_a <= ham.V:
-            raise DomainError(f"cut position {v_a} outside [0, {ham.V}]")
+    stats = []
+    for v_a in cuts:
         blocks, perm = _cut_blocks(ham.basis, v_a)
-        entropies = [
-            entropy_of_block_vector(blocks, states[perm, k])
-            for k in range(lo, hi)
-        ]
+        entropies = entropy_of_block_vector(blocks, states[perm, lo:hi])
         mean = float(np.mean(entropies))
         std = float(np.std(entropies, ddof=1)) if len(entropies) > 1 else 0.0
-        cuts.append(CutEntropies(V_A=v_a, f=v_a / ham.V, mean=mean, std=std))
+        stats.append(CutEntropies(V_A=v_a, f=v_a / ham.V, mean=mean, std=std))
     return MidSpectrumReport(kind=ham.kind, V=ham.V, N=ham.N, dim=dim,
-                             window_lo=lo, window_hi=hi, cuts=tuple(cuts))
+                             window_lo=lo, window_hi=hi, cuts=tuple(stats))
 
 
 def _cut_blocks(basis, v_a: int):

@@ -11,6 +11,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -615,3 +616,66 @@ def test_bounded_page_off_peak_equals_memo_free_reports(capsys, monkeypatch):
     assert code == 0
     assert min(args) < 26.0 <= max(args)
     assert out == _independent_output(argv, "fermions", 400, 150, None)
+
+
+def test_ed_bad_cut_refused_before_build_and_eigh(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ed did work before checking --VA")
+
+    monkeypatch.setattr(cli, "build_spin1_xxz", no_work)
+    monkeypatch.setattr(cli, "build_bose_hubbard", no_work)
+    monkeypatch.setattr(np.linalg, "eigh", no_work)
+    for argv in (("ed", "--model", "spin1_xxz", "--V", "9", "--N", "9",
+                  "--lambda", "0", "--Delta", "1", "--VA", "10"),
+                 ("ed", "--model", "bose_hubbard", "--V", "6", "--N", "3",
+                  "--U", "1", "--VA", "2,7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--VA entries must lie in [0, V]" in err
+
+
+def test_scaling_solves_its_saddle_once(capsys, monkeypatch):
+    calls = []
+    real = entropy.beta_family
+    monkeypatch.setattr(entropy, "beta_family",
+                        lambda *args: calls.append(args) or real(*args))
+    sizes = (250, 500, 750, 1000)
+    code, out, _ = run_cli(capsys, "scaling", "--model", "bosons", "--f",
+                           "0.5", "--n", "1", "--V-list",
+                           ",".join(map(str, sizes)))
+    assert code == 0
+    assert len(calls) <= 2
+    # the rows equal those of the memo-free public functions
+    model = parse_model("bosons")
+    rows = []
+    for V in sizes:
+        spec = entropy.BipartitionSpec(V=V, N=V, V_A=V // 2)
+        exact = entropy.exact_average(model, spec)
+        terms = entropy.asymptotic_terms(model, V, spec.f, spec.n)
+        rows.append([V, 1.0 / V, V, V // 2, exact, terms.value,
+                     (exact - terms.a * V - terms.c) / math.sqrt(V)])
+    header = ["V", "inv_V", "N", "V_A", "exact", "asymptotic", "sqrt_coeff"]
+    assert out == cli.render_csv({"header": header, "rows": rows})
+    for f in ("0", "1"):
+        code, _, err = run_cli(capsys, "scaling", "--model", "bosons",
+                               "--f", f, "--n", "1", "--V-list", "8")
+        assert code == 2 and "(0, 1)" in err
+
+
+def test_dims_refuses_output_too_large_to_print(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "dims", "--model", "bosons", "--V", "4",
+                           "--N", "1000")
+    assert code == 0 and len(parse_csv(out)[1]) == 1001
+
+    def no_table(*args):
+        raise AssertionError("dims built a table it cannot print in time")
+
+    monkeypatch.setattr(cli, "dim_table", no_table)
+    # the table alone is estimated at 32 s, inside the budget; printing
+    # its 3e7 rows is not
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dims", "--model", "bosons", "--V", "4",
+                             "--N", "30000000")
+    assert code == 4 and out == ""
+    assert "estimated at 32 s" in err and "to print 30000001 rows" in err
+    assert time.perf_counter() - start < 2.0

@@ -9,7 +9,8 @@ from page_entropy.dimensions import dim_fixed_n
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.local_model import catalog
 from page_entropy.saddle import beta_family
-from page_entropy.spectra import (SectorHamiltonian, _cut_blocks, beta_spin1,
+from page_entropy.spectra import (SectorHamiltonian, _cut_blocks,
+                                  _spin1_bond_matrix, beta_spin1,
                                   build_bose_hubbard, build_spin1_xxz,
                                   mid_spectrum_entropies)
 from page_entropy.haar_sampler import entropy_of_block_vector
@@ -212,3 +213,185 @@ def test_beta_spin1_closed_form():
     for bad in (0.0, 2.0, -0.3, 2.4):
         with pytest.raises(DomainError):
             beta_spin1(bad)
+
+
+# -- loop oracles: the per-state builders and the per-vector Schmidt kernel --
+
+def loop_occupation_basis(V, N, cap):
+    """Occupation tuples summing to N with n_i <= cap, lexicographic."""
+    states = []
+
+    def grow(prefix, remaining, sites_left):
+        if sites_left == 0:
+            if remaining == 0:
+                states.append(tuple(prefix))
+            return
+        lo = max(0, remaining - cap * (sites_left - 1))
+        for k in range(lo, min(cap, remaining) + 1):
+            prefix.append(k)
+            grow(prefix, remaining - k, sites_left - 1)
+            prefix.pop()
+
+    grow([], N, V)
+    return states
+
+
+def loop_spin1_xxz(V, M, lam, delta):
+    """(basis, matrix) of the spin-1 chain, one state and bond at a time."""
+    basis = loop_occupation_basis(V, M + V, 2)
+    index = {occ: i for i, occ in enumerate(basis)}
+    bond = _spin1_bond_matrix(lam, delta)
+    matrix = np.zeros((len(basis), len(basis)))
+    for col, occ in enumerate(basis):
+        for i in range(V):
+            j = (i + 1) % V
+            pair = occ[i] * 3 + occ[j]
+            for new_pair in np.nonzero(bond[:, pair])[0]:
+                new_occ = list(occ)
+                new_occ[i], new_occ[j] = new_pair // 3, new_pair % 3
+                matrix[index[tuple(new_occ)], col] += bond[new_pair, pair]
+    return tuple(basis), matrix
+
+
+def loop_bose_hubbard(V, N, U, n_max=None):
+    """(basis, matrix) of the Bose-Hubbard chain, one state and bond at a
+    time."""
+    cap = N if n_max is None else min(n_max, N)
+    basis = loop_occupation_basis(V, N, max(cap, 0))
+    index = {occ: i for i, occ in enumerate(basis)}
+    matrix = np.zeros((len(basis), len(basis)))
+    for col, occ in enumerate(basis):
+        matrix[col, col] = 0.5 * U * sum(k * (k - 1) for k in occ)
+        for i in range(V):
+            j = (i + 1) % V
+            for src, dst in ((j, i), (i, j)):
+                if occ[src] > 0 and occ[dst] < cap:
+                    new_occ = list(occ)
+                    new_occ[src] -= 1
+                    new_occ[dst] += 1
+                    matrix[index[tuple(new_occ)], col] += \
+                        -math.sqrt((occ[dst] + 1) * occ[src])
+    return tuple(basis), matrix
+
+
+def loop_entropy(blocks, psi):
+    """Entropy of one block-layout vector, block by block."""
+    total = 0.0
+    for blk in blocks:
+        mat = psi[blk.offset:blk.offset + blk.d_a * blk.d_b]
+        sv = np.linalg.svd(mat.reshape(blk.d_a, blk.d_b), compute_uv=False)
+        lam = sv * sv
+        lam = lam[lam > 1e-18]
+        if lam.size:
+            total -= float(np.sum(lam * np.log(lam)))
+    return total
+
+
+def _assert_same_hamiltonian(ham, basis, matrix):
+    assert ham.basis == basis
+    assert ham.matrix.dtype == matrix.dtype
+    assert ham.matrix.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("V", range(2, 8))
+def test_spin1_matrix_bitwise_equals_loop_builder(V):
+    for M in sorted({-V, -1, 0, 1, V - 1}):
+        for lam in (0.0, 0.3, 1.0):
+            for delta in (0.55, 1.0, 1.2):
+                _assert_same_hamiltonian(build_spin1_xxz(V, M, lam, delta),
+                                         *loop_spin1_xxz(V, M, lam, delta))
+
+
+@pytest.mark.parametrize("V", range(2, 7))
+def test_bose_hubbard_matrix_bitwise_equals_loop_builder(V):
+    for N in (0, 1, 2, 3, 5):
+        for n_max in (None, 1, 2):
+            if N > V * (n_max or N):
+                continue
+            for U in (2.25, 10.0, -0.7):
+                _assert_same_hamiltonian(build_bose_hubbard(V, N, U, n_max),
+                                         *loop_bose_hubbard(V, N, U, n_max))
+
+
+def test_long_chain_keys_beyond_int64_bitwise_equal_loop_builder():
+    # 3^45 and 2^70 overflow int64: the state keys are Python ints
+    _assert_same_hamiltonian(build_spin1_xxz(45, 43, 1.0, 0.55),
+                             *loop_spin1_xxz(45, 43, 1.0, 0.55))
+    _assert_same_hamiltonian(build_bose_hubbard(70, 2, 2.25, n_max=1),
+                             *loop_bose_hubbard(70, 2, 2.25, n_max=1))
+
+
+def test_occupations_beyond_int64_products_refused():
+    # a one-state sector, but (n + 1) n would overflow int64
+    with pytest.raises(InfeasibleSizeError):
+        build_bose_hubbard(2, 2 ** 31, 1.0, n_max=2 ** 30)
+
+
+def _product_columns(dim, picks):
+    """Columns that are sums of a few basis states (low Schmidt rank)."""
+    out = np.zeros((dim, len(picks)))
+    for k, states in enumerate(picks):
+        out[list(states), k] = 1.0 / math.sqrt(len(states))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_batched_entropies_equal_per_column_calls(dtype):
+    ham = build_spin1_xxz(5, 0, 1.0, 0.55)
+    dim = len(ham.basis)
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((dim, 5))
+    if dtype is complex:
+        dense = dense + 1j * rng.standard_normal((dim, 5))
+    dense /= np.linalg.norm(dense, axis=0)
+    sparse = _product_columns(dim, [(0,), (7,), (3, 20), (1, 2, 40), (50,)])
+    X = np.hstack([dense, sparse.astype(dense.dtype)])
+    for v_a in range(ham.V + 1):  # includes V_A = 0 and V_A = V
+        blocks, perm = _cut_blocks(ham.basis, v_a)
+        cols = X[perm]
+        got = entropy_of_block_vector(blocks, cols)
+        assert got.shape == (X.shape[1],)
+        one = [entropy_of_block_vector(blocks, cols[:, k])
+               for k in range(X.shape[1])]
+        assert all(type(value) is float for value in one)
+        assert list(got) == one
+        assert one == [loop_entropy(blocks, cols[:, k])
+                       for k in range(X.shape[1])]
+    # long kept prefixes of different lengths (pairwise sums from 8 terms)
+    ham = build_spin1_xxz(8, 0, 1.0, 0.55)
+    blocks, _ = _cut_blocks(ham.basis, 4)
+    big = max(blocks, key=lambda blk: min(blk.d_a, blk.d_b))
+    side = min(big.d_a, big.d_b)
+    assert side > 16
+    Y = rng.standard_normal((len(ham.basis), 3)).astype(dtype)
+    for rank in (9, 12, 15, 16, side - 1):
+        col = np.zeros((len(ham.basis), 1), dtype=dtype)
+        diag = big.offset + np.arange(rank) * (big.d_b + 1)
+        col[diag, 0] = rng.uniform(0.5, 1.5, rank)
+        Y = np.hstack([Y, col / np.linalg.norm(col)])
+    got = entropy_of_block_vector(blocks, Y)
+    assert list(got) == [loop_entropy(blocks, Y[:, k])
+                         for k in range(Y.shape[1])]
+
+
+def test_mid_spectrum_equals_per_state_loop_across_a_multiplet():
+    ham = build_spin1_xxz(6, 0, 1.0, 1.0)  # integrable, many multiplets
+    report = mid_spectrum_entropies(ham, 6, range(7))
+    energies, states = np.linalg.eigh(ham.matrix)
+    lo, hi = report.window_lo, report.window_hi
+    assert np.any(np.diff(energies[lo:hi]) < 1e-10)
+    for cut in report.cuts:
+        blocks, perm = _cut_blocks(ham.basis, cut.V_A)
+        values = [loop_entropy(blocks, states[perm, k]) for k in range(lo, hi)]
+        assert cut.mean == float(np.mean(values))
+        assert cut.std == float(np.std(values, ddof=1))
+
+
+def test_bad_cut_refused_before_eigh(monkeypatch):
+    def no_eigh(matrix):
+        raise AssertionError("eigh ran before the cut check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    ham = build_spin1_xxz(4, 0, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        mid_spectrum_entropies(ham, 4, [1, 5])
