@@ -263,20 +263,17 @@ def _cmd_beta(merged):
     model = _get_model(merged)
     grid = _require(merged, "grid")
     header = ["n", "z0", "beta", "beta1", "beta2", "alpha", "mark"]
-    rows = []
+    marked = [(n, "") for n in grid]
     star = n_star(model)
-    for n in grid:
+    if star is not None:
+        marked.append((star, "nstar"))
+    if model.n_max is not None:
+        marked.append((float(model.n_max), "nmax"))
+    rows = []
+    for n, mark in marked:
         sol = beta_family(model, n)
         rows.append([sol.n, sol.z0, sol.beta, sol.beta1, sol.beta2,
-                     sol.alpha, ""])
-    if star is not None:
-        sol = beta_family(model, star)
-        rows.append([sol.n, sol.z0, sol.beta, sol.beta1, sol.beta2,
-                     sol.alpha, "nstar"])
-    if model.n_max is not None:
-        sol = beta_family(model, float(model.n_max))
-        rows.append([sol.n, sol.z0, sol.beta, sol.beta1, sol.beta2,
-                     sol.alpha, "nmax"])
+                     sol.alpha, mark])
     rows.sort(key=lambda row: row[0])
     return {"header": header, "rows": rows, "meta": {"model": model.label}}
 
@@ -288,19 +285,10 @@ def _cmd_page(merged):
     methods = merged.get("methods") or _PAGE_METHODS
     specs = _get_cut_specs(merged, V, N)
     header = ["V_A", "f"] + list(methods)
-    rows = []
-    reports = []
     keys = tuple(dict.fromkeys(_METHOD_KEYS[m] for m in methods))
-    memo = {}  # shared by the cuts of this request (see entropy.report)
-    if {"exact", "exact_variance"} & set(keys):
-        ent.check_exact_work(model, specs, "exact_variance" in keys, memo)
-    for spec in specs:
-        rep = ent.report(model, spec, methods=keys, memo=memo)
-        reports.append(rep)
-        row = [spec.V_A, rep.f]
-        for method in methods:
-            row.append(_report_value(rep, _METHOD_KEYS[method]))
-        rows.append(row)
+    reports = ent.report(model, specs, keys)
+    rows = [[rep.V_A, rep.f] + [_report_value(rep, _METHOD_KEYS[method])
+                                for method in methods] for rep in reports]
     meta = {"model": model.label, "V": V, "N": N}
     result = {"header": header, "rows": rows, "meta": meta}
     if merged.get("format") == "json":
@@ -365,19 +353,12 @@ def _cmd_scaling(merged):
             raise ConfigError(f"f*V must be an integer for the exact sum; "
                               f"f={f}, V={V}")
         specs.append(ent.BipartitionSpec(V=V, N=round(n * V), V_A=round(v_a)))
-    memo = {}  # shared by the sizes of this request (see entropy.report)
-    ent.check_exact_work(model, specs, False, memo)
-    rows = {}  # V -> row: a repeated size is computed, and estimated, once
-    for spec in specs:
-        V, N, v_a = spec.V, spec.N, spec.V_A
-        if V in rows:
-            continue
-        rep = ent.report(model, spec, methods=("exact", "asymptotic"),
-                         memo=memo)
-        exact, terms = rep.exact_mean, rep.asymptotic
+    rows = []
+    for rep in ent.report(model, specs, ("exact", "asymptotic")):
+        V, exact, terms = rep.V, rep.exact_mean, rep.asymptotic
         sqrt_coeff = (exact - terms.a * V - terms.c) / math.sqrt(V)
-        rows[V] = [V, 1.0 / V, N, v_a, exact, terms.value, sqrt_coeff]
-    rows = [rows[V] for V in sizes]
+        rows.append([V, 1.0 / V, rep.N, rep.V_A, exact, terms.value,
+                     sqrt_coeff])
     return {"header": header, "rows": rows,
             "meta": {"model": model.label, "f": f, "n": n}}
 
@@ -389,17 +370,11 @@ def _cmd_variance(merged):
     specs = _get_cut_specs(merged, V, N)
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
               "asymptotic_variance", "log_asymptotic_variance"]
-    rows = []
-    memo = {}  # shared by the cuts of this request (see entropy.report)
-    ent.check_exact_work(model, specs, True, memo)
-    for spec in specs:
-        rep = ent.report(model, spec,
-                         methods=("exact_variance", "asymptotic_variance"),
-                         memo=memo)
-        rows.append([spec.V_A, rep.f,
-                     rep.exact_variance.value, rep.exact_variance.log_value,
-                     rep.asymptotic_variance.value,
-                     rep.asymptotic_variance.log_value])
+    reports = ent.report(model, specs,
+                         ("exact_variance", "asymptotic_variance"))
+    rows = [[rep.V_A, rep.f, rep.exact_variance.value,
+             rep.exact_variance.log_value, rep.asymptotic_variance.value,
+             rep.asymptotic_variance.log_value] for rep in reports]
     return {"header": header, "rows": rows,
             "meta": {"model": model.label, "V": V, "N": N}}
 
@@ -519,7 +494,13 @@ def _json_cell(value):
 
 def _emit(result, merged):
     fmt = merged.get("format") or result.get("default_format") or "csv"
-    text = render_csv(result) if fmt == "csv" else render_json(result)
+    # exact ints print in full: `dims` bounds their conversion time up front
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = render_csv(result) if fmt == "csv" else render_json(result)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     out = merged.get("out")
     if out:
         with open(out, "w") as fh:

@@ -18,20 +18,20 @@ rounded at any magnitude); logs enter only where a value itself underflows,
 e.g. the 1/(d_N + 1) variance prefactor, which is why variance results
 carry a log-value side channel.
 
-A request over many cuts of one sector (a page curve) passes one memo, a
-plain dict, to every `report` call, so that each shared quantity is solved
-once per request: the exact sums of the cuts V_A and V - V_A, which are the
-same bit for bit (the block kernels are symmetric in d_A, d_B and
-`math.fsum` is correctly rounded, so block order cannot matter), and the
-saddle solutions at n and n*, which depend on the filling alone.  Within a
-cut, Psi(d_N + 1) and (d_N + 1) Psi'(d_N + 1) are computed once, not once
-per block.
+A request over many cuts of one sector (a page curve) is one `report`
+call, which solves each shared quantity once: the exact sums of the cuts
+V_A and V - V_A, which are the same bit for bit (the block kernels are
+symmetric in d_A, d_B and `math.fsum` is correctly rounded, so block order
+cannot matter), and the saddle solutions at n and n*, which depend on the
+filling alone.  Within a cut, Psi(d_N + 1) and (d_N + 1) Psi'(d_N + 1) are
+computed once, not once per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import erfc
 from typing import Optional
 
@@ -178,6 +178,7 @@ def exact_average(model: LocalModel, spec: BipartitionSpec) -> float:
     Absolute accuracy ~1e-12 (each block mean is digamma differences of
     exact integers); raises on an empty sector.
     """
+    check_exact_work(model, (spec,), want_variance=False)
     mean, _, _ = _sector_sums(model, spec, want_variance=False)
     return mean
 
@@ -188,6 +189,7 @@ def exact_variance(model: LocalModel, spec: BipartitionSpec) -> VarianceEstimate
     The result decays like exp(-beta V) and may underflow; `log_value`
     stays finite as long as the scaled numerator is positive.
     """
+    check_exact_work(model, (spec,), want_variance=True)
     _, numerator, d_n = _sector_sums(model, spec, want_variance=True)
     return _variance_estimate(numerator, d_n)
 
@@ -207,18 +209,14 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
-def check_exact_work(model: LocalModel, specs, want_variance: bool,
-                     memo: Optional[dict] = None) -> None:
+def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
     """Refuse exact sums over `specs`, the cuts of one request, up front.
 
     A request computes the sums of a cut and of its mirror V - V_A once
     (see `report`), so each mirrored pair, like a repeated cut, is counted
     once.  Raises InfeasibleSizeError if any V exceeds 4000 or the summed
-    `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.  Given the request's
-    memo, the checked cuts are noted there, so that `report` does not check
-    them again one at a time.
+    `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.
     """
-    _claim_memo(memo, model)
     distinct = {}
     for spec in specs:
         distinct.setdefault(_mirrored_cut(spec), spec)
@@ -231,9 +229,6 @@ def check_exact_work(model: LocalModel, specs, want_variance: bool,
         raise InfeasibleSizeError(
             f"exact sums estimated at {seconds:.0f} s for {len(distinct)} "
             f"distinct cut(s), above the {EXACT_WORK_BUDGET_S:.0f} s budget")
-    if memo is not None:
-        memo.setdefault("checked", set()).update(
-            (key, want_variance) for key in distinct)
 
 
 def check_table_work(model: LocalModel, tables, rows: int = 0) -> None:
@@ -336,13 +331,9 @@ def _dim_bits_bound(model: LocalModel, N: int):
 
 
 def _sector_sums(model: LocalModel, spec: BipartitionSpec,
-                 want_variance: bool, checked: bool = False):
-    """(mean, variance numerator, d_N) over the block decomposition.
-
-    Refuses the cut up front unless the request already `checked` it.
-    """
-    if not checked:
-        check_exact_work(model, (spec,), want_variance)
+                 want_variance: bool):
+    """(mean, variance numerator, d_N) over the block decomposition; the
+    caller has passed the cut through `check_exact_work`."""
     v_b = spec.V - spec.V_A
     n_a_values = spec.n_a_range(model.n_max)
     cap_a = n_a_values[-1] if len(n_a_values) else 0
@@ -363,7 +354,7 @@ def _sector_sums(model: LocalModel, spec: BipartitionSpec,
 
     # the sector's kernel terms are fixed per cut
     psi_n = digamma_of_dim(d_n)
-    trigamma_n = _dim_plus_one_times_trigamma(d_n) if want_variance else 0.0
+    trigamma_n = _times_trigamma(d_n + 1, d_n) if want_variance else 0.0
     mean_terms = []
     square_terms = []
     for d_a, d_b in blocks:
@@ -388,22 +379,16 @@ def _chi(d_a: int, d_b: int, trigamma_n: float) -> float:
     trigamma_n = (d_N + 1) Psi'(d_N + 1)."""
     if d_a > d_b:
         d_a, d_b = d_b, d_a
-    term1 = ((d_a + d_b) / d_b) * _dim_times_trigamma(d_b)
+    term1 = ((d_a + d_b) / d_b) * _times_trigamma(d_b, d_b)
     term3 = ((d_a - 1) * (d_a + 2 * d_b - 1)) / (4 * d_b * d_b)
     return term1 - trigamma_n - term3
 
 
-def _dim_times_trigamma(d: int) -> float:
-    """d * Psi'(d + 1), stable for integers of any size (limit 1)."""
+def _times_trigamma(m: int, d: int) -> float:
+    """m * Psi'(d + 1) for m = d or d + 1, stable for integers of any size
+    (limit 1)."""
     if d.bit_length() <= 900:
-        return float(d) * trigamma_of_dim(d)
-    return 1.0
-
-
-def _dim_plus_one_times_trigamma(d: int) -> float:
-    """(d + 1) * Psi'(d + 1), stable for integers of any size (limit 1)."""
-    if d.bit_length() <= 900:
-        return float(d + 1) * trigamma_of_dim(d)
+        return float(m) * trigamma_of_dim(d)
     return 1.0
 
 
@@ -449,15 +434,15 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
     only at f = 1/2 exactly (tolerance 1e-12); the constant picks up an
     extra -1/2 only at f = 1/2 and n = n* simultaneously.
     """
-    return _asymptotic_terms(model, V, f, n, None)
+    return _asymptotic_terms(_Saddles(model), V, f, n)
 
 
-def _asymptotic_terms(model: LocalModel, V: float, f: float, n: float,
-                      memo: Optional[dict]) -> AsymptoticTerms:
+def _asymptotic_terms(saddles: _Saddles, V: float, f: float,
+                      n: float) -> AsymptoticTerms:
     f = _normalized_fraction(f)
-    sol = _interior_solution(model, n, "asymptotic_terms", memo)
+    sol = saddles.at(n, "asymptotic_terms")
     at_half = abs(f - 0.5) < KRONECKER_TOL
-    star = _once(memo, "n_star", n_star, model)
+    star = saddles.star
     at_star = star is not None and abs(n - star) < KRONECKER_TOL
     a = sol.beta * f
     b = -abs(sol.beta1) / math.sqrt(_TWO_PI * abs(sol.beta2)) if at_half else 0.0
@@ -479,21 +464,21 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     through f = 1/2 (sqrt(V) deficit) and n = n* (extra -1/2); valid for
     all 0 < f < 1 at moderate V.
     """
-    return _resolved_average(model, V, f, n, None)
+    return _resolved_average(_Saddles(model), V, f, n)
 
 
-def _resolved_average(model: LocalModel, V: float, f: float, n: float,
-                      memo: Optional[dict]) -> float:
+def _resolved_average(saddles: _Saddles, V: float, f: float,
+                      n: float) -> float:
     if V < 4:
         raise DomainError("resolved_average needs V >= 4")
     f = _normalized_fraction(f)
-    sol = _interior_solution(model, n, "resolved_average", memo)
+    sol = saddles.at(n, "resolved_average")
     value = sol.beta * f * V + 0.5 * (f + math.log1p(-f))
     if sol.beta1 != 0.0:
         value += _x2_kernel(V, f, sol.beta, abs(sol.beta1), abs(sol.beta2))
-    star = _once(memo, "n_star", n_star, model)
+    star = saddles.star
     if star is not None:
-        sol_star = _once(memo, ("saddle", star), beta_family, model, star)
+        sol_star = saddles.at(star)
         value -= 0.5 * _x1_kernel((f - 0.5) * V, (n - star) * math.sqrt(V),
                                   sol_star.beta, abs(sol_star.beta2))
     return value
@@ -548,7 +533,7 @@ def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     Undefined where beta'(n) = 0 (i.e. exactly at n*): the kernel divides
     by |beta'|; callers there are on the delta itself.
     """
-    sol = _interior_solution(model, n, "resolve_x2")
+    sol = _Saddles(model).at(n, "resolve_x2")
     if sol.beta1 == 0.0:
         raise NumericalError("X2 is undefined at beta'(n) = 0 (n = n*)")
     return _x2_kernel(V, _normalized_fraction(f), sol.beta, abs(sol.beta1),
@@ -591,7 +576,7 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     0 for s < 1/2, the erfc crossover exactly at s = 1/2, a linear-plus-
     deficit form on 1/2 < s <= 1, and the pure sqrt(V) deficit beyond.
     """
-    sol = _interior_solution(model, n, "x2_powerlaw")
+    sol = _Saddles(model).at(n, "x2_powerlaw")
     beta = sol.beta
     ab1 = abs(sol.beta1)
     ab2 = abs(sol.beta2)
@@ -619,7 +604,7 @@ def kronecker_resolution(model: LocalModel, V: float, f: float,
     lam_f = (f - 0.5) * V
     lam_n = None if star is None else (n - star) * math.sqrt(V)
     x1 = None if star is None else resolve_x1(model, V, f, n)
-    sol = _interior_solution(model, n, "kronecker_resolution")
+    sol = _Saddles(model).at(n, "kronecker_resolution")
     x2 = None if sol.beta1 == 0.0 else resolve_x2(model, V, f, n)
     return KroneckerResolution(lambda_f=lam_f, lambda_n=lam_n, s=1.0, t=0.5,
                                x1=x1, x2=x2)
@@ -657,7 +642,7 @@ def n_crit(model: LocalModel, f: float, n: float) -> float:
                           "use symmetry for the other half")
     if abs(f - 0.5) < KRONECKER_TOL:
         return f * n
-    sol = _interior_solution(model, n, "n_crit")
+    sol = _Saddles(model).at(n, "n_crit")
     if abs(sol.beta1) > 1e-9:
         return f * n - (f - 0.5) * sol.beta / sol.beta1
     star = n_star(model)
@@ -679,13 +664,13 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2.
     Returned with the log side channel since the value underflows quickly.
     """
-    return _asymptotic_variance(model, V, f, n, None)
+    return _asymptotic_variance(_Saddles(model), V, f, n)
 
 
-def _asymptotic_variance(model: LocalModel, V: float, f: float, n: float,
-                         memo: Optional[dict]) -> AsymptoticVariance:
+def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
+                         n: float) -> AsymptoticVariance:
     f = _normalized_fraction(f)
-    sol = _interior_solution(model, n, "asymptotic_variance", memo)
+    sol = saddles.at(n, "asymptotic_variance")
     at_half = abs(f - 0.5) < KRONECKER_TOL
     shape = f * (1.0 - f) - (1.0 / _TWO_PI if at_half else 0.0)
     prefactor = (math.sqrt(_TWO_PI) * sol.beta1 * sol.beta1
@@ -739,61 +724,59 @@ def distinguishable_asymptotic(V: float, N: float,
 
 # -- combined report ----------------------------------------------------------
 
-def report(model: LocalModel, spec: BipartitionSpec,
+def report(model: LocalModel, specs,
            methods: tuple[str, ...] = ("exact", "asymptotic", "resolved",
                                        "exact_variance",
-                                       "asymptotic_variance"),
-           memo: Optional[dict] = None) -> EntropyReport:
-    """Assemble the requested mean/variance panel for one bipartition.
+                                       "asymptotic_variance")
+           ) -> list[EntropyReport]:
+    """The requested mean/variance panel of every cut in `specs`, the
+    bipartitions of one request, in their order.
 
     Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
     or its complement is trivial.
 
-    `memo` is one dict per request, passed to the `report` call of every
-    cut of that request and dropped after it.  It keeps the exact sums
-    under the mirrored cut min(V_A, V - V_A), so the second cut of each
-    pair reuses them, and the saddle solutions and n* under the filling,
-    so each is solved once, and skips the size check of each cut that
-    `check_exact_work` noted in it.  The panel is bit-identical with or
-    without it.  A memo serves one model; passing it with another raises.
+    With an exact method, the exact sums of all cuts are refused up front
+    by one `check_exact_work`.  Each shared quantity is then computed once
+    per call: the exact sums of the mirrored cuts V_A and V - V_A, and the
+    saddle solutions at each filling and at n*.  So a page curve is one
+    call, and each panel equals that of a call with its cut alone.
     """
-    _claim_memo(memo, model)
-    f = spec.f
-    boundary = spec.V_A in (0, spec.V)
+    specs = list(specs)
     want_variance = "exact_variance" in methods
+    if want_variance or "exact" in methods:
+        check_exact_work(model, specs, want_variance)
+    saddles = _Saddles(model)
+    sums = {}  # mirrored cut -> (mean, variance numerator, d_N)
 
-    def exact_sums():  # one pass serves the mean and the variance
+    def exact_sums(spec):  # one pass serves the mean and the variance
         cut = _mirrored_cut(spec)
-        checked = (memo is not None
-                   and (cut, want_variance) in memo.get("checked", ()))
-        return _once(memo, ("sums", *cut, want_variance),
-                     _sector_sums, model, spec, want_variance, checked)
+        if cut not in sums:
+            sums[cut] = _sector_sums(model, spec, want_variance)
+        return sums[cut]
 
-    exact_mean = asym = resolved = exact_var = asym_var = sums = None
-    if "exact" in methods and boundary:
-        exact_mean = 0.0
-    elif "exact" in methods:
-        sums = exact_sums()
-        exact_mean = sums[0]
-    if "asymptotic" in methods:
-        asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False) if boundary
-                else _asymptotic_terms(model, spec.V, f, spec.n, memo))
-    if "resolved" in methods:
-        resolved = 0.0 if boundary else _resolved_average(model, spec.V, f,
-                                                          spec.n, memo)
-    if want_variance:
-        if boundary:
-            exact_var = VarianceEstimate(0.0, None, 0.0)
-        else:
-            _, numerator, d_n = sums or exact_sums()
-            exact_var = _variance_estimate(numerator, d_n)
-    if "asymptotic_variance" in methods:
-        asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None) if boundary
-                    else _asymptotic_variance(model, spec.V, f, spec.n, memo))
-    return EntropyReport(V=spec.V, N=spec.N, V_A=spec.V_A, f=f, n=spec.n,
-                         exact_mean=exact_mean, asymptotic=asym,
-                         resolved=resolved, exact_variance=exact_var,
-                         asymptotic_variance=asym_var)
+    reports = []
+    for spec in specs:
+        f, V, n = spec.f, spec.V, spec.n
+        boundary = spec.V_A in (0, V)
+        exact_mean = asym = resolved = exact_var = asym_var = None
+        if "exact" in methods:
+            exact_mean = 0.0 if boundary else exact_sums(spec)[0]
+        if "asymptotic" in methods:
+            asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
+                    if boundary else _asymptotic_terms(saddles, V, f, n))
+        if "resolved" in methods:
+            resolved = 0.0 if boundary else _resolved_average(saddles, V, f, n)
+        if want_variance:
+            exact_var = (VarianceEstimate(0.0, None, 0.0) if boundary
+                         else _variance_estimate(*exact_sums(spec)[1:]))
+        if "asymptotic_variance" in methods:
+            asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None) if boundary
+                        else _asymptotic_variance(saddles, V, f, n))
+        reports.append(EntropyReport(
+            V=V, N=spec.N, V_A=spec.V_A, f=f, n=n, exact_mean=exact_mean,
+            asymptotic=asym, resolved=resolved, exact_variance=exact_var,
+            asymptotic_variance=asym_var))
+    return reports
 
 
 # -- helpers ------------------------------------------------------------------
@@ -805,25 +788,24 @@ def _normalized_fraction(f: float) -> float:
     return min(f, 1.0 - f)
 
 
-def _interior_solution(model: LocalModel, n: float, where: str,
-                       memo: Optional[dict] = None):
-    sol = _once(memo, ("saddle", float(n)), beta_family, model, n)
-    if sol.at_boundary:
-        raise DomainError(f"{where} is undefined at the filling boundary "
-                          f"n={n}")
-    return sol
+class _Saddles:
+    """One model's saddle solutions, each filling and n* solved once."""
 
+    def __init__(self, model: LocalModel):
+        self.model, self._solved = model, {}
 
-def _claim_memo(memo: Optional[dict], model: LocalModel) -> None:
-    """Tie a request memo to its model; a memo serves one model only."""
-    if memo is not None and memo.setdefault("model", model) is not model:
-        raise ValueError("a request memo serves one model only")
+    def at(self, n: float, where: Optional[str] = None):
+        """beta_family(model, n); refused at the filling boundary when the
+        caller `where` needs an interior filling."""
+        sol = self._solved.get(float(n))
+        if sol is None:
+            sol = self._solved[float(n)] = beta_family(self.model, n)
+        if where is not None and sol.at_boundary:
+            raise DomainError(f"{where} is undefined at the filling boundary "
+                              f"n={n}")
+        return sol
 
-
-def _once(memo: Optional[dict], key, solve, *args):
-    """solve(*args), solved once per key of a request memo (if one is given)."""
-    if memo is None:
-        return solve(*args)
-    if key not in memo:
-        memo[key] = solve(*args)
-    return memo[key]
+    @cached_property
+    def star(self) -> Optional[float]:
+        """n_star(model): the peak filling, None for unbounded models."""
+        return n_star(self.model)

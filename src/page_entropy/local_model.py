@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,8 +55,14 @@ class LocalModel:
             raise DomainError(f"{self.label}: P and Q share a common factor")
         factors = _square_free_factors(self.Q)
         # float coefficients, highest degree first, for Horner evaluation
-        self._p_rev = tuple(map(float, reversed(self.P)))
-        self._q_revs = tuple(tuple(map(float, reversed(s))) for s in factors)
+        try:
+            self._p_rev = tuple(map(float, reversed(self.P)))
+            self._q_revs = tuple(tuple(map(float, reversed(s)))
+                                 for s in factors)
+        except OverflowError:
+            raise DomainError(f"{self.label}: coefficients of P and Q must "
+                              f"lie within the double range, |c| <= "
+                              f"{sys.float_info.max:.4g}") from None
         if factors:
             self.n_max = None
             self.radius = _dominant_root(factors[0], self.label)

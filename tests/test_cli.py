@@ -370,7 +370,7 @@ def sweep_requests(draw):
 
 
 def _independent_output(argv, name, V, N, cuts):
-    """The request's output from one memo-free `report` call per cut."""
+    """The request's output from one `report` call per cut."""
     command, fmt = argv[0], argv[argv.index("--format") + 1]
     model = parse_model(name)
     meta = {"model": model.label, "V": V, "N": N}
@@ -383,7 +383,8 @@ def _independent_output(argv, name, V, N, cuts):
         keys = ("exact_variance", "asymptotic_variance")
         header = ["V_A", "f", "exact_variance", "log_exact_variance",
                   "asymptotic_variance", "log_asymptotic_variance"]
-    reports = [entropy.report(model, entropy.BipartitionSpec(V, N, v_a), keys)
+    reports = [entropy.report(model, [entropy.BipartitionSpec(V, N, v_a)],
+                              keys)[0]
                for v_a in (range(V + 1) if cuts is None else cuts)]
     if command == "page":
         rows = [[rep.V_A, rep.f] + [cli._report_value(rep, cli._METHOD_KEYS[m])
@@ -679,3 +680,19 @@ def test_dims_refuses_output_too_large_to_print(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert "estimated at 32 s" in err and "to print 30000001 rows" in err
     assert time.perf_counter() - start < 2.0
+
+
+def test_dims_prints_entries_beyond_the_int_digit_limit(capsys, tmp_path):
+    # 1 + 10^300 z on 15 sites: d_15 = 10^4500 has 4501 digits, more than
+    # str() converts by default
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"P": [1, 10 ** 300]}))
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "dims", "--model", str(doc), "--V",
+                                 "15", "--format", fmt)
+        assert code == 0 and err == ""
+        last = (parse_csv(out)[1][-1][1] if fmt == "csv"
+                else json.loads(out)["rows"][-1]["d_N"])
+        assert last == "1" + "0" * 4500
+        assert sys.get_int_max_str_digits() == limit

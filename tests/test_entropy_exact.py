@@ -223,14 +223,14 @@ def test_distinguishable_exact_values():
 
 def test_report_panel_and_errors():
     m = catalog("fermions")
-    rep = report(m, BipartitionSpec(8, 4, 2))
+    [rep] = report(m, [BipartitionSpec(8, 4, 2)])
     assert rep.exact_mean is not None
     assert rep.asymptotic is not None and rep.asymptotic.a > 0
     assert rep.resolved is not None
     assert rep.exact_variance.value >= 0
     # both exact methods come from one pass over the blocks, unchanged
     for spec in (BipartitionSpec(8, 4, 2), BipartitionSpec(9, 4, 5)):
-        rep = report(m, spec, methods=("exact", "exact_variance"))
+        [rep] = report(m, [spec], ("exact", "exact_variance"))
         assert rep.exact_mean == exact_average(m, spec)
         assert rep.exact_variance == exact_variance(m, spec)
     with pytest.raises(DomainError):
@@ -267,46 +267,39 @@ def test_estimate_counts_each_mirrored_pair_once():
         check_exact_work(fermions, sweep, want_variance=True)  # ~123 s
 
 
-def test_report_memo_is_bit_identical_and_serves_one_model():
-    model = catalog("spin_j", 1)
-    memo = {}
-    # one memo across method sets: mean-only sums must not serve a variance
-    for methods in (("exact",), ("exact_variance", "asymptotic"),
-                    ("exact", "resolved", "exact_variance",
-                     "asymptotic_variance")):
-        for v_a in (2, 7, 4, 5, 0):
-            spec = BipartitionSpec(9, 6, v_a)
-            assert report(model, spec, methods, memo=memo) == \
-                report(model, spec, methods)
-    with pytest.raises(ValueError, match="one model"):
-        report(catalog("fermions"), BipartitionSpec(9, 4, 3), memo=memo)
-
-
-def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
+def test_request_report_equals_single_cut_reports(monkeypatch):
     checks = []
     real_check = entropy.check_exact_work
 
-    def counted(model, specs, want_variance, memo=None):
-        checks.append([(spec.V_A, want_variance) for spec in specs])
-        return real_check(model, specs, want_variance, memo)
+    def counted(model, specs, want_variance):
+        checks.append((len(specs), want_variance))
+        return real_check(model, specs, want_variance)
 
     monkeypatch.setattr(entropy, "check_exact_work", counted)
-    model = catalog("fermions")
-    sweep = [BipartitionSpec(12, 6, v_a) for v_a in range(13)]
-    memo = {}
-    counted(model, sweep[:5], False, memo)  # the request checks V_A 0..4
+    model = catalog("spin_j", 1)
+    # mirrored (2 and 7), repeated (4, 2) and boundary (0, 9) cuts
+    specs = [BipartitionSpec(9, 6, v_a) for v_a in (2, 7, 4, 5, 0, 4, 9, 2)]
+    for methods, want_variance in (
+            (("exact",), False),
+            (("exact_variance", "asymptotic"), True),
+            (("exact", "resolved", "exact_variance", "asymptotic_variance"),
+             True),
+            (("asymptotic", "resolved", "asymptotic_variance"), None)):
+        singles = [report(model, [spec], methods)[0] for spec in specs]
+        checks.clear()
+        assert report(model, specs, methods) == singles
+        # one check per request, none without an exact method
+        assert checks == ([] if want_variance is None
+                          else [(len(specs), want_variance)])
+    assert report(model, specs) == [report(model, [spec])[0]
+                                    for spec in specs]
+
+    def no_table(*args):
+        raise AssertionError("a table was built before the request's check")
+
+    monkeypatch.setattr(entropy, "dim_table", no_table)
+    sweep = [BipartitionSpec(4000, 2000, v_a) for v_a in range(4001)]
     checks.clear()
-    for spec in sweep:
-        report(model, spec, ("exact",), memo=memo)
-    # V_A 0..4 and their mirrors 8..12 were checked; 5, 6, 7 are checked
-    # one at a time (6 is its own mirror, 7 mirrors 5 and shares its sums)
-    assert checks == [[(5, False)], [(6, False)]]
-    checks.clear()
-    report(model, sweep[3], ("exact_variance",), memo=memo)
-    assert checks == [[(3, True)]]  # a mean-only check does not cover it
-    checks.clear()
-    report(model, sweep[3], ("exact",))
-    exact_average(model, sweep[3])
-    assert checks == [[(3, False)], [(3, False)]]  # memo-free: always
-    with pytest.raises(ValueError, match="one model"):
-        real_check(catalog("bosons"), sweep, False, memo)
+    with pytest.raises(InfeasibleSizeError, match="2001 distinct"):
+        report(catalog("fermions"), sweep, ("exact", "exact_variance"))
+    assert checks == [(4001, True)]

@@ -129,6 +129,7 @@ INVALID = {
     "common_factor": ([1, 0, -1], [1, -1]),  # (1 - z^2)/(1 - z)
     "no_root_in_unit_interval": ([1], [1, 1]),  # 1/(1 + z)
     "positive_root_beyond_one": ([1], [1, 1, -1]),  # roots 1.618, -0.618
+    "beyond_double_range": ([1, 10 ** 400], [1]),
 }
 
 

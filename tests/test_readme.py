@@ -1,0 +1,68 @@
+"""The README's examples run as written.
+
+Every `page-entropy` line of its `sh` blocks runs in-process through
+`cli.main` and must exit 0; where comment lines follow a command, they are
+its expected output.  The `## Library` block is executed as Python.
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import page_entropy.cli as cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _blocks(language):
+    """(heading, body) of each fenced `language` block, in order."""
+    heading, out = "", []
+    for match in re.finditer(r"^(#+ [^\n]*)$|^```(\w*)\n(.*?)^```$",
+                             README.read_text(), re.M | re.S):
+        if match.group(1):
+            heading = match.group(1)
+        elif match.group(2) == language:
+            out.append((heading, match.group(3)))
+    return out
+
+
+def _commands():
+    """(argv, expected output lines) of each `page-entropy` command."""
+    commands = []
+    for _, body in _blocks("sh"):
+        lines = body.replace("\\\n", " ").splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("page-entropy "):
+                continue
+            expected = []
+            for after in lines[i + 1:]:
+                if not after.startswith("# "):
+                    break
+                expected.append(after[2:])
+            argv = shlex.split(line, comments=True)[1:]
+            commands.append((argv, expected))
+    return commands
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(
+        json.dumps({"model": "fermions", "n": 0.5, "VA": [16, 32]}))
+    commands = _commands()
+    assert any(argv[0] == "--config" for argv, _ in commands)
+    # the dims example carries its output: header and rows N = 0..4
+    assert [len(expected) for argv, expected in commands
+            if argv[0] == "dims"] == [6]
+    for argv, expected in commands:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0, (argv, err)
+        if expected:
+            assert out.splitlines() == expected, argv
+
+
+def test_readme_library_block_runs():
+    [body] = [body for heading, body in _blocks("python")
+              if heading == "## Library"]
+    exec(compile(body, "README.md", "exec"), {})
