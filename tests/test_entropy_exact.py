@@ -267,7 +267,36 @@ def test_estimate_counts_each_mirrored_pair_once():
         check_exact_work(fermions, sweep, want_variance=True)  # ~123 s
 
 
-def test_request_report_equals_single_cut_reports(monkeypatch):
+REQUEST_METHODS = (
+    (("exact",), False),
+    (("exact_variance", "asymptotic"), True),
+    (("exact", "resolved", "exact_variance", "asymptotic_variance"), True),
+    (("asymptotic", "resolved", "asymptotic_variance"), None))
+
+
+def test_report_memo_is_bit_identical_and_serves_one_model():
+    # the sums a request shares across its mirrored (2 and 7), repeated
+    # (4, 2) and boundary (0, 9) cuts leave every panel bit-identical
+    model = catalog("spin_j", 1)
+    specs = [BipartitionSpec(9, 6, v_a) for v_a in (2, 7, 4, 5, 0, 4, 9, 2)]
+    for methods, _ in REQUEST_METHODS:
+        assert report(model, specs, methods) == \
+            [report(model, [spec], methods)[0] for spec in specs]
+    assert report(model, specs) == [report(model, [spec])[0]
+                                    for spec in specs]
+    # what one request shares does not reach the next model's request
+    fermions = catalog("fermions")
+    cuts = [BipartitionSpec(9, 4, v_a) for v_a in (3, 6, 3)]
+    spin_reps = report(model, cuts, ("exact", "exact_variance"))
+    fermion_reps = report(fermions, cuts, ("exact", "exact_variance"))
+    assert fermion_reps == [report(fermions, [spec],
+                                   ("exact", "exact_variance"))[0]
+                            for spec in cuts]
+    assert fermion_reps[0].exact_mean == exact_average(fermions, cuts[0])
+    assert fermion_reps[0] != spin_reps[0]
+
+
+def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
     checks = []
     real_check = entropy.check_exact_work
 
@@ -277,22 +306,20 @@ def test_request_report_equals_single_cut_reports(monkeypatch):
 
     monkeypatch.setattr(entropy, "check_exact_work", counted)
     model = catalog("spin_j", 1)
-    # mirrored (2 and 7), repeated (4, 2) and boundary (0, 9) cuts
     specs = [BipartitionSpec(9, 6, v_a) for v_a in (2, 7, 4, 5, 0, 4, 9, 2)]
-    for methods, want_variance in (
-            (("exact",), False),
-            (("exact_variance", "asymptotic"), True),
-            (("exact", "resolved", "exact_variance", "asymptotic_variance"),
-             True),
-            (("asymptotic", "resolved", "asymptotic_variance"), None)):
-        singles = [report(model, [spec], methods)[0] for spec in specs]
+    for methods, want_variance in REQUEST_METHODS:
         checks.clear()
-        assert report(model, specs, methods) == singles
-        # one check per request, none without an exact method
+        for spec in specs:
+            report(model, [spec], methods)
+        # each single-cut request checks its own cut ...
+        assert checks == ([] if want_variance is None
+                          else [(1, want_variance)] * len(specs))
+        checks.clear()
+        report(model, specs, methods)
+        # ... and a whole request is checked once, none without an exact
+        # method
         assert checks == ([] if want_variance is None
                           else [(len(specs), want_variance)])
-    assert report(model, specs) == [report(model, [spec])[0]
-                                    for spec in specs]
 
     def no_table(*args):
         raise AssertionError("a table was built before the request's check")
