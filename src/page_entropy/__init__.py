@@ -24,7 +24,7 @@ from .errors import (ConfigError, DomainError, InfeasibleSizeError,
                      NumericalError)
 from .haar_sampler import (McSummary, SectorBasis, build_sector_basis,
                            entropy_of_block_vector, mc_average,
-                           sample_entropy)
+                           sample_entropies, sample_entropy)
 from .local_model import (LocalModel, catalog, from_json, parse_model, power,
                           product, shift_charges)
 from .saddle import SaddleSolution, beta_family, ln_dim_asymptotic, n_star
@@ -50,6 +50,6 @@ __all__ = [
     "from_json", "gaussian_moments", "kronecker_resolution",
     "ln_dim_asymptotic", "mc_average", "mid_spectrum_entropies", "n_crit",
     "n_star", "parse_model", "power", "product", "report", "resolve_x1",
-    "resolve_x2", "resolved_average", "rho_weight", "sample_entropy",
-    "shift_charges", "x1_powerlaw", "x2_powerlaw", "y_exponent",
+    "resolve_x2", "resolved_average", "rho_weight", "sample_entropies",
+    "sample_entropy", "shift_charges", "x1_powerlaw", "x2_powerlaw", "y_exponent",
 ]

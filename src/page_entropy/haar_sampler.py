@@ -17,9 +17,11 @@ share of the norm.  So one sample draws sum(m) pairs of Gamma variates and
 takes the eigenvalues of one block-diagonal tridiagonal matrix: O(sum m^2)
 work, with no sector-sized vector and no dense SVD.
 
-Sampling is reproducible by construction: sample i of a run draws from its
-own substream seeded by (seed, i), so the summary depends only on the seed
-and the sample count.
+A run draws from one stream, `np.random.default_rng(seed)`: sample i is
+row i of the (samples x draws) Gamma array that stream yields, taken in
+chunks of about 2^14 draws.  A chunk's rows do not depend on where the
+chunk boundaries fall, so the summary depends only on the seed and the
+sample count.
 """
 
 from __future__ import annotations
@@ -39,10 +41,14 @@ from .local_model import LocalModel
 # tridiagonal eigenvalue solve costs about 1.7e-8 s per unit.
 MAX_SAMPLE_WORK = 5 * 10 ** 7
 
-# Largest work of one run, samples x (per-sample work + about 80 us of
-# fixed cost per sample, 4700 units): 60 s at 1.7e-8 s per unit.
+# Largest work of one run, samples x (per-sample work + fixed cost per
+# sample): 60 s at 1.7e-8 s per unit.  The fixed cost, 110 units, is the
+# 1.9 us a sample measured on fermions V=4, N=2, V_A=2 (6 units of work).
 MAX_RUN_WORK = 3.5 * 10 ** 9
-_SAMPLE_OVERHEAD_WORK = 4700
+_SAMPLE_OVERHEAD_WORK = 110
+
+# Gamma draws per chunk of samples; a chunk holds at least one sample.
+_CHUNK_DRAWS = 2 ** 14
 
 # Gamma shapes are block sides; above 2^53 they are no longer exact floats.
 _MAX_BLOCK_SIDE = 2 ** 53
@@ -89,7 +95,11 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class McSummary:
-    """Streamed Monte Carlo summary; sem = sqrt(variance / samples)."""
+    """Monte Carlo summary of one run, streamed chunk by chunk.
+
+    Sample i of the run is row i of the stream `default_rng(seed)`;
+    sem = sqrt(variance / samples).
+    """
     samples: int
     seed: int
     mean: float
@@ -135,11 +145,13 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
                        blocks=tuple(blocks), dim=offset)
 
 
-def sample_entropy(basis: SectorBasis, rng) -> float:
-    """Entanglement entropy of one Haar-random sector state.
+def sample_entropies(basis: SectorBasis, rng, count: int) -> np.ndarray:
+    """Entanglement entropies of `count` Haar-random sector states.
 
-    `rng` is a numpy Generator or an integer seed.  Schmidt coefficients
-    below 1e-18 are dropped from the -sum(lam ln lam).
+    Sample k is row k of `rng.standard_gamma(shapes, size=(count, n))`, so
+    calls of sizes a and b on one generator give the same values as one
+    call of size a + b.  `rng` is a numpy Generator or an integer seed.
+    Schmidt coefficients below 1e-18 are dropped from the -sum(lam ln lam).
     """
     # scipy costs ~0.3 s to import and only sampling needs it, so no other
     # subcommand loads it
@@ -150,18 +162,29 @@ def sample_entropy(basis: SectorBasis, rng) -> float:
     shapes = basis.gamma_shapes
     rank = shapes.size // 2
     if rank == 1:
-        return 0.0  # a single 1 x n block is a product state
-    draws = rng.standard_gamma(shapes)
-    a2, b2 = draws[:rank], draws[rank:]
-    # T = B B^T: diagonal a_k^2 + b_{k-1}^2, off-diagonal a_k b_k
-    diag = a2.copy()
-    diag[1:] += b2[:-1]
-    lam, info = dsterf(diag, np.sqrt(a2[:-1] * b2[:-1]), overwrite_d=1)
-    if info:
-        raise NumericalError(f"tridiagonal eigenvalues failed (info={info})")
-    lam /= draws.sum()
-    lam = lam[lam > _EIGENVALUE_FLOOR]
-    return float(-(lam @ np.log(lam)))
+        return np.zeros(count)  # a single 1 x n block is a product state
+    draws = rng.standard_gamma(shapes, size=(count, shapes.size))
+    a2, b2 = draws[:, :rank], draws[:, rank:]
+    # T = B B^T: diagonal a_k^2 + b_{k-1}^2, off-diagonal a_k b_k; dsterf
+    # overwrites each row of `lam` with its eigenvalues
+    lam = a2.copy()
+    lam[:, 1:] += b2[:, :-1]
+    off = np.sqrt(a2[:, :-1] * b2[:, :-1])
+    for d, e in zip(lam, off):
+        info = dsterf(d, e, overwrite_d=1, overwrite_e=1)[1]
+        if info:
+            raise NumericalError(
+                f"tridiagonal eigenvalues failed (info={info})")
+    lam /= draws.sum(axis=1, keepdims=True)
+    kept = lam > _EIGENVALUE_FLOOR
+    x = np.where(kept, lam, 1.0)  # a dropped coefficient adds 1 ln 1 = 0
+    return -np.sum(x * np.log(x), axis=1)
+
+
+def sample_entropy(basis: SectorBasis, rng) -> float:
+    """Entanglement entropy of one Haar-random sector state: the next row
+    of `rng`'s stream, `sample_entropies(basis, rng, 1)[0]`."""
+    return float(sample_entropies(basis, rng, 1)[0])
 
 
 def entropy_of_block_vector(blocks, psi):
@@ -193,25 +216,41 @@ def entropy_of_block_vector(blocks, psi):
     return float(total[0]) if psi.ndim == 1 else total
 
 
-def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
-    """Mean/variance of the sampled entropy over n_samples Haar states.
-
-    Sample i always draws from the substream seeded (seed, i).  Refuses
-    (InfeasibleSizeError) a run whose work exceeds MAX_RUN_WORK.
-    """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+def check_run_work(basis: SectorBasis, n_samples: int) -> None:
+    """Refuse (InfeasibleSizeError) a run of n_samples whose work,
+    samples x (sum(min(d_A, d_B)^2) + fixed cost), exceeds MAX_RUN_WORK."""
     per_sample = sum(min(blk.d_a, blk.d_b) ** 2 for blk in basis.blocks)
     if n_samples * (per_sample + _SAMPLE_OVERHEAD_WORK) > MAX_RUN_WORK:
         raise InfeasibleSizeError(
             f"{n_samples} samples of work sum(min(d_A, d_B)^2) = {per_sample} "
             f"each exceed the run budget of {MAX_RUN_WORK:.1e} units "
             f"(about 60 s)")
-    values = np.empty(n_samples)
-    for i in range(n_samples):
-        values[i] = sample_entropy(basis, np.random.default_rng([seed, i]))
-    mean = float(np.mean(values))
-    variance = float(np.var(values, ddof=1)) if n_samples > 1 else 0.0
+
+
+def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
+    """Mean/variance of the sampled entropy over n_samples Haar states.
+
+    Sample i is row i of the stream `default_rng(seed)`.  Chunks of about
+    2^14 draws are reduced to (count, mean, M2) and merged with the
+    pairwise update of Chan, Golub and LeVeque (1979), so memory stays
+    O(chunk).  Refuses (InfeasibleSizeError) a run whose work exceeds
+    MAX_RUN_WORK (`check_run_work`).
+    """
+    if n_samples < 1:
+        raise DomainError("n_samples must be >= 1")
+    check_run_work(basis, n_samples)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _CHUNK_DRAWS // basis.gamma_shapes.size)
+    mean, m2 = 0.0, 0.0
+    for done in range(0, n_samples, chunk):
+        values = sample_entropies(basis, rng, min(chunk, n_samples - done))
+        k = values.size
+        k_mean = float(np.mean(values))
+        delta = k_mean - mean
+        mean += delta * k / (done + k)
+        m2 += (float(np.sum((values - k_mean) ** 2))
+               + delta * delta * done * k / (done + k))
+    variance = m2 / (n_samples - 1) if n_samples > 1 else 0.0
     sem = math.sqrt(variance / n_samples)
     return McSummary(samples=n_samples, seed=seed, mean=mean,
                      variance=variance, sem=sem)

@@ -1,6 +1,7 @@
 """Haar Monte Carlo sampler: layout, hand-checked entropies, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from page_entropy.dimensions import dim_fixed_n
 from page_entropy.entropy import BipartitionSpec, exact_average
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import (SectorBlock, build_sector_basis,
+                                       check_run_work,
                                        entropy_of_block_vector, mc_average,
-                                       sample_entropy)
+                                       sample_entropies, sample_entropy)
 from page_entropy.local_model import catalog
 
 
@@ -224,3 +226,82 @@ def test_single_rank_one_block_is_product_state():
     assert sample_entropy(basis, 1) == 0.0
     basis = build_sector_basis(catalog("fermions"), 6, 6, 3)
     assert sample_entropy(basis, 1) == 0.0
+
+
+_ORACLE_SECTORS = [
+    ("bosons", 6, 4, 2),                     # non-square blocks
+    ("hardcore_bosons_2species", 5, 3, 2),   # a_k > 1
+]
+
+
+@pytest.mark.parametrize("name,V,N,V_A", _ORACLE_SECTORS)
+def test_sample_entropies_split_calls_are_bitwise_equal(name, V, N, V_A):
+    basis = build_sector_basis(catalog(name), V, N, V_A)
+    K = 25
+    whole = sample_entropies(basis, np.random.default_rng(8), K)
+    rng = np.random.default_rng(8)
+    parts = np.concatenate([sample_entropies(basis, rng, 1),
+                            sample_entropies(basis, rng, 3),
+                            sample_entropies(basis, rng, K - 4)])
+    assert whole.shape == (K,)
+    assert np.array_equal(whole, parts)
+    assert sample_entropy(basis, np.random.default_rng(8)) == whole[0]
+
+
+@pytest.mark.parametrize("V,N,V_A", [(6, 3, 0), (6, 6, 3)])
+def test_product_state_sectors_sample_zeros(V, N, V_A):
+    basis = build_sector_basis(catalog("fermions"), V, N, V_A)
+    for count in (1, 7, 5000):
+        out = sample_entropies(basis, np.random.default_rng(2), count)
+        assert out.shape == (count,) and not out.any()
+
+
+@pytest.mark.parametrize("name,V,N,V_A", _ORACLE_SECTORS)
+def test_batched_mc_mean_matches_dense_oracle(name, V, N, V_A):
+    basis = build_sector_basis(catalog(name), V, N, V_A)
+    n = 3000
+    out = mc_average(basis, n, seed=15)
+    dense = [dense_sample_entropy(basis, np.random.default_rng([16, i]))
+             for i in range(n)]
+    m2, sem2, _, _ = _mean_and_variance_errors(dense)
+    assert abs(out.mean - m2) <= 3 * math.hypot(out.sem, sem2)
+
+
+def test_mc_summary_merges_chunks_exactly():
+    basis = build_sector_basis(catalog("fermions"), 4, 2, 2)
+    n = 5000  # three chunks of 2^14 draws, 8 draws a sample
+    values = sample_entropies(basis, np.random.default_rng(31), n)
+    out = mc_average(basis, n, seed=31)
+    assert out.mean == pytest.approx(np.mean(values), rel=1e-12)
+    assert out.variance == pytest.approx(np.var(values, ddof=1), rel=1e-12)
+    assert out.sem == pytest.approx(math.sqrt(np.var(values, ddof=1) / n),
+                                    rel=1e-12)
+    single = mc_average(basis, 1, seed=31)
+    assert single.mean == values[0]
+    assert single.variance == 0.0 and single.sem == 0.0
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_memory_does_not_grow_with_samples():
+    basis = build_sector_basis(catalog("fermions"), 4, 2, 2)
+    one_chunk = _traced_peak(lambda: mc_average(basis, 2048, seed=1))
+    n = 16 * 2048  # an array of all values would add 256 KiB
+    many = _traced_peak(lambda: mc_average(basis, n, seed=1))
+    assert many - one_chunk < 8 * n / 4
+
+
+def test_run_budget_accepts_seconds_and_refuses_years():
+    basis = build_sector_basis(catalog("fermions"), 4, 2, 2)
+    check_run_work(basis, 10 ** 6)  # about 2 s of sampling
+    with pytest.raises(InfeasibleSizeError, match="10000000000000000"):
+        check_run_work(basis, 10 ** 16)
+    with pytest.raises(InfeasibleSizeError):
+        check_run_work(basis, 10 ** 15)
