@@ -301,7 +301,5 @@ def test_mc_memory_does_not_grow_with_samples():
 def test_run_budget_accepts_seconds_and_refuses_years():
     basis = build_sector_basis(catalog("fermions"), 4, 2, 2)
     check_run_work(basis, 10 ** 6)  # about 2 s of sampling
-    with pytest.raises(InfeasibleSizeError, match="10000000000000000"):
-        check_run_work(basis, 10 ** 16)
-    with pytest.raises(InfeasibleSizeError):
+    with pytest.raises(InfeasibleSizeError, match="1000000000000000 samples"):
         check_run_work(basis, 10 ** 15)
