@@ -1,0 +1,151 @@
+"""Run-time estimates in seconds, from sizes alone, and the one budget.
+
+A request estimated above BUDGET_S is refused before any work with
+InfeasibleSizeError, worded "<subject> estimated at X s[, plus Y s
+<part>], above the 60 s budget"; sizes beyond the float range are
+estimated at inf s.  The figures were calibrated on a 2-vCPU x86 host with
+Python 3.11, where each matched measured times within 2x either way.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .errors import InfeasibleSizeError
+from .local_model import LocalModel
+
+BUDGET_S = 60.0
+
+
+def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
+    """Refuse exact sums over `specs`, the cuts of one request, up front.
+
+    A request computes the sums of a cut and of its mirror V - V_A once
+    (see `entropy.report`), so each mirrored pair, like a repeated cut, is
+    counted once.  Raises InfeasibleSizeError if the summed
+    `exact_work_seconds` exceed BUDGET_S.
+    """
+    distinct = {spec.mirrored_cut: spec for spec in specs}
+    _refuse_above_budget(
+        f"exact sums of {len(distinct)} distinct cut(s)",
+        lambda: sum(exact_work_seconds(model, spec, want_variance)
+                    for spec in distinct.values()))
+
+
+def check_table_work(model: LocalModel, tables, rows: int = 0) -> None:
+    """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
+    front: raises InfeasibleSizeError if their `_table_work_seconds`, plus
+    `_render_seconds` for printing `rows` entries of them, exceed
+    BUDGET_S."""
+    printing = [(lambda: _render_seconds(model, tables, rows),
+                 f"to print {rows} rows")] if rows else []
+    _refuse_above_budget("dimension tables",
+                         lambda: _table_work_seconds(model, tables), *printing)
+
+
+def check_run_work(basis, n_samples: int) -> None:
+    """Refuse (InfeasibleSizeError) a run of n_samples Haar samples of a
+    `haar_sampler.SectorBasis` above BUDGET_S at `sample_seconds` each."""
+    _refuse_above_budget(f"{n_samples} samples",
+                         lambda: n_samples * sample_seconds(basis))
+
+
+def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
+    """Estimated run time of one cut's exact sums, from sizes alone.
+
+    The cut's two dimension tables (`BipartitionSpec.tables`) cost their
+    `_table_work_seconds`; each N_A block takes 4 us + 25 ns * w^1.6 for
+    w-word dimensions, 2.5 times that with the variance.  Calibrated on
+    fermions to capped_bosons:100000, V up to 4000.
+    """
+    n_a_values = spec.n_a_range(model.n_max)
+    if spec.V_A in (0, spec.V) or not n_a_values:
+        return 0.0
+    seconds = _table_work_seconds(model, spec.tables(model.n_max))
+    words = _dim_bits_bound(model, spec.N)(spec.V, spec.N) / 64.0
+    per_block = 4e-6 + 2.5e-8 * words ** 1.6
+    blocks = n_a_values.stop - n_a_values.start  # len() stops at 2^63
+    return seconds + blocks * per_block * (2.5 if want_variance else 1.0)
+
+
+def sample_seconds(basis) -> float:
+    """Estimated run time of one Haar sample: 1.4 us, plus 0.14 us per
+    unit of sum(min(d_A, d_B)) (its 2 sum(min) Gamma draws and per-value
+    array work), plus 23 ns per unit of sum(min(d_A, d_B)^2) (the
+    tridiagonal eigenvalues).  Fitted with `mc_average` on 25 sectors of
+    fermions (V = 4 to 28), bosons and spin-1, all within 1.5x."""
+    mins = [min(blk.d_a, blk.d_b) for blk in basis.blocks]
+    return 1.4e-6 + 1.4e-7 * sum(mins) + 2.3e-8 * sum(m * m for m in mins)
+
+
+def _table_work_seconds(model: LocalModel, tables) -> float:
+    """Estimated run time of `dim_table` over `tables`, (V, N_cap) pairs.
+
+    Each table takes N_eff * (reach + 2) big-int steps of 0.35 us + 4 ns
+    per 64-bit word, reach = min(deg PQ, N_eff) (calibrated with
+    `exact_work_seconds`).
+    """
+    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
+    deg_pq = len(model.P) + len(model.Q) - 2
+    seconds = 0.0
+    for sites, cap in tables:
+        n_eff = cap if model.n_max is None else min(cap, sites * model.n_max)
+        words = bits(sites, n_eff) / 64.0
+        seconds += n_eff * (min(deg_pq, n_eff) + 2) * (3.5e-7 + 4e-9 * words)
+    return seconds
+
+
+def _render_seconds(model: LocalModel, tables, rows: int) -> float:
+    """Estimated time to build and print `rows` CSV rows (N, d_N) of the
+    tables: 4 us + 0.6 us * w + 7.5 ns * w^2 a row for w-word entries, w
+    taken from the largest table's bound, since decimal conversion is
+    superlinear in w.  Calibrated with entries of 1 to 190 words; `dims`
+    for bosons V=4, N=1e6 took 6.0 s against 5.6 s estimated, tables
+    included."""
+    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
+    words = max(bits(sites, cap) for sites, cap in tables) / 64.0
+    return rows * (4e-6 + 6e-7 * words + 7.5e-9 * words ** 2)
+
+
+def _dim_bits_bound(model: LocalModel, N: int):
+    """bits(V, M) ~ an upper bound on log2 d_M(V) for M <= N.
+
+    Uses d_M(V) <= a_0^V B^M C(V+M-1, M) where a_k <= a_0 B^k, with B
+    taken from a_1..a_16 and the radius, and for bounded models
+    d_M(V) <= (a_0 + ... + a_min(N, n_max))^V.
+    """
+    k_max = min(N, 16 if model.n_max is None else min(16, model.n_max))
+    a = model.coefficients(k_max + 1)
+    log2_a0 = math.log2(a[0])
+    rates = [(math.log2(a[k]) - log2_a0) / k
+             for k in range(1, k_max + 1) if a[k]]
+    if model.n_max is None:
+        rates.append(-math.log2(model.radius))
+        log2_total = math.inf
+    else:
+        log2_total = math.log2(sum(model.P[:min(N, model.n_max) + 1]))
+    log2_b = max(rates, default=0.0)
+
+    def bits(V: int, M: int) -> float:
+        if V == 0:
+            return 0.0
+        log2_paths = (math.lgamma(V + M) - math.lgamma(M + 1)
+                      - math.lgamma(V)) / math.log(2.0)
+        return max(0.0, min(V * log2_a0 + M * log2_b + log2_paths,
+                            V * log2_total))
+    return bits
+
+
+def _refuse_above_budget(subject: str, estimate, *parts) -> None:
+    """Raise InfeasibleSizeError if estimate() plus the `parts`, (estimate,
+    what) pairs, exceed BUDGET_S, naming each part's seconds and `what`."""
+    try:
+        seconds = [estimate(), *(part() for part, _ in parts)]
+    except OverflowError:  # a size beyond the float range
+        seconds = [math.inf] * (1 + len(parts))
+    if sum(seconds) > BUDGET_S:
+        plus = "".join(f", plus {s:.0f} s {what}"
+                       for s, (_, what) in zip(seconds[1:], parts))
+        raise InfeasibleSizeError(
+            f"{subject} estimated at {seconds[0]:.0f} s{plus}, above the "
+            f"{BUDGET_S:.0f} s budget")

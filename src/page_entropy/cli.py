@@ -21,6 +21,7 @@ import json
 import math
 import sys
 
+from . import budget
 from . import entropy as ent
 from .dimensions import dim_table
 from .errors import (ConfigError, DomainError, InfeasibleSizeError,
@@ -73,7 +74,8 @@ class _CommaList:
 def _method(text):
     if text not in _METHOD_KEYS:
         raise argparse.ArgumentTypeError(
-            f"unknown method {text!r}; choose from {', '.join(_PAGE_METHODS)}")
+            f"unknown method {text!r}; choose from {', '.join(_PAGE_METHODS)}"
+            " (variance is an alias of exact_var)")
     return text
 
 
@@ -116,7 +118,8 @@ _FLAGS = {
                "help": "comma-separated system sizes"},
     "methods": {"type": _CommaList(_method, "page columns"),
                 "help": "comma-separated page columns "
-                        f"(default {','.join(_PAGE_METHODS)})"},
+                        f"(default {','.join(_PAGE_METHODS)}; variance is "
+                        "an alias of exact_var)"},
     "out": {"help": "output path (default stdout)"},
     "format": {"choices": ("csv", "json")},
 }
@@ -438,7 +441,7 @@ def _cmd_dims(merged):
         if model.n_max is None:
             raise ConfigError("--N cap is required for unbounded models")
         cap = V * model.n_max
-    ent.check_table_work(model, ((V, cap),), rows=cap + 1)
+    budget.check_table_work(model, ((V, cap),), rows=cap + 1)
     table = dim_table(model, V, cap)
     rows = [[N, d] for N, d in enumerate(table)]
     return {"header": ["N", "d_N"], "rows": rows,

@@ -25,6 +25,10 @@ symmetric in d_A, d_B and `math.fsum` is correctly rounded, so block order
 cannot matter), and the saddle solutions at n and n*, which depend on the
 filling alone.  Within a cut, Psi(d_N + 1) and (d_N + 1) Psi'(d_N + 1) are
 computed once, not once per block.
+
+A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
+sampler and the run-time estimate, and before any table is built a
+request's sums are refused above the budget (`budget.check_exact_work`).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from functools import cached_property
 from math import erfc
 from typing import Optional
 
+from . import budget
 from .dimensions import dim_table, distinguishable_dim
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
@@ -45,12 +50,10 @@ from .saddle import beta_family, n_star
 # |f - 1/2| or |n - n*| below this counts as exactly on the special point.
 KRONECKER_TOL = 1e-12
 
-# Exact sums stay practical up to roughly this many sites.
+# Largest V of an exact sum: it guards table memory, which grows as V^2
+# (one V_A = 1 table took 19 MB at V = 2e4 and 74 MB at V = 4e4), while
+# the budget estimates those cuts at only 0.05 s and 0.17 s.
 _EXACT_V_LIMIT = 4000
-
-# Exact sums of one request estimated above this many seconds (see
-# `exact_work_seconds`) are refused before any table is built.
-EXACT_WORK_BUDGET_S = 60.0
 
 _TWO_PI = 2.0 * math.pi
 
@@ -78,8 +81,14 @@ class BipartitionSpec:
     def f(self) -> float:
         return self.V_A / self.V
 
+    @property
+    def mirrored_cut(self) -> tuple[int, int, int]:
+        """Key shared by the cuts V_A and V - V_A of one sector."""
+        return self.V, self.N, min(self.V_A, self.V - self.V_A)
+
     def n_a_range(self, n_max: Optional[int]) -> range:
-        """All N_A with nonempty blocks on both sides of the cut."""
+        """All N_A with nonempty blocks on both sides of the cut; empty only
+        for an empty sector (N above V n_max)."""
         if n_max is None:
             lo = 0 if self.V_A < self.V else self.N
             hi = self.N if self.V_A > 0 else 0
@@ -87,6 +96,24 @@ class BipartitionSpec:
             lo = max(0, self.N - (self.V - self.V_A) * n_max)
             hi = min(self.N, self.V_A * n_max)
         return range(lo, hi + 1)
+
+    def tables(self, n_max: Optional[int]) -> tuple[tuple[int, int], ...]:
+        """The (sites, N_cap) of the A and B dimension tables that the blocks
+        of `n_a_range` read: A up to the top N_A, B up to N minus the lowest
+        N_A, so both caps are at most sites x n_max."""
+        n_a_values = self.n_a_range(n_max)
+        return ((self.V_A, n_a_values.stop - 1),
+                (self.V - self.V_A, self.N - n_a_values.start))
+
+    def blocks(self, n_max: Optional[int], build_table) -> list[tuple]:
+        """(N_A, d_A, d_B) of each nonempty block, with the two `tables`
+        built by build_table(sites, N_cap); an empty sector builds none."""
+        n_a_values = self.n_a_range(n_max)
+        if not n_a_values:
+            return []
+        table_a, table_b = (build_table(*args) for args in self.tables(n_max))
+        return [(n_a, table_a[n_a], table_b[self.N - n_a]) for n_a in
+                n_a_values if table_a[n_a] and table_b[self.N - n_a]]
 
 
 @dataclass(frozen=True)
@@ -178,7 +205,7 @@ def exact_average(model: LocalModel, spec: BipartitionSpec) -> float:
     Absolute accuracy ~1e-12 (each block mean is digamma differences of
     exact integers); raises on an empty sector.
     """
-    check_exact_work(model, (spec,), want_variance=False)
+    budget.check_exact_work(model, (spec,), want_variance=False)
     mean, _, _ = _sector_sums(model, spec, want_variance=False)
     return mean
 
@@ -189,7 +216,7 @@ def exact_variance(model: LocalModel, spec: BipartitionSpec) -> VarianceEstimate
     The result decays like exp(-beta V) and may underflow; `log_value`
     stays finite as long as the scaled numerator is positive.
     """
-    check_exact_work(model, (spec,), want_variance=True)
+    budget.check_exact_work(model, (spec,), want_variance=True)
     _, numerator, d_n = _sector_sums(model, spec, want_variance=True)
     return _variance_estimate(numerator, d_n)
 
@@ -209,145 +236,16 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
-def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
-    """Refuse exact sums over `specs`, the cuts of one request, up front.
-
-    A request computes the sums of a cut and of its mirror V - V_A once
-    (see `report`), so each mirrored pair, like a repeated cut, is counted
-    once.  Raises InfeasibleSizeError if any V exceeds 4000 or the summed
-    `exact_work_seconds` exceed EXACT_WORK_BUDGET_S.
-    """
-    distinct = {}
-    for spec in specs:
-        distinct.setdefault(_mirrored_cut(spec), spec)
-    if any(spec.V > _EXACT_V_LIMIT for spec in distinct.values()):
-        raise InfeasibleSizeError(
-            f"exact sum limited to V <= {_EXACT_V_LIMIT}")
-    seconds = sum(exact_work_seconds(model, spec, want_variance)
-                  for spec in distinct.values())
-    if seconds > EXACT_WORK_BUDGET_S:
-        raise InfeasibleSizeError(
-            f"exact sums estimated at {seconds:.0f} s for {len(distinct)} "
-            f"distinct cut(s), above the {EXACT_WORK_BUDGET_S:.0f} s budget")
-
-
-def check_table_work(model: LocalModel, tables, rows: int = 0) -> None:
-    """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
-    front: raises InfeasibleSizeError if their `_table_work_seconds`, plus
-    `_render_seconds` for printing `rows` entries of them, exceed
-    EXACT_WORK_BUDGET_S."""
-    seconds = _table_work_seconds(model, tables)
-    render = _render_seconds(model, tables, rows) if rows else 0.0
-    if seconds + render > EXACT_WORK_BUDGET_S:
-        printing = (f", plus {render:.0f} s to print {rows} rows" if rows
-                    else "")
-        raise InfeasibleSizeError(
-            f"dimension tables estimated at {seconds:.0f} s{printing}, above "
-            f"the {EXACT_WORK_BUDGET_S:.0f} s budget")
-
-
-def _mirrored_cut(spec: BipartitionSpec) -> tuple[int, int, int]:
-    """Key shared by the cuts V_A and V - V_A of one sector."""
-    return spec.V, spec.N, min(spec.V_A, spec.V - spec.V_A)
-
-
-def exact_work_seconds(model: LocalModel, spec: BipartitionSpec,
-                       want_variance: bool) -> float:
-    """Estimated run time of one cut's exact sums, from sizes alone.
-
-    The two dimension tables cost their `_table_work_seconds`; each N_A
-    block takes 4 us + 25 ns * w^1.6 for w-word dimensions, 2.5 times that
-    with the variance.  Calibrated on a 2-vCPU x86 host with Python 3.11
-    (fermions to capped_bosons:100000, V up to 4000), where it matched
-    measured times within a factor of two either way.
-    """
-    n_a_values = spec.n_a_range(model.n_max)
-    if spec.V_A in (0, spec.V) or not len(n_a_values):
-        return 0.0
-    seconds = _table_work_seconds(model, ((spec.V_A, n_a_values[-1]),
-                                         (spec.V - spec.V_A, spec.N)))
-    words = _dim_bits_bound(model, spec.N)(spec.V, spec.N) / 64.0
-    per_block = 4e-6 + 2.5e-8 * words ** 1.6
-    return seconds + len(n_a_values) * per_block * (2.5 if want_variance
-                                                    else 1.0)
-
-
-def _table_work_seconds(model: LocalModel, tables) -> float:
-    """Estimated run time of `dim_table` over `tables`, (V, N_cap) pairs.
-
-    Each table takes N_eff * (reach + 2) big-int steps of 0.35 us + 4 ns
-    per 64-bit word, reach = min(deg PQ, N_eff) (calibrated with
-    `exact_work_seconds`).
-    """
-    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
-    deg_pq = len(model.P) + len(model.Q) - 2
-    seconds = 0.0
-    for sites, cap in tables:
-        n_eff = cap if model.n_max is None else min(cap, sites * model.n_max)
-        words = bits(sites, n_eff) / 64.0
-        seconds += n_eff * (min(deg_pq, n_eff) + 2) * (3.5e-7 + 4e-9 * words)
-    return seconds
-
-
-def _render_seconds(model: LocalModel, tables, rows: int) -> float:
-    """Estimated time to build and print `rows` CSV rows (N, d_N) of the
-    tables: 4 us + 0.6 us * w + 7.5 ns * w^2 a row for w-word entries, w
-    taken from the largest table's bound, since decimal conversion is
-    superlinear in w.  Calibrated on the host of `exact_work_seconds`
-    with entries of 1 to 190 words; `dims` for bosons V=4, N=1e6 took
-    6.0 s there against 5.6 s estimated, tables included."""
-    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
-    words = max(bits(sites, cap) for sites, cap in tables) / 64.0
-    return rows * (4e-6 + 6e-7 * words + 7.5e-9 * words ** 2)
-
-
-def _dim_bits_bound(model: LocalModel, N: int):
-    """bits(V, M) ~ an upper bound on log2 d_M(V) for M <= N.
-
-    Uses d_M(V) <= a_0^V B^M C(V+M-1, M) where a_k <= a_0 B^k, with B
-    taken from a_1..a_16 and the radius, and for bounded models
-    d_M(V) <= (a_0 + ... + a_min(N, n_max))^V.
-    """
-    k_max = min(N, 16 if model.n_max is None else min(16, model.n_max))
-    a = model.coefficients(k_max + 1)
-    log2_a0 = math.log2(a[0])
-    rates = [(math.log2(a[k]) - log2_a0) / k
-             for k in range(1, k_max + 1) if a[k]]
-    if model.n_max is None:
-        rates.append(-math.log2(model.radius))
-        log2_total = math.inf
-    else:
-        log2_total = math.log2(sum(model.P[:min(N, model.n_max) + 1]))
-    log2_b = max(rates, default=0.0)
-
-    def bits(V: int, M: int) -> float:
-        if V == 0:
-            return 0.0
-        log2_paths = (math.lgamma(V + M) - math.lgamma(M + 1)
-                      - math.lgamma(V)) / math.log(2.0)
-        return max(0.0, min(V * log2_a0 + M * log2_b + log2_paths,
-                            V * log2_total))
-    return bits
-
-
 def _sector_sums(model: LocalModel, spec: BipartitionSpec,
                  want_variance: bool):
     """(mean, variance numerator, d_N) over the block decomposition; the
-    caller has passed the cut through `check_exact_work`."""
-    v_b = spec.V - spec.V_A
-    n_a_values = spec.n_a_range(model.n_max)
-    cap_a = n_a_values[-1] if len(n_a_values) else 0
-    table_a = dim_table(model, spec.V_A, cap_a)
-    table_b = dim_table(model, v_b, spec.N)
-
-    blocks = []
-    d_n = 0
-    for n_a in n_a_values:
-        d_a = table_a[n_a]
-        d_b = table_b[spec.N - n_a]
-        if d_a and d_b:
-            blocks.append((d_a, d_b))
-            d_n += d_a * d_b
+    caller has passed the cut through `budget.check_exact_work`.  An empty
+    sector or V above 4000 is refused before any table is built."""
+    if spec.V > _EXACT_V_LIMIT:
+        raise InfeasibleSizeError(
+            f"exact sum limited to V <= {_EXACT_V_LIMIT}")
+    blocks = spec.blocks(model.n_max, lambda *args: dim_table(model, *args))
+    d_n = sum(d_a * d_b for _, d_a, d_b in blocks)
     if d_n == 0:
         raise DomainError(f"empty sector: V={spec.V}, N={spec.N} "
                           f"for {model.label}")
@@ -357,7 +255,7 @@ def _sector_sums(model: LocalModel, spec: BipartitionSpec,
     trigamma_n = _times_trigamma(d_n + 1, d_n) if want_variance else 0.0
     mean_terms = []
     square_terms = []
-    for d_a, d_b in blocks:
+    for _, d_a, d_b in blocks:
         rho = (d_a * d_b) / d_n
         phi = _phi(d_a, d_b, psi_n)
         mean_terms.append(rho * phi)
@@ -736,20 +634,21 @@ def report(model: LocalModel, specs,
     or its complement is trivial.
 
     With an exact method, the exact sums of all cuts are refused up front
-    by one `check_exact_work`.  Each shared quantity is then computed once
-    per call: the exact sums of the mirrored cuts V_A and V - V_A, and the
-    saddle solutions at each filling and at n*.  So a page curve is one
-    call, and each panel equals that of a call with its cut alone.
+    by one `budget.check_exact_work`.  Each shared quantity is then
+    computed once per call: the exact sums of the mirrored cuts V_A and
+    V - V_A, and the saddle solutions at each filling and at n*.  So a page
+    curve is one call, and each panel equals that of a call with its cut
+    alone.
     """
     specs = list(specs)
     want_variance = "exact_variance" in methods
     if want_variance or "exact" in methods:
-        check_exact_work(model, specs, want_variance)
+        budget.check_exact_work(model, specs, want_variance)
     saddles = _Saddles(model)
     sums = {}  # mirrored cut -> (mean, variance numerator, d_N)
 
     def exact_sums(spec):  # one pass serves the mean and the variance
-        cut = _mirrored_cut(spec)
+        cut = spec.mirrored_cut
         if cut not in sums:
             sums[cut] = _sector_sums(model, spec, want_variance)
         return sums[cut]

@@ -21,7 +21,8 @@ A run draws from one stream, `np.random.default_rng(seed)`: sample i is
 row i of the (samples x draws) Gamma array that stream yields, taken in
 chunks of about 2^14 draws.  A chunk's rows do not depend on where the
 chunk boundaries fall, so the summary depends only on the seed and the
-sample count.
+sample count.  A run is refused up front if `budget.check_run_work`
+estimates it above the one-minute budget.
 """
 
 from __future__ import annotations
@@ -32,20 +33,16 @@ from functools import cached_property
 
 import numpy as np
 
+from . import budget
 from .dimensions import dim_table
-from .entropy import check_table_work
+from .entropy import BipartitionSpec
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 
-# Largest per-sample work sum(min(d_A, d_B)^2) the sampler accepts; the
-# tridiagonal eigenvalue solve costs about 1.7e-8 s per unit.
+# Largest per-sample work sum(min(d_A, d_B)^2) the sampler accepts.  It
+# keeps the sampler inside the range `budget.sample_seconds` was fitted
+# on (up to fermions V = 28, 4.0e7, where one sample took 0.66 s).
 MAX_SAMPLE_WORK = 5 * 10 ** 7
-
-# Largest work of one run, samples x (per-sample work + fixed cost per
-# sample): 60 s at 1.7e-8 s per unit.  The fixed cost, 110 units, is the
-# 1.9 us a sample measured on fermions V=4, N=2, V_A=2 (6 units of work).
-MAX_RUN_WORK = 3.5 * 10 ** 9
-_SAMPLE_OVERHEAD_WORK = 110
 
 # Gamma draws per chunk of samples; a chunk holds at least one sample.
 _CHUNK_DRAWS = 2 ** 14
@@ -109,36 +106,31 @@ class McSummary:
 
 def build_sector_basis(model: LocalModel, V: int, N: int,
                        V_A: int) -> SectorBasis:
-    """Block decomposition for sampling.
+    """Block decomposition for sampling: the cut's `BipartitionSpec.blocks`,
+    laid end to end in N_A order.
 
-    Refuses (InfeasibleSizeError) tables estimated above the exact-sum
-    budget before building them (`entropy.check_table_work`), then a
+    Refuses (InfeasibleSizeError) the cut's two tables estimated above the
+    budget before building them (`budget.check_table_work`), then a
     per-sample work sum(min(d_A, d_B)^2) above 5e7 or a block side above
-    2^53.
+    2^53; an empty sector (DomainError) builds no table.
     """
-    if V < 1 or not 0 <= V_A <= V or N < 0:
-        raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
-    check_table_work(model, ((V_A, N), (V - V_A, N)))
-    table_a = dim_table(model, V_A, N)
-    table_b = dim_table(model, V - V_A, N)
+    spec = BipartitionSpec(V=V, N=N, V_A=V_A)
+    budget.check_table_work(model, spec.tables(model.n_max))
     blocks = []
     offset = 0
     work = 0
-    for n_a in range(N + 1):
-        d_a = int(table_a[n_a])
-        d_b = int(table_b[N - n_a])
-        if d_a and d_b:
-            if max(d_a, d_b) > _MAX_BLOCK_SIDE:
-                raise InfeasibleSizeError(
-                    f"block side above 2^53 at N_A={n_a}; cannot sample")
-            work += min(d_a, d_b) ** 2
-            if work > MAX_SAMPLE_WORK:
-                raise InfeasibleSizeError(
-                    f"sampling work sum(min(d_A, d_B)^2) above "
-                    f"{MAX_SAMPLE_WORK:.0e}")
-            blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b,
-                                      offset=offset))
-            offset += d_a * d_b
+    for n_a, d_a, d_b in spec.blocks(model.n_max,
+                                     lambda *args: dim_table(model, *args)):
+        if max(d_a, d_b) > _MAX_BLOCK_SIDE:
+            raise InfeasibleSizeError(
+                f"block side above 2^53 at N_A={n_a}; cannot sample")
+        work += min(d_a, d_b) ** 2
+        if work > MAX_SAMPLE_WORK:
+            raise InfeasibleSizeError(
+                f"sampling work sum(min(d_A, d_B)^2) above "
+                f"{MAX_SAMPLE_WORK:.0e}")
+        blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
+        offset += d_a * d_b
     if offset == 0:
         raise DomainError(f"empty sector: V={V}, N={N} for {model.label}")
     return SectorBasis(label=model.label, V=V, N=N, V_A=V_A,
@@ -216,29 +208,19 @@ def entropy_of_block_vector(blocks, psi):
     return float(total[0]) if psi.ndim == 1 else total
 
 
-def check_run_work(basis: SectorBasis, n_samples: int) -> None:
-    """Refuse (InfeasibleSizeError) a run of n_samples whose work,
-    samples x (sum(min(d_A, d_B)^2) + fixed cost), exceeds MAX_RUN_WORK."""
-    per_sample = sum(min(blk.d_a, blk.d_b) ** 2 for blk in basis.blocks)
-    if n_samples * (per_sample + _SAMPLE_OVERHEAD_WORK) > MAX_RUN_WORK:
-        raise InfeasibleSizeError(
-            f"{n_samples} samples of work sum(min(d_A, d_B)^2) = {per_sample} "
-            f"each exceed the run budget of {MAX_RUN_WORK:.1e} units "
-            f"(about 60 s)")
-
-
 def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
     """Mean/variance of the sampled entropy over n_samples Haar states.
 
     Sample i is row i of the stream `default_rng(seed)`.  Chunks of about
     2^14 draws are reduced to (count, mean, M2) and merged with the
     pairwise update of Chan, Golub and LeVeque (1979), so memory stays
-    O(chunk).  Refuses (InfeasibleSizeError) a run whose work exceeds
-    MAX_RUN_WORK (`check_run_work`).
+    O(chunk).  Before drawing, refuses (InfeasibleSizeError) a run of
+    n_samples x `budget.sample_seconds` above the one-minute budget
+    (`budget.check_run_work`).
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    check_run_work(basis, n_samples)
+    budget.check_run_work(basis, n_samples)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_DRAWS // basis.gamma_shapes.size)
     mean, m2 = 0.0, 0.0

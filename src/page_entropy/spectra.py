@@ -39,7 +39,8 @@ from .dimensions import extended_binomial_closed
 from .errors import DomainError, InfeasibleSizeError
 from .haar_sampler import SectorBlock, entropy_of_block_vector
 
-# Dense diagonalization bound on the sector dimension.
+# Dense diagonalization bound on the sector dimension: it bounds the
+# dense matrix and its eigenvectors, 128 MB each at 4000 states.
 MAX_DENSE_DIM = 4000
 
 _DEGENERACY_TOL = 1e-10

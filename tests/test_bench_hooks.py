@@ -2,6 +2,7 @@
 package by string; a rename that breaks `run.py --trace 1` fails here."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import page_entropy.cli as cli
@@ -14,6 +15,19 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = {"cli": cli, "entropy": entropy, "saddle": saddle,
            "haar_sampler": haar_sampler, "spectra": spectra}
 
+# argv -> spans each traced run must record at least
+RUNS = (
+    (["page", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "2"],
+     ["entropy.report", "dimensions.dim_table", "saddle.beta_family"]),
+    (["mc", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "3",
+      "--samples", "10"],
+     ["dimensions.dim_table", "dimensions.dim_table",
+      "haar_sampler.build_sector_basis", "haar_sampler.mc_average"]),
+    (["ed", "--model", "bose_hubbard", "--V", "4", "--N", "2", "--U", "1"],
+     ["spectra.build_bose_hubbard", "spectra.eigh",
+      "spectra.entropy_of_block_vector"]),
+)
+
 
 def test_tracer_installs_on_live_modules_and_restores(capsys):
     sys.path.insert(0, str(BENCH_DIR))
@@ -21,18 +35,17 @@ def test_tracer_installs_on_live_modules_and_restores(capsys):
         import spans
     finally:
         sys.path.remove(str(BENCH_DIR))
-    before = {name: dict(vars(mod)) for name, mod in MODULES.items()}
-    tracer = spans.Tracer()
-    restore = tracer.install(MODULES)
-    try:
-        assert cli.main(["page", "--model", "fermions", "--V", "6",
-                         "--N", "3", "--VA", "2"]) == 0
-    finally:
-        restore()
-    capsys.readouterr()
-    names = {rec[0] for rec in tracer.spans}
-    assert {"entropy.report", "dimensions.dim_table",
-            "saddle.beta_family"} <= names
-    for name, mod in MODULES.items():
-        for key, value in before[name].items():
-            assert getattr(mod, key) is value, f"{name}.{key} not restored"
+    for argv, expected in RUNS:
+        before = {name: dict(vars(mod)) for name, mod in MODULES.items()}
+        tracer = spans.Tracer()
+        restore = tracer.install(MODULES)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            restore()
+        capsys.readouterr()
+        names = Counter(rec[0] for rec in tracer.spans)
+        assert Counter(expected) <= names, argv
+        for name, mod in MODULES.items():
+            for key, value in before[name].items():
+                assert getattr(mod, key) is value, f"{name}.{key} not restored"

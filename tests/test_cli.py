@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import page_entropy.cli as cli
 import page_entropy.entropy as entropy
+import page_entropy.haar_sampler as haar_sampler
 import page_entropy.numerics as numerics
 from page_entropy.errors import NumericalError
 from page_entropy.local_model import catalog, parse_model, product
@@ -680,6 +681,38 @@ def test_dims_refuses_output_too_large_to_print(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert "estimated at 32 s" in err and "to print 30000001 rows" in err
     assert time.perf_counter() - start < 2.0
+
+
+def test_huge_and_empty_sectors_refused_before_any_table(capsys,
+                                                          monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built for a refused request")
+
+    for module in (cli, entropy, haar_sampler):
+        monkeypatch.setattr(module, "dim_table", no_table)
+    huge, beyond_float = str(10 ** 23), str(10 ** 400)
+    for argv, code, text in (
+            # a block count past 2^63 and sizes past the float range are
+            # estimated, not counted
+            (("page", "--model", "bosons", "--V", "6", "--N", huge,
+              "--methods", "exact"), 4, "budget"),
+            (("variance", "--model", "bosons", "--V", "6", "--N", huge),
+             4, "budget"),
+            (("page", "--model", "bosons", "--V", "6", "--N", beyond_float,
+              "--methods", "exact"), 4, "budget"),
+            (("dims", "--model", "bosons", "--V", "4", "--N", beyond_float),
+             4, "budget"),
+            # N above V n_max: no N_A block, so no table to build
+            (("mc", "--model", "fermions", "--V", "6", "--N", huge, "--VA",
+              "3", "--samples", "1"), 2, "empty sector"),
+            (("mc", "--model", "fermions", "--V", "6", "--N", "30000000",
+              "--VA", "3", "--samples", "1"), 2, "empty sector"),
+            (("page", "--model", "fermions", "--V", "6", "--N", "30000000",
+              "--VA", "3", "--methods", "exact"), 2, "empty sector")):
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (code, "") and text in err, (argv, err)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_dims_prints_entries_beyond_the_int_digit_limit(capsys, tmp_path):

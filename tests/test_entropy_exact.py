@@ -7,12 +7,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import page_entropy.budget as budget
 import page_entropy.entropy as entropy
+from page_entropy.budget import check_exact_work, exact_work_seconds
 from page_entropy.dimensions import dim_fixed_n, dim_table
-from page_entropy.entropy import (BipartitionSpec, check_exact_work,
-                                  exact_average, exact_variance,
-                                  exact_work_seconds, gaussian_moments,
-                                  report, rho_weight)
+from page_entropy.entropy import (BipartitionSpec, exact_average,
+                                  exact_variance, gaussian_moments, report,
+                                  rho_weight)
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import build_sector_basis, mc_average
 from page_entropy.local_model import catalog
@@ -298,13 +299,13 @@ def test_report_memo_is_bit_identical_and_serves_one_model():
 
 def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
     checks = []
-    real_check = entropy.check_exact_work
+    real_check = budget.check_exact_work
 
     def counted(model, specs, want_variance):
         checks.append((len(specs), want_variance))
         return real_check(model, specs, want_variance)
 
-    monkeypatch.setattr(entropy, "check_exact_work", counted)
+    monkeypatch.setattr(budget, "check_exact_work", counted)
     model = catalog("spin_j", 1)
     specs = [BipartitionSpec(9, 6, v_a) for v_a in (2, 7, 4, 5, 0, 4, 9, 2)]
     for methods, want_variance in REQUEST_METHODS:
