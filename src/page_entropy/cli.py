@@ -240,9 +240,13 @@ def _get_particles(merged, V: int) -> int:
         raise ConfigError("give only one of --N and --n")
     if N is not None:
         return N
-    if n is not None:
+    if n is None:
+        raise ConfigError("one of --N or --n is required")
+    try:
         return round(n * V)
-    raise ConfigError("one of --N or --n is required")
+    except OverflowError:
+        raise ConfigError(f"N = n V is beyond the float range at n={n}, "
+                          f"V={V}") from None
 
 
 def _get_cuts(merged, V: int, default):
@@ -355,7 +359,8 @@ def _cmd_scaling(merged):
         if abs(v_a - round(v_a)) > 1e-9:
             raise ConfigError(f"f*V must be an integer for the exact sum; "
                               f"f={f}, V={V}")
-        specs.append(ent.BipartitionSpec(V=V, N=round(n * V), V_A=round(v_a)))
+        specs.append(ent.BipartitionSpec(V=V, N=_get_particles(merged, V),
+                                         V_A=round(v_a)))
     rows = []
     for rep in ent.report(model, specs, ("exact", "asymptotic")):
         V, exact, terms = rep.V, rep.exact_mean, rep.asymptotic
@@ -453,17 +458,9 @@ def _cmd_dims(merged):
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)  # exact decimal, arbitrary length
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return format(value, ".17g")
-    return str(value)
+        return format(value, ".17g")  # also "nan", "inf" and "-inf"
+    return str(value)  # an int as its exact decimal, arbitrary length
 
 
 def render_csv(result) -> str:

@@ -19,7 +19,7 @@ from .local_model import LocalModel, _poly_mul
 
 def dim_fixed_n(model: LocalModel, V: int, N: int) -> int:
     """Dimension of the N-particle sector of V sites; 0 for an empty sector."""
-    if N < 0:
+    if N < 0 or (model.n_max is not None and N > V * model.n_max):
         return 0
     return dim_table(model, V, N)[N]
 

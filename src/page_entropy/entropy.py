@@ -75,7 +75,11 @@ class BipartitionSpec:
 
     @property
     def n(self) -> float:
-        return self.N / self.V
+        try:
+            return self.N / self.V
+        except OverflowError:
+            raise DomainError(f"filling N/V with V={self.V} is beyond the "
+                              f"float range") from None
 
     @property
     def f(self) -> float:
@@ -297,9 +301,7 @@ def rho_weight(model: LocalModel, spec: BipartitionSpec, n_a: float) -> float:
     f = spec.f
     if not 0.0 < f < 1.0:
         raise DomainError("rho_weight needs 0 < f < 1")
-    sol = beta_family(model, spec.n)
-    if sol.at_boundary:
-        raise DomainError("rho_weight is undefined at the filling boundary")
+    sol = _Saddles(model).at(spec.n, "rho_weight")
     var = f * (1.0 - f) / (abs(sol.beta2) * spec.V)
     delta = n_a - f * spec.n
     return math.exp(-0.5 * delta * delta / var) / math.sqrt(_TWO_PI * var)
@@ -310,9 +312,7 @@ def gaussian_moments(model: LocalModel, spec: BipartitionSpec) -> GaussianMoment
     f = spec.f
     if not 0.0 < f < 1.0:
         raise DomainError("gaussian_moments needs 0 < f < 1")
-    sol = beta_family(model, spec.n)
-    if sol.at_boundary:
-        raise DomainError("gaussian_moments is undefined at the boundary")
+    sol = _Saddles(model).at(spec.n, "gaussian_moments")
     var = f * (1.0 - f) / (abs(sol.beta2) * spec.V)
     sigma = math.sqrt(var)
     m1_half = sigma / math.sqrt(_TWO_PI)
@@ -415,12 +415,13 @@ def _x2_kernel(V: float, f: float, beta: float, ab1: float,
 
 def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
-    star = n_star(model)
-    if star is None:
-        raise DomainError("X1 needs a finite n_max (peak filling)")
+    return _resolve_x1(_Saddles(model), V, f, n)
+
+
+def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
+    star, sol_star = saddles.peak()
     if V < 1:
         raise DomainError("resolve_x1 needs V >= 1")
-    sol_star = beta_family(model, star)
     return _x1_kernel((f - 0.5) * V, (n - star) * math.sqrt(V),
                       sol_star.beta, abs(sol_star.beta2))
 
@@ -431,7 +432,11 @@ def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     Undefined where beta'(n) = 0 (i.e. exactly at n*): the kernel divides
     by |beta'|; callers there are on the delta itself.
     """
-    sol = _Saddles(model).at(n, "resolve_x2")
+    return _resolve_x2(_Saddles(model), V, f, n)
+
+
+def _resolve_x2(saddles: _Saddles, V: float, f: float, n: float) -> float:
+    sol = saddles.at(n, "resolve_x2")
     if sol.beta1 == 0.0:
         raise NumericalError("X2 is undefined at beta'(n) = 0 (n = n*)")
     return _x2_kernel(V, _normalized_fraction(f), sol.beta, abs(sol.beta1),
@@ -446,17 +451,13 @@ def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
     the full erfc pair exactly at (1, 1/2), single-variable crossovers on
     the two edges, and 1 beyond both.
     """
-    star = n_star(model)
-    if star is None:
-        raise DomainError("X1 needs a finite n_max (peak filling)")
-    sol_star = beta_family(model, star)
+    _, sol_star = _Saddles(model).peak()
     beta_star = sol_star.beta
     ab2 = abs(sol_star.beta2)
-    tol = 1e-12
-    if s < 1.0 - tol or t < 0.5 - tol:
+    if s < 1.0 - KRONECKER_TOL or t < 0.5 - KRONECKER_TOL:
         return 0.0
-    s_edge = abs(s - 1.0) <= tol
-    t_edge = abs(t - 0.5) <= tol
+    s_edge = abs(s - 1.0) <= KRONECKER_TOL
+    t_edge = abs(t - 0.5) <= KRONECKER_TOL
     if s_edge and t_edge:
         return _x1_kernel(lam_f, lam_n, beta_star, ab2)
     if t_edge:  # s > 1: the f-delta has already sharpened
@@ -480,17 +481,16 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     ab2 = abs(sol.beta2)
     if ab1 == 0.0:
         raise NumericalError("X2 is undefined at beta'(n) = 0 (n = n*)")
-    tol = 1e-12
-    if s < 0.5 - tol:
+    if s < 0.5 - KRONECKER_TOL:
         return 0.0
     deficit = ab1 * math.sqrt(V / (_TWO_PI * ab2))
-    if abs(s - 0.5) <= tol:
+    if abs(s - 0.5) <= KRONECKER_TOL:
         arg = math.sqrt(2.0 * ab2) * abs(lam_f) * beta / ab1
         gauss = math.exp(-2.0 * ab2 * lam_f * lam_f * beta * beta
                          / (ab1 * ab1))
         return math.sqrt(V) * (abs(lam_f) * beta * erfc(arg)
                                - ab1 * gauss / math.sqrt(_TWO_PI * ab2))
-    if s <= 1.0 + tol:
+    if s <= 1.0 + KRONECKER_TOL:
         return abs(lam_f) * V ** (1.0 - s) * beta - deficit
     return -deficit
 
@@ -498,12 +498,13 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
 def kronecker_resolution(model: LocalModel, V: float, f: float,
                          n: float) -> KroneckerResolution:
     """Crossover panel at the canonical double scaling (s=1, t=1/2)."""
-    star = n_star(model)
+    saddles = _Saddles(model)
+    star = saddles.star
     lam_f = (f - 0.5) * V
     lam_n = None if star is None else (n - star) * math.sqrt(V)
-    x1 = None if star is None else resolve_x1(model, V, f, n)
-    sol = _Saddles(model).at(n, "kronecker_resolution")
-    x2 = None if sol.beta1 == 0.0 else resolve_x2(model, V, f, n)
+    x1 = None if star is None else _resolve_x1(saddles, V, f, n)
+    sol = saddles.at(n, "kronecker_resolution")
+    x2 = None if sol.beta1 == 0.0 else _resolve_x2(saddles, V, f, n)
     return KroneckerResolution(lambda_f=lam_f, lambda_n=lam_n, s=1.0, t=0.5,
                                x1=x1, x2=x2)
 
@@ -540,16 +541,17 @@ def n_crit(model: LocalModel, f: float, n: float) -> float:
                           "use symmetry for the other half")
     if abs(f - 0.5) < KRONECKER_TOL:
         return f * n
-    sol = _Saddles(model).at(n, "n_crit")
+    saddles = _Saddles(model)
+    sol = saddles.at(n, "n_crit")
     if abs(sol.beta1) > 1e-9:
         return f * n - (f - 0.5) * sol.beta / sol.beta1
-    star = n_star(model)
+    star = saddles.star
     if star is None:
         raise NumericalError("n_crit: beta' = 0 without a finite n_max")
     if abs(n - star) < 1e-9:
         raise NumericalError("n_crit falls outside the Gaussian window: "
                              "beta' and n - n* vanish together at f != 1/2")
-    sol_star = beta_family(model, star)
+    sol_star = saddles.at(star)
     return f * n + (f - 0.5) * sol_star.beta / (abs(sol_star.beta2) * (n - star))
 
 
@@ -708,3 +710,9 @@ class _Saddles:
     def star(self) -> Optional[float]:
         """n_star(model): the peak filling, None for unbounded models."""
         return n_star(self.model)
+
+    def peak(self):
+        """(n*, the saddle solution at n*); refused for unbounded models."""
+        if self.star is None:
+            raise DomainError("X1 needs a finite n_max (peak filling)")
+        return self.star, self.at(self.star)

@@ -23,6 +23,8 @@ Everything around the dense `np.linalg.eigh` works on arrays:
   direction).  Every entry receives its terms one bond at a time in site
   order, so the matrix is fixed bit for bit by the couplings, and so are
   the eigenvectors LAPACK returns for a given thread count.
+* A cut's block layout is one lexsort of the basis rows by (N_A,
+  occupations), which needs the basis to be one whole sector.
 * Each cut takes the whole window at once, `states[perm, lo:hi]`, and
   `entropy_of_block_vector` runs one batched SVD per block over it; each
   state's entropy is bit-identical to passing that state alone.
@@ -50,12 +52,13 @@ _MAX_PARTICLES = 2 ** 31
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Dense sector Hamiltonian plus its occupation basis."""
+    """Dense sector Hamiltonian plus its occupation basis: a read-only
+    (dim, V) int64 array, one whole sector in lexicographic order."""
     kind: str
     V: int
     N: int
     couplings: dict
-    basis: tuple[tuple[int, ...], ...]
+    basis: np.ndarray
     matrix: np.ndarray
 
 
@@ -83,9 +86,9 @@ class MidSpectrumReport:
 def _occupation_basis(V: int, N: int, cap: int) -> np.ndarray:
     """All occupation rows of length V summing to N with n_i <= cap.
 
-    Returns a (dim, V) int array in lexicographic order.  The sector is
-    counted in closed form first, so an empty or oversized one is refused
-    before any state is enumerated.
+    Returns a read-only (dim, V) int64 array in lexicographic order.  The
+    sector is counted in closed form first, so an empty or oversized one
+    is refused before any state is enumerated.
     """
     dim = 1 if N == 0 else extended_binomial_closed(V, N, cap)
     if dim == 0:
@@ -117,6 +120,7 @@ def _occupation_basis(V: int, N: int, cap: int) -> np.ndarray:
     for site in range(V - 1, -1, -1):
         occ[:, site] = digits[site][row]
         row = parents[site][row]
+    occ.flags.writeable = False
     return occ
 
 
@@ -200,8 +204,7 @@ def build_spin1_xxz(V: int, M: int, lam: float, delta: float) -> SectorHamiltoni
     return SectorHamiltonian(kind="spin1_xxz", V=V, N=N,
                              couplings={"lambda": lam, "Delta": delta,
                                         "M": M},
-                             basis=tuple(map(tuple, occ.tolist())),
-                             matrix=matrix)
+                             basis=occ, matrix=matrix)
 
 
 def build_bose_hubbard(V: int, N: int, U: float,
@@ -231,8 +234,7 @@ def build_bose_hubbard(V: int, N: int, U: float,
                                            * occ[cols, src])
     return SectorHamiltonian(kind="bose_hubbard", V=V, N=N,
                              couplings={"U": U, "n_max": n_max},
-                             basis=tuple(map(tuple, occ.tolist())),
-                             matrix=matrix)
+                             basis=occ, matrix=matrix)
 
 
 def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
@@ -269,33 +271,25 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
                              window_lo=lo, window_hi=hi, cuts=tuple(stats))
 
 
-def _cut_blocks(basis, v_a: int):
+def _cut_blocks(basis: np.ndarray, v_a: int):
     """Block layout of a basis cut at site v_a, plus the index permutation.
 
     Returns (blocks, perm) such that reordering an eigenvector by `perm`
     makes it a flat block vector: entry offset + row * d_b + col is the
-    amplitude of (A-state row, B-state col) inside the N_A block.
+    amplitude of (A-state row, B-state col) inside the N_A block.  `perm`
+    lexsorts the (dim, V) occupation rows by (N_A, occupations).  `basis`
+    must be one whole sector, in any row order: then each N_A block holds
+    every (A state, B state) pair, its sorted rows in row-major order.
     """
-    groups: dict[int, tuple[dict, dict, list]] = {}
-    for idx, occ in enumerate(basis):
-        a, b = occ[:v_a], occ[v_a:]
-        n_a = sum(a)
-        rows, cols, members = groups.setdefault(n_a, ({}, {}, []))
-        rows.setdefault(a, len(rows))
-        cols.setdefault(b, len(cols))
-        members.append((idx, a, b))
-
-    blocks = []
-    perm = np.empty(len(basis), dtype=np.intp)
-    offset = 0
-    for n_a in sorted(groups):
-        rows, cols, members = groups[n_a]
-        d_a, d_b = len(rows), len(cols)
-        for idx, a, b in members:
-            perm[offset + rows[a] * d_b + cols[b]] = idx
-        blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
-        offset += d_a * d_b
-    return tuple(blocks), perm
+    n_a = basis[:, :v_a].sum(axis=1)
+    perm = np.lexsort((*basis.T[::-1], n_a))
+    values, offsets, sizes = np.unique(n_a[perm], return_index=True,
+                                       return_counts=True)
+    prefix = basis[perm, :v_a]
+    new_a = np.r_[1, np.any(prefix[1:] != prefix[:-1], axis=1)]
+    d_as = np.add.reduceat(new_a, offsets)
+    layout = np.column_stack((values, d_as, sizes // d_as, offsets))
+    return tuple(SectorBlock(*map(int, row)) for row in layout), perm
 
 
 def beta_spin1(n: float) -> float:

@@ -1,5 +1,6 @@
 """The benchmark's layer tracer (perfbench/spans.py) patches names in the
-package by string; a rename that breaks `run.py --trace 1` fails here."""
+package by string and reads the objects they return; a rename or a type
+change that breaks `run.py --trace 1` fails here."""
 
 import sys
 from collections import Counter
@@ -15,18 +16,21 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = {"cli": cli, "entropy": entropy, "saddle": saddle,
            "haar_sampler": haar_sampler, "spectra": spectra}
 
-# argv -> spans each traced run must record at least
+# argv -> spans each traced run must record at least, and layer metrics
 RUNS = (
     (["page", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "2"],
-     ["entropy.report", "dimensions.dim_table", "saddle.beta_family"]),
+     ["entropy.report", "dimensions.dim_table", "saddle.beta_family"], {}),
     (["mc", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "3",
       "--samples", "10"],
      ["dimensions.dim_table", "dimensions.dim_table",
-      "haar_sampler.build_sector_basis", "haar_sampler.mc_average"]),
+      "haar_sampler.build_sector_basis", "haar_sampler.mc_average"],
+     {"haar_sampler.sum_min_side": 8}),
     (["ed", "--model", "bose_hubbard", "--V", "4", "--N", "2", "--U", "1"],
      ["spectra.build_bose_hubbard", "spectra.eigh",
-      "spectra.entropy_of_block_vector"]),
+      "spectra.entropy_of_block_vector"],
+     {"spectra.dim_total": 10}),
 )
+NO_COST = {"leaf_inner": 0.0, "leaf_outer": 0.0, "count": 0.0}
 
 
 def test_tracer_installs_on_live_modules_and_restores(capsys):
@@ -35,7 +39,7 @@ def test_tracer_installs_on_live_modules_and_restores(capsys):
         import spans
     finally:
         sys.path.remove(str(BENCH_DIR))
-    for argv, expected in RUNS:
+    for argv, expected, metrics in RUNS:
         before = {name: dict(vars(mod)) for name, mod in MODULES.items()}
         tracer = spans.Tracer()
         restore = tracer.install(MODULES)
@@ -46,6 +50,8 @@ def test_tracer_installs_on_live_modules_and_restores(capsys):
         capsys.readouterr()
         names = Counter(rec[0] for rec in tracer.spans)
         assert Counter(expected) <= names, argv
+        got = spans.layer_metrics(tracer, NO_COST)
+        assert {key: got[key] for key in metrics} == metrics, argv
         for name, mod in MODULES.items():
             for key, value in before[name].items():
                 assert getattr(mod, key) is value, f"{name}.{key} not restored"

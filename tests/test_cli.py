@@ -708,7 +708,16 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
             (("mc", "--model", "fermions", "--V", "6", "--N", "30000000",
               "--VA", "3", "--samples", "1"), 2, "empty sector"),
             (("page", "--model", "fermions", "--V", "6", "--N", "30000000",
-              "--VA", "3", "--methods", "exact"), 2, "empty sector")):
+              "--VA", "3", "--methods", "exact"), 2, "empty sector"),
+            # a filling beyond the float range, in N / V or in n V
+            (("page", "--model", "fermions", "--V", "6", "--N", beyond_float,
+              "--methods", "asymptotic"), 2, "float range"),
+            (("page", "--model", "bosons", "--V", "6", "--N", beyond_float,
+              "--methods", "resolved"), 2, "float range"),
+            (("page", "--model", "bosons", "--V", "10", "--n", "1e308",
+              "--methods", "asymptotic"), 2, "float range"),
+            (("scaling", "--model", "bosons", "--f", "0.5", "--n", "1e308",
+              "--V-list", "10"), 2, "float range")):
         start = time.perf_counter()
         got, out, err = run_cli(capsys, *argv)
         assert (got, out) == (code, "") and text in err, (argv, err)

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import page_entropy.dimensions as dimensions
 from page_entropy.dimensions import (dim_fixed_n, dim_table,
                                      distinguishable_dim,
                                      extended_binomial_closed)
@@ -39,6 +40,16 @@ def test_fermion_dims_are_binomials():
     assert dim_fixed_n(m, 4, 2) == 6
     assert dim_fixed_n(m, 5, 9) == 0  # beyond V*n_max: empty, not an error
     assert dim_fixed_n(m, 5, -1) == 0
+
+
+def test_dim_fixed_n_beyond_the_cap_builds_no_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built for an empty sector")
+
+    monkeypatch.setattr(dimensions, "dim_table", no_table)
+    m = catalog("fermions")
+    assert dim_fixed_n(m, 6, 30000000) == 0
+    assert dim_fixed_n(m, 6, 10 ** 400) == 0
 
 
 def test_boson_dims_are_stars_and_bars():

@@ -2,9 +2,11 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import page_entropy.entropy as entropy
 from page_entropy.entropy import (BipartitionSpec, asymptotic_average,
                                   asymptotic_terms, asymptotic_variance,
                                   distinguishable_asymptotic,
@@ -265,6 +267,26 @@ def test_kronecker_resolution_panel():
     assert nostar.x1 is None and nostar.lambda_n is None
     at_peak = kronecker_resolution(m, 400, 0.45, 0.5)
     assert at_peak.x2 is None  # beta' = 0 there
+
+
+def test_kronecker_resolution_solves_each_saddle_once(monkeypatch):
+    m = catalog("fermions")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(entropy, "beta_family",
+                        counted("beta_family", beta_family))
+    monkeypatch.setattr(entropy, "n_star", counted("n_star", n_star))
+    panel = kronecker_resolution(m, 400, 0.45, 0.4)
+    # n* once, beta_family once at n* and once at n
+    assert calls == {"n_star": 1, "beta_family": 2}
+    assert panel.x1 == resolve_x1(m, 400, 0.45, 0.4)
+    assert panel.x2 == resolve_x2(m, 400, 0.45, 0.4)
 
 
 def test_y_exponent_and_n_crit():

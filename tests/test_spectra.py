@@ -10,10 +10,11 @@ from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.local_model import catalog
 from page_entropy.saddle import beta_family
 from page_entropy.spectra import (SectorHamiltonian, _cut_blocks,
+                                  _occupation_basis,
                                   _spin1_bond_matrix, beta_spin1,
                                   build_bose_hubbard, build_spin1_xxz,
                                   mid_spectrum_entropies)
-from page_entropy.haar_sampler import entropy_of_block_vector
+from page_entropy.haar_sampler import SectorBlock, entropy_of_block_vector
 
 
 def _embed(op, site, V, d):
@@ -104,7 +105,7 @@ def test_bose_hubbard_sector_matches_full_space(U):
 
 def test_bose_hubbard_occupation_cap():
     ham = build_bose_hubbard(3, 3, 1.0, n_max=1)
-    assert ham.basis == ((1, 1, 1),)
+    assert ham.basis.tolist() == [[1, 1, 1]]
     assert ham.matrix.shape == (1, 1) and ham.matrix[0, 0] == 0.0
     capped = build_bose_hubbard(4, 3, 2.0, n_max=2)
     assert all(max(occ) <= 2 for occ in capped.basis)
@@ -147,12 +148,13 @@ def test_cut_blocks_against_reduced_density_matrix():
         blocks, perm = _cut_blocks(ham.basis, v_a)
         got = entropy_of_block_vector(blocks, psi[perm])
         # reduced density matrix assembled directly from the basis labels
+        basis = list(map(tuple, ham.basis.tolist()))
         rows = {}
-        for occ in ham.basis:
+        for occ in basis:
             rows.setdefault(occ[:v_a], len(rows))
         rho = np.zeros((len(rows), len(rows)), dtype=complex)
         cols = {}
-        for amp, occ in zip(psi, ham.basis):
+        for amp, occ in zip(psi, basis):
             cols.setdefault(occ[v_a:], {})[occ[:v_a]] = amp
         for col_amps in cols.values():
             for a1, amp1 in col_amps.items():
@@ -165,7 +167,7 @@ def test_cut_blocks_against_reduced_density_matrix():
 
 
 def test_window_never_splits_a_multiplet():
-    basis = ((0, 2), (1, 1), (2, 0))
+    basis = np.array([(0, 2), (1, 1), (2, 0)])
     ham = SectorHamiltonian(kind="toy", V=2, N=2, couplings={},
                             basis=basis, matrix=np.diag([1.0, 1.0, 2.0]))
     report = mid_spectrum_entropies(ham, 1, [1])
@@ -274,6 +276,30 @@ def loop_bose_hubbard(V, N, U, n_max=None):
     return tuple(basis), matrix
 
 
+def loop_cut_blocks(basis, v_a):
+    """(blocks, perm) of a cut, grouping occupation tuples in dicts."""
+    groups = {}
+    for idx, occ in enumerate(basis):
+        a, b = occ[:v_a], occ[v_a:]
+        n_a = sum(a)
+        rows, cols, members = groups.setdefault(n_a, ({}, {}, []))
+        rows.setdefault(a, len(rows))
+        cols.setdefault(b, len(cols))
+        members.append((idx, a, b))
+
+    blocks = []
+    perm = np.empty(len(basis), dtype=np.intp)
+    offset = 0
+    for n_a in sorted(groups):
+        rows, cols, members = groups[n_a]
+        d_a, d_b = len(rows), len(cols)
+        for idx, a, b in members:
+            perm[offset + rows[a] * d_b + cols[b]] = idx
+        blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
+        offset += d_a * d_b
+    return tuple(blocks), perm
+
+
 def loop_entropy(blocks, psi):
     """Entropy of one block-layout vector, block by block."""
     total = 0.0
@@ -288,7 +314,8 @@ def loop_entropy(blocks, psi):
 
 
 def _assert_same_hamiltonian(ham, basis, matrix):
-    assert ham.basis == basis
+    assert ham.basis.dtype == np.int64 and not ham.basis.flags.writeable
+    assert ham.basis.tolist() == list(map(list, basis))
     assert ham.matrix.dtype == matrix.dtype
     assert ham.matrix.tobytes() == matrix.tobytes()
 
@@ -319,6 +346,46 @@ def test_long_chain_keys_beyond_int64_bitwise_equal_loop_builder():
                              *loop_spin1_xxz(45, 43, 1.0, 0.55))
     _assert_same_hamiltonian(build_bose_hubbard(70, 2, 2.25, n_max=1),
                              *loop_bose_hubbard(70, 2, 2.25, n_max=1))
+
+
+def _ed_sectors():
+    """Every spin-1 sector of V = 2..8 and Bose-Hubbard sectors of V = 2..7,
+    N = 0..5, uncapped or capped at 1 or 2: (V, N, cap) triples."""
+    for V in range(2, 9):
+        for N in range(2 * V + 1):
+            yield V, N, 2
+    for V in range(2, 8):
+        for N in range(6):
+            for n_max in (None, 1, 2):
+                if N <= V * (n_max or N):
+                    yield V, N, max(min(n_max or N, N), 0)
+
+
+def test_cut_blocks_equal_the_dict_grouping_loop():
+    cuts = 0
+    for V, N, cap in _ed_sectors():
+        occ = _occupation_basis(V, N, cap)
+        basis = tuple(map(tuple, occ.tolist()))
+        for v_a in range(V + 1):
+            blocks, perm = _cut_blocks(occ, v_a)
+            want_blocks, want_perm = loop_cut_blocks(basis, v_a)
+            assert blocks == want_blocks, (V, N, cap, v_a)
+            assert np.array_equal(perm, want_perm), (V, N, cap, v_a)
+            cuts += 1
+    assert cuts == 1087
+
+
+def test_cut_blocks_do_not_depend_on_row_order():
+    ham = build_spin1_xxz(6, 0, 1.0, 0.55)
+    rng = np.random.default_rng(3)
+    shuffle = rng.permutation(len(ham.basis))
+    psi = rng.standard_normal((len(ham.basis), 4))
+    for v_a in range(ham.V + 1):
+        blocks, perm = _cut_blocks(ham.basis, v_a)
+        want = entropy_of_block_vector(blocks, psi[perm])
+        blocks, perm = _cut_blocks(ham.basis[shuffle], v_a)
+        got = entropy_of_block_vector(blocks, psi[shuffle][perm])
+        assert list(got) == list(want)
 
 
 def test_occupations_beyond_int64_products_refused():
