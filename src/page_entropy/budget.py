@@ -50,6 +50,28 @@ def check_run_work(basis, n_samples: int) -> None:
                          lambda: n_samples * sample_seconds(basis))
 
 
+def check_cut_work(cuts: int, columns: int, as_json: bool) -> None:
+    """Refuse (InfeasibleSizeError) a `page` or `variance` request over
+    `cuts` cuts above BUDGET_S at `cut_seconds` each, before any cut is
+    built; its exact sums are checked on their own (`check_exact_work`)."""
+    _refuse_above_budget(f"{cuts} cuts",
+                         lambda: cuts * cut_seconds(columns, as_json))
+
+
+def check_saddle_work(model: LocalModel, fillings: int) -> None:
+    """Refuse (InfeasibleSizeError) solving and printing the saddle at
+    `fillings` fillings (`beta`) above BUDGET_S, before any is solved.
+
+    Each takes 50 us + 2.5 us per degree of P and Q, the Horner passes of
+    its `eval_zeta` calls.  Measured with `beta` grids: 40-84 us a filling
+    on catalog models, 0.4-0.7 ms on capped_bosons:200, 3.5-9.6 ms on
+    capped_bosons:2000 and 80 ms on capped_bosons:20000.
+    """
+    per_filling = 5e-5 + 2.5e-6 * (len(model.P) + len(model.Q) - 2)
+    _refuse_above_budget(f"saddle solves at {fillings} fillings",
+                         lambda: fillings * per_filling)
+
+
 def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     """Estimated run time of one cut's exact sums, from sizes alone.
 
@@ -66,6 +88,15 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     per_block = 4e-6 + 2.5e-8 * words ** 1.6
     blocks = n_a_values.stop - n_a_values.start  # len() stops at 2^63
     return seconds + blocks * per_block * (2.5 if want_variance else 1.0)
+
+
+def cut_seconds(columns: int, as_json: bool) -> float:
+    """Estimated run time of one cut of a request apart from its exact sums:
+    the cut, its saddle-based columns and the printing of `columns` values,
+    12 us + 7 us a column, twice that as JSON.  `page` sweeps at V = 1e5
+    took 17-34 us a cut (CSV) and 36-69 us (JSON) with 1 to 3 columns on
+    fermions, bosons and spin-1."""
+    return (1.2e-5 + 7e-6 * columns) * (2.0 if as_json else 1.0)
 
 
 def sample_seconds(basis) -> float:

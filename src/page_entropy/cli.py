@@ -80,7 +80,8 @@ def _method(text):
 
 
 def _grid(text):
-    """argparse type: lo:hi:count -> count evenly spaced fillings."""
+    """argparse type: lo:hi:count -> (lo, hi, count), which `_cmd_beta`
+    expands to count evenly spaced fillings once the budget allows it."""
     try:
         lo, hi, count = text.split(":")
         lo, hi = _number(float)(lo), _number(float)(hi)
@@ -90,10 +91,7 @@ def _grid(text):
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             "must look like lo:hi:count with finite lo <= hi and count >= 1")
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    return lo, hi, count
 
 
 # long flag (also its config key) -> add_argument keywords
@@ -250,32 +248,38 @@ def _get_particles(merged, V: int) -> int:
 
 
 def _get_cuts(merged, V: int, default):
-    """The --VA cut sizes (`default` if none are given), each in [0, V]."""
-    cuts = merged.get("VA") or default
+    """The --VA cut sizes, each in [0, V], or `default` if none are given."""
+    cuts = merged.get("VA")
+    if cuts is None:
+        return default
     for v_a in cuts:
         if v_a > V:
             raise ConfigError(f"--VA entries must lie in [0, V]; got {v_a}")
     return cuts
 
 
-def _get_cut_specs(merged, V: int, N: int):
-    """One BipartitionSpec per --VA cut size (default: every V_A)."""
-    return [ent.BipartitionSpec(V=V, N=N, V_A=v_a)
-            for v_a in _get_cuts(merged, V, range(V + 1))]
+def _get_cut_specs(merged, V: int, N: int, columns: int):
+    """One BipartitionSpec per --VA cut size (default: every V_A), refused
+    with their `columns` printed values above the budget before any is
+    built."""
+    cuts = _get_cuts(merged, V, range(V + 1))
+    # counted without len(), which stops at 2^63 for a range
+    budget.check_cut_work(V + 1 if merged.get("VA") is None else len(cuts),
+                          columns, merged.get("format") == "json")
+    return [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
 
 
 # -- commands ----------------------------------------------------------------
 
 def _cmd_beta(merged):
     model = _get_model(merged)
-    grid = _require(merged, "grid")
+    lo, hi, count = _require(merged, "grid")
     header = ["n", "z0", "beta", "beta1", "beta2", "alpha", "mark"]
-    marked = [(n, "") for n in grid]
-    star = n_star(model)
-    if star is not None:
-        marked.append((star, "nstar"))
-    if model.n_max is not None:
-        marked.append((float(model.n_max), "nmax"))
+    marks = [] if model.n_max is None else [(n_star(model), "nstar"),
+                                            (float(model.n_max), "nmax")]
+    budget.check_saddle_work(model, count + len(marks))
+    step = (hi - lo) / (count - 1) if count > 1 else 0.0
+    marked = [(lo + i * step, "") for i in range(count)] + marks
     rows = []
     for n, mark in marked:
         sol = beta_family(model, n)
@@ -290,7 +294,7 @@ def _cmd_page(merged):
     V = _require(merged, "V")
     N = _get_particles(merged, V)
     methods = merged.get("methods") or _PAGE_METHODS
-    specs = _get_cut_specs(merged, V, N)
+    specs = _get_cut_specs(merged, V, N, len(methods))
     header = ["V_A", "f"] + list(methods)
     keys = tuple(dict.fromkeys(_METHOD_KEYS[m] for m in methods))
     reports = ent.report(model, specs, keys)
@@ -375,7 +379,7 @@ def _cmd_variance(merged):
     model = _get_model(merged)
     V = _require(merged, "V")
     N = _get_particles(merged, V)
-    specs = _get_cut_specs(merged, V, N)
+    specs = _get_cut_specs(merged, V, N, columns=4)
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
               "asymptotic_variance", "log_asymptotic_variance"]
     reports = ent.report(model, specs,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb
 
 from .errors import DomainError
-from .local_model import LocalModel, _poly_mul
+from .local_model import LocalModel, _derivative, _poly_mul
 
 
 def dim_fixed_n(model: LocalModel, V: int, N: int) -> int:
@@ -84,6 +84,3 @@ def distinguishable_dim(V: int, N: int) -> int:
         raise DomainError("distinguishable_dim needs V >= 1 and N >= 0")
     return V ** N
 
-
-def _derivative(p: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(p)][1:]

@@ -207,22 +207,20 @@ def exact_average(model: LocalModel, spec: BipartitionSpec) -> float:
     """Sector average of the subsystem entropy, exact finite-size sum.
 
     Absolute accuracy ~1e-12 (each block mean is digamma differences of
-    exact integers); raises on an empty sector.
+    exact integers); raises on an empty sector.  A one-cut `report`: 0 at
+    the trivial cuts V_A = 0 and V.
     """
-    budget.check_exact_work(model, (spec,), want_variance=False)
-    mean, _, _ = _sector_sums(model, spec, want_variance=False)
-    return mean
+    return report(model, (spec,), ("exact",))[0].exact_mean
 
 
 def exact_variance(model: LocalModel, spec: BipartitionSpec) -> VarianceEstimate:
     """Sector variance of the subsystem entropy, exact finite-size sum.
 
     The result decays like exp(-beta V) and may underflow; `log_value`
-    stays finite as long as the scaled numerator is positive.
+    stays finite as long as the scaled numerator is positive.  A one-cut
+    `report`: VarianceEstimate(0.0, None, 0.0) at the trivial cuts.
     """
-    budget.check_exact_work(model, (spec,), want_variance=True)
-    _, numerator, d_n = _sector_sums(model, spec, want_variance=True)
-    return _variance_estimate(numerator, d_n)
+    return report(model, (spec,), ("exact_variance",))[0].exact_variance
 
 
 def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
@@ -351,8 +349,9 @@ def _asymptotic_terms(saddles: _Saddles, V: float, f: float,
 
 
 def asymptotic_average(model: LocalModel, spec: BipartitionSpec) -> float:
-    """Value of the large-V mean decomposition for a concrete bipartition."""
-    return asymptotic_terms(model, spec.V, spec.f, spec.n).value
+    """Value of the large-V mean decomposition for a concrete bipartition,
+    as a one-cut `report` gives it: 0 at the trivial cuts V_A = 0 and V."""
+    return report(model, (spec,), ("asymptotic",))[0].asymptotic.value
 
 
 def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
@@ -373,7 +372,8 @@ def _resolved_average(saddles: _Saddles, V: float, f: float,
     sol = saddles.at(n, "resolved_average")
     value = sol.beta * f * V + 0.5 * (f + math.log1p(-f))
     if sol.beta1 != 0.0:
-        value += _x2_kernel(V, f, sol.beta, abs(sol.beta1), abs(sol.beta2))
+        value += _x2_kernel(V, abs(f - 0.5), sol.beta, abs(sol.beta1),
+                            abs(sol.beta2))
     star = saddles.star
     if star is not None:
         sol_star = saddles.at(star)
@@ -403,10 +403,10 @@ def _x1_kernel(lam_f: float, lam_n: float, beta_star: float,
     return 0.5 * (first + second)
 
 
-def _x2_kernel(V: float, f: float, beta: float, ab1: float,
+def _x2_kernel(V: float, df: float, beta: float, ab1: float,
                ab2: float) -> float:
-    """erfc crossover resolving the sqrt(V) deficit at f = 1/2."""
-    df = abs(f - 0.5)
+    """erfc crossover resolving the sqrt(V) deficit at f = 1/2, at the
+    offset df = |f - 1/2|."""
     arg = math.sqrt(2.0 * V * ab2) * df * beta / ab1
     gauss = math.exp(-2.0 * V * ab2 * df * df * beta * beta / (ab1 * ab1))
     return (V * df * beta * erfc(arg)
@@ -439,8 +439,8 @@ def _resolve_x2(saddles: _Saddles, V: float, f: float, n: float) -> float:
     sol = saddles.at(n, "resolve_x2")
     if sol.beta1 == 0.0:
         raise NumericalError("X2 is undefined at beta'(n) = 0 (n = n*)")
-    return _x2_kernel(V, _normalized_fraction(f), sol.beta, abs(sol.beta1),
-                      abs(sol.beta2))
+    return _x2_kernel(V, abs(_normalized_fraction(f) - 0.5), sol.beta,
+                      abs(sol.beta1), abs(sol.beta2))
 
 
 def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
@@ -452,20 +452,15 @@ def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
     the two edges, and 1 beyond both.
     """
     _, sol_star = _Saddles(model).peak()
-    beta_star = sol_star.beta
-    ab2 = abs(sol_star.beta2)
     if s < 1.0 - KRONECKER_TOL or t < 0.5 - KRONECKER_TOL:
         return 0.0
     s_edge = abs(s - 1.0) <= KRONECKER_TOL
     t_edge = abs(t - 0.5) <= KRONECKER_TOL
-    if s_edge and t_edge:
-        return _x1_kernel(lam_f, lam_n, beta_star, ab2)
-    if t_edge:  # s > 1: the f-delta has already sharpened
-        return exp_times_erfc(0.5 * lam_n * lam_n * ab2,
-                              math.sqrt(0.5 * ab2) * abs(lam_n))
-    if s_edge:  # t > 1/2: the n-delta has already sharpened
-        return math.exp(-2.0 * abs(lam_f) * beta_star)
-    return 1.0
+    if not (s_edge or t_edge):
+        return 1.0
+    # beyond an edge (s > 1 or t > 1/2) that delta has already sharpened
+    return _x1_kernel(lam_f if s_edge else 0.0, lam_n if t_edge else 0.0,
+                      sol_star.beta, abs(sol_star.beta2))
 
 
 def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
@@ -476,20 +471,14 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     deficit form on 1/2 < s <= 1, and the pure sqrt(V) deficit beyond.
     """
     sol = _Saddles(model).at(n, "x2_powerlaw")
-    beta = sol.beta
-    ab1 = abs(sol.beta1)
-    ab2 = abs(sol.beta2)
+    beta, ab1, ab2 = sol.beta, abs(sol.beta1), abs(sol.beta2)
     if ab1 == 0.0:
         raise NumericalError("X2 is undefined at beta'(n) = 0 (n = n*)")
     if s < 0.5 - KRONECKER_TOL:
         return 0.0
-    deficit = ab1 * math.sqrt(V / (_TWO_PI * ab2))
     if abs(s - 0.5) <= KRONECKER_TOL:
-        arg = math.sqrt(2.0 * ab2) * abs(lam_f) * beta / ab1
-        gauss = math.exp(-2.0 * ab2 * lam_f * lam_f * beta * beta
-                         / (ab1 * ab1))
-        return math.sqrt(V) * (abs(lam_f) * beta * erfc(arg)
-                               - ab1 * gauss / math.sqrt(_TWO_PI * ab2))
+        return _x2_kernel(V, abs(lam_f) / math.sqrt(V), beta, ab1, ab2)
+    deficit = ab1 * math.sqrt(V / (_TWO_PI * ab2))
     if s <= 1.0 + KRONECKER_TOL:
         return abs(lam_f) * V ** (1.0 - s) * beta - deficit
     return -deficit

@@ -110,6 +110,11 @@ def from_json(document) -> LocalModel:
             raise ConfigError(f"model document is not valid JSON: {exc}")
     if not isinstance(document, dict):
         raise ConfigError("model document must be a JSON object")
+    unknown = sorted(set(document) - {"label", "P", "Q", "charge_offset"})
+    if unknown:
+        raise ConfigError(f"model document has unknown key(s) "
+                          f"{', '.join(map(repr, unknown))}; it takes "
+                          f"label, P, Q and charge_offset")
     P, Q = document.get("P"), document.get("Q", [1])
     if not isinstance(P, list) or not isinstance(Q, list):
         raise ConfigError("model document needs integer lists P (and Q)")
@@ -249,6 +254,10 @@ def _poly_mul(p: Sequence, q: Sequence) -> list:
     return out
 
 
+def _derivative(p: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
 def _poly_divmod(p: Sequence, d: Sequence):
     """Quotient and remainder over the rationals (d trimmed, nonzero)."""
     rem = [Fraction(c) for c in p]
@@ -280,8 +289,7 @@ def _square_free_factors(Q: Sequence[int]) -> list[list[int]]:
     irreducible factors of multiplicity >= j; S_1 is the square-free part."""
     factors, rest = [], list(Q)
     while len(rest) > 1:
-        deriv = [i * c for i, c in enumerate(rest)][1:]
-        factors.append(_poly_div(rest, _poly_gcd(rest, deriv)))
+        factors.append(_poly_div(rest, _poly_gcd(rest, _derivative(rest))))
         rest = _poly_div(rest, factors[-1])
     return factors
 

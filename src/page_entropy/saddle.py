@@ -58,8 +58,7 @@ def solve_z0(model: LocalModel, n: float) -> float:
     if model.n_max is not None and n >= model.n_max:
         raise DomainError(f"filling n={n} is not below n_max={model.n_max}")
 
-    z = _bracketed_root(model, n)
-    return z
+    return _bracketed_root(model, n)
 
 
 def beta_family(model: LocalModel, n: float) -> SaddleSolution:
@@ -146,37 +145,24 @@ def _bracketed_root(model: LocalModel, n: float) -> float:
 
 
 def _initial_bracket(model: LocalModel, n: float):
-    if model.n_max is not None:
-        lo = hi = 1.0
-        count = 0
-        while _z_of(model, lo) >= n:
-            lo *= 0.25
-            count += 1
-            if count > _MAX_EXPANSIONS:
-                raise NumericalError("bracketing failed toward z = 0")
-        count = 0
-        while _z_of(model, hi) <= n:
-            hi *= 4.0
-            count += 1
-            if count > _MAX_EXPANSIONS:
-                raise NumericalError("bracketing failed toward z = inf")
-        return lo, hi
-
+    """(lo, hi) with Z(lo) < n < Z(hi): lo walks down from min(1, r/2) by
+    factors of 4, hi up from 1 by factors of 4, or toward a finite radius r
+    as r - (r/4) 4^-k (kept above lo)."""
     radius = model.radius
-    lo = 0.5 * radius
-    count = 0
-    while _z_of(model, lo) >= n:
-        lo *= 0.25
-        count += 1
-        if count > _MAX_EXPANSIONS:
-            raise NumericalError("bracketing failed toward z = 0")
-    gap = 0.25 * radius
-    hi = radius - gap
-    count = 0
-    while hi <= lo or _z_of(model, hi) <= n:
-        gap *= 0.25
-        hi = radius - gap
-        count += 1
-        if count > _MAX_EXPANSIONS:
-            raise NumericalError("bracketing failed toward the radius")
-    return lo, hi
+    lo = _walk(lambda k: math.ldexp(min(1.0, 0.5 * radius), -2 * k),
+               lambda z: _z_of(model, z) >= n, "z = 0")
+    if model.n_max is not None:
+        return lo, _walk(lambda k: math.ldexp(1.0, 2 * k),
+                         lambda z: _z_of(model, z) <= n, "z = inf")
+    return lo, _walk(lambda k: radius - math.ldexp(0.25 * radius, -2 * k),
+                     lambda z: z <= lo or _z_of(model, z) <= n, "the radius")
+
+
+def _walk(point, short, toward: str) -> float:
+    """point(k) at the first k = 0 .. _MAX_EXPANSIONS where `short` (the
+    point does not yet bracket n) is false; NumericalError if there is none."""
+    for k in range(_MAX_EXPANSIONS + 1):
+        z = point(k)
+        if not short(z):
+            return z
+    raise NumericalError(f"bracketing failed toward {toward}")

@@ -243,7 +243,8 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
 
     The window of `window` states is centered on the median eigenvalue
     index and grown (only) as needed so its edges never split a multiplet
-    degenerate within 1e-10.  Entropies use contiguous cuts [0, V_A).
+    degenerate within 1e-10.  Entropies use contiguous cuts [0, V_A); the
+    trivial cuts V_A = 0 and V report mean and std 0.0 with no SVD.
     """
     if window < 1:
         raise DomainError("window must be >= 1")
@@ -262,10 +263,13 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
 
     stats = []
     for v_a in cuts:
-        blocks, perm = _cut_blocks(ham.basis, v_a)
-        entropies = entropy_of_block_vector(blocks, states[perm, lo:hi])
-        mean = float(np.mean(entropies))
-        std = float(np.std(entropies, ddof=1)) if len(entropies) > 1 else 0.0
+        mean = std = 0.0  # at V_A = 0 or V, as in `entropy.report`
+        if 0 < v_a < ham.V:
+            blocks, perm = _cut_blocks(ham.basis, v_a)
+            entropies = entropy_of_block_vector(blocks, states[perm, lo:hi])
+            mean = float(np.mean(entropies))
+            if len(entropies) > 1:
+                std = float(np.std(entropies, ddof=1))
         stats.append(CutEntropies(V_A=v_a, f=v_a / ham.V, mean=mean, std=std))
     return MidSpectrumReport(kind=ham.kind, V=ham.V, N=ham.N, dim=dim,
                              window_lo=lo, window_hi=hi, cuts=tuple(stats))

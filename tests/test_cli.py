@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import page_entropy.budget as budget
 import page_entropy.cli as cli
 import page_entropy.entropy as entropy
 import page_entropy.haar_sampler as haar_sampler
 import page_entropy.numerics as numerics
+import page_entropy.spectra as spectra
 from page_entropy.errors import NumericalError
 from page_entropy.local_model import catalog, parse_model, product
 
@@ -326,6 +328,51 @@ def test_exact_sums_refused_up_front(capsys):
     assert code == 0 and len(parse_csv(out)[1]) == 5
 
 
+def test_asymptotic_sweeps_refused_before_any_saddle(capsys, monkeypatch):
+    solves = []
+    monkeypatch.setattr(entropy, "beta_family",
+                        lambda *args: solves.append(args))
+    refused = {
+        # 19 us a cut measured: about 76 s; as JSON about twice that
+        ("page", "--model", "spin_j:1", "--V", "4000000", "--n", "1",
+         "--methods", "asymptotic"): "4000001 cuts estimated at 76 s",
+        ("page", "--model", "spin_j:1", "--V", "2000000", "--n", "1",
+         "--methods", "asymptotic", "--format", "json"):
+            "2000001 cuts estimated at 76 s",
+        ("variance", "--model", "fermions", "--V", "10" * 20, "--n", "0.5"):
+            "1010101010101010101010101010101010101011 cuts estimated at",
+    }
+    for argv, message in refused.items():
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4 and message in err and "above the 60 s budget" in err
+        assert time.perf_counter() - start < 1.0
+    assert solves == []
+    # the benchmark's 4001-cut sweep is estimated far inside the budget
+    assert 4001 * budget.cut_seconds(3, as_json=False) < 1.0
+
+
+def test_beta_grid_refused_before_it_is_built(capsys, monkeypatch, tmp_path):
+    solves = []
+    monkeypatch.setattr(cli, "beta_family", lambda *args: solves.append(args))
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid": "0:1:100000000"}))
+    refused = {
+        # 50 us a filling; the grid alone would hold 1e8 floats
+        ("beta", "--model", "fermions", "--grid", "0:1:100000000"):
+            "saddle solves at 100000002 fillings estimated at 5250 s",
+        ("--config", str(cfg), "beta", "--model", "fermions"):
+            "saddle solves at 100000002 fillings estimated at 5250 s",
+        # 2.5 us per degree: 0.25 s a filling at degree 1e5
+        ("beta", "--model", "capped_bosons:100000", "--grid", "0:1:300"):
+            "saddle solves at 302 fillings estimated at 76 s",
+    }
+    for argv, message in refused.items():
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 4 and message in err and "above the 60 s budget" in err
+    assert solves == []
+
+
 def test_oversized_mc_runs_refused_up_front(capsys):
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "4",
@@ -471,6 +518,24 @@ def test_ed_bose_hubbard(capsys):
     _, rows = parse_csv(out)
     assert len(rows) == 1 and "U=2.25" in rows[0][5]
     assert float(rows[0][2]) > 0.0
+
+
+@pytest.mark.parametrize("chain", [
+    ("--model", "spin1_xxz", "--V", "6", "--N", "6", "--lambda", "0",
+     "--Delta", "0.55", "--VA", "0,6"),
+    ("--model", "bose_hubbard", "--V", "6", "--N", "5", "--U", "2.25",
+     "--nmax", "2", "--VA", "0,6")])
+def test_ed_trivial_cuts_print_exact_zeros(capsys, monkeypatch, chain):
+    svds = []
+    monkeypatch.setattr(spectra, "entropy_of_block_vector",
+                        lambda *args: svds.append(args))
+    code, out, _ = run_cli(capsys, "ed", *chain)
+    assert code == 0
+    _, rows = parse_csv(out)
+    # S = 0 exactly, as `page` reports it, not an SVD's roundoff
+    assert [row[:4] for row in rows] == [["0", "0", "0", "0"],
+                                         ["6", "1", "0", "0"]]
+    assert svds == []
 
 
 def test_config_file_merge(capsys, tmp_path):

@@ -11,7 +11,8 @@ import page_entropy.budget as budget
 import page_entropy.entropy as entropy
 from page_entropy.budget import check_exact_work, exact_work_seconds
 from page_entropy.dimensions import dim_fixed_n, dim_table
-from page_entropy.entropy import (BipartitionSpec, exact_average,
+from page_entropy.entropy import (BipartitionSpec, VarianceEstimate,
+                                  asymptotic_average, exact_average,
                                   exact_variance, gaussian_moments, report,
                                   rho_weight)
 from page_entropy.errors import DomainError, InfeasibleSizeError
@@ -238,6 +239,21 @@ def test_report_panel_and_errors():
         exact_average(m, BipartitionSpec(4, 9, 2))  # empty sector
     with pytest.raises(ValueError):
         BipartitionSpec(4, 2, 5)  # V_A out of range
+
+
+@pytest.mark.parametrize("model, V, N", [
+    (catalog("fermions"), 12, 5), (catalog("bosons"), 9, 7),
+    (catalog("spin_j", 1), 20, 10)])
+def test_single_cut_calls_read_a_one_cut_report(model, V, N):
+    for v_a in range(V + 1):  # the trivial cuts 0 and V too
+        spec = BipartitionSpec(V, N, v_a)
+        [rep] = report(model, [spec])
+        assert exact_average(model, spec) == rep.exact_mean
+        assert exact_variance(model, spec) == rep.exact_variance
+        assert asymptotic_average(model, spec) == rep.asymptotic.value
+    # the one path gives 0, not a roundoff residue, at a trivial cut
+    assert exact_variance(catalog("spin_j", 1), BipartitionSpec(20, 10, 0)) \
+        == VarianceEstimate(0.0, None, 0.0)
 
 
 def test_exact_sums_refused_before_any_table():

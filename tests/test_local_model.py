@@ -201,6 +201,10 @@ def test_json_rejects_malformed_documents():
         from_json({"P": [1, 1], "Q": "1 - z"})
     with pytest.raises(ConfigError):
         from_json("{not json")
+    with pytest.raises(ConfigError, match="'Q '"):
+        from_json({"P": [1, 1], "nmax": 3, "Q ": [1, -1]})
+    with pytest.raises(ConfigError, match="'Q ', 'nmax'"):
+        from_json('{"P": [1, 1], "nmax": 3, "Q ": [1, -1]}')
 
 
 def test_product_convolves():

@@ -6,9 +6,11 @@ import random
 import mpmath as mp
 import pytest
 
+from page_entropy import saddle
 from page_entropy.dimensions import dim_fixed_n
-from page_entropy.errors import DomainError
-from page_entropy.local_model import catalog, eval_zeta, product
+from page_entropy.errors import DomainError, NumericalError
+from page_entropy.local_model import (catalog, eval_zeta, parse_model,
+                                      product)
 from page_entropy.numerics import ln_big
 from page_entropy.saddle import (beta_family, ln_dim_asymptotic, n_star,
                                  solve_z0)
@@ -158,6 +160,29 @@ def test_boundary_snap():
         beta_family(m, 1.5)
     with pytest.raises(DomainError):
         beta_family(m, -0.2)
+
+
+@pytest.mark.parametrize("name, n, probes, message", [
+    # a failing walk probes k = 0 .. limit (here 3), after the lower
+    # walk's successful probes: z(1) = n* for spin-1, z(r / 2) = 1 for bosons
+    ("spin_j:1", 1e-8, [1.0, 4.0 ** -1, 4.0 ** -2, 4.0 ** -3], "toward z = 0"),
+    ("spin_j:1", 2.0 - 1e-6, [1.0, 1.0, 4.0, 16.0, 64.0], "toward z = inf"),
+    ("bosons", 1e-8, [0.5, 0.125, 0.03125, 0.0078125], "toward z = 0"),
+    ("bosons", 1e6, [0.5, 0.75, 0.9375, 0.984375, 0.99609375],
+     "toward the radius"),
+])
+def test_bracket_walk_stops_at_its_limit(monkeypatch, name, n, probes,
+                                         message):
+    calls = []
+
+    def counted(model, z):
+        calls.append(z)
+        return eval_zeta(model, z)
+    monkeypatch.setattr(saddle, "_MAX_EXPANSIONS", 3)
+    monkeypatch.setattr(saddle, "eval_zeta", counted)
+    with pytest.raises(NumericalError, match=f"bracketing failed {message}"):
+        solve_z0(parse_model(name), n)
+    assert calls == probes
 
 
 def test_nstar_values_and_maximum():
