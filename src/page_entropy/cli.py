@@ -20,6 +20,7 @@ import io
 import json
 import math
 import sys
+from operator import attrgetter
 
 from . import budget
 from . import entropy as ent
@@ -32,13 +33,35 @@ from .saddle import beta_family, n_star
 from .spectra import build_bose_hubbard, build_spin1_xxz, \
     mid_spectrum_entropies
 
-_PAGE_METHODS = ("exact", "asymptotic", "resolved", "exact_var", "asym_var")
+# page column -> (its `entropy.report` key, the EntropyReport attribute)
+_PAGE_COLUMNS = {
+    "exact": ("exact", "exact_mean"),
+    "asymptotic": ("asymptotic", "asymptotic.value"),
+    "resolved": ("resolved", "resolved"),
+    "exact_var": ("exact_variance", "exact_variance.value"),
+    "asym_var": ("asymptotic_variance", "asymptotic_variance.value"),
+}
+_PAGE_METHODS = tuple(_PAGE_COLUMNS)
+_PAGE_COLUMNS["variance"] = _PAGE_COLUMNS["exact_var"]  # an alias
 
-# column name -> EntropyReport method key
-_METHOD_KEYS = {
-    "exact": "exact", "asymptotic": "asymptotic", "resolved": "resolved",
-    "exact_var": "exact_variance", "asym_var": "asymptotic_variance",
-    "variance": "exact_variance",
+
+def _entry(attribute, *fields):
+    """rep -> one EntropyReport attribute, or a dict of its `fields`."""
+    value = attrgetter(attribute)
+    if not fields:
+        return value
+    cells = attrgetter(*fields)
+    return lambda rep: dict(zip(fields, cells(value(rep))))
+
+
+# report key -> its page-JSON entry
+_PAGE_JSON = {
+    "exact": _entry("exact_mean"),
+    "asymptotic": _entry("asymptotic", "a", "b", "c", "value"),
+    "resolved": _entry("resolved"),
+    "exact_variance": _entry("exact_variance", "value", "log_value"),
+    "asymptotic_variance": _entry("asymptotic_variance", "value", "prefactor",
+                                  "exponent", "log_value"),
 }
 
 
@@ -72,7 +95,7 @@ class _CommaList:
 
 
 def _method(text):
-    if text not in _METHOD_KEYS:
+    if text not in _PAGE_COLUMNS:
         raise argparse.ArgumentTypeError(
             f"unknown method {text!r}; choose from {', '.join(_PAGE_METHODS)}"
             " (variance is an alias of exact_var)")
@@ -295,58 +318,19 @@ def _cmd_page(merged):
     N = _get_particles(merged, V)
     methods = merged.get("methods") or _PAGE_METHODS
     specs = _get_cut_specs(merged, V, N, len(methods))
-    header = ["V_A", "f"] + list(methods)
-    keys = tuple(dict.fromkeys(_METHOD_KEYS[m] for m in methods))
-    reports = ent.report(model, specs, keys)
-    rows = [[rep.V_A, rep.f] + [_report_value(rep, _METHOD_KEYS[method])
-                                for method in methods] for rep in reports]
-    meta = {"model": model.label, "V": V, "N": N}
-    result = {"header": header, "rows": rows, "meta": meta}
-    if merged.get("format") == "json":
-        result["json_doc"] = _page_json(reports, meta)
-    return result
-
-
-def _report_value(rep, key):
-    if key == "exact":
-        return rep.exact_mean
-    if key == "asymptotic":
-        return rep.asymptotic.value
-    if key == "resolved":
-        return rep.resolved
-    if key == "exact_variance":
-        return rep.exact_variance.value
-    return rep.asymptotic_variance.value
-
-
-def _page_json(reports, meta):
-    doc = dict(meta)
-    doc["rows"] = []
-    for rep in reports:
-        entry = {"V_A": rep.V_A, "f": rep.f}
-        if rep.exact_mean is not None:
-            entry["exact"] = rep.exact_mean
-        if rep.asymptotic is not None:
-            entry["asymptotic"] = {
-                "a": rep.asymptotic.a, "b": rep.asymptotic.b,
-                "c": rep.asymptotic.c, "value": rep.asymptotic.value,
-            }
-        if rep.resolved is not None:
-            entry["resolved"] = rep.resolved
-        if rep.exact_variance is not None:
-            entry["exact_variance"] = {
-                "value": rep.exact_variance.value,
-                "log_value": rep.exact_variance.log_value,
-            }
-        if rep.asymptotic_variance is not None:
-            entry["asymptotic_variance"] = {
-                "value": rep.asymptotic_variance.value,
-                "prefactor": rep.asymptotic_variance.prefactor,
-                "exponent": rep.asymptotic_variance.exponent,
-                "log_value": rep.asymptotic_variance.log_value,
-            }
-        doc["rows"].append(entry)
-    return doc
+    wanted = {_PAGE_COLUMNS[method][0] for method in methods}
+    keys = [key for key in _PAGE_JSON if key in wanted]
+    reports = ent.report(model, specs, tuple(keys))
+    if merged.get("format") == "json":  # a row entry per report key
+        header = ["V_A", "f"] + keys
+        rows = [[rep.V_A, rep.f] + [_PAGE_JSON[key](rep) for key in keys]
+                for rep in reports]
+    else:
+        header = ["V_A", "f"] + list(methods)
+        cells = attrgetter("V_A", "f", *(_PAGE_COLUMNS[m][1] for m in methods))
+        rows = [cells(rep) for rep in reports]
+    return {"header": header, "rows": rows,
+            "meta": {"model": model.label, "V": V, "N": N}}
 
 
 def _cmd_scaling(merged):
@@ -359,7 +343,10 @@ def _cmd_scaling(merged):
         raise ConfigError(f"--f must lie in (0, 1); got {f}")
     specs = []
     for V in sizes:
-        v_a = f * V
+        try:
+            v_a = f * V
+        except OverflowError:
+            raise ConfigError(f"f*V overflows a float at V={V}") from None
         if abs(v_a - round(v_a)) > 1e-9:
             raise ConfigError(f"f*V must be an integer for the exact sum; "
                               f"f={f}, V={V}")
@@ -411,26 +398,34 @@ def _cmd_mc(merged):
             "meta": {}, "json_doc": doc, "default_format": "json"}
 
 
+# ed chain -> the coupling flags it reads; the other chain's are refused
+_ED_FLAGS = {"spin1_xxz": ("lambda", "Delta"), "bose_hubbard": ("U", "nmax")}
+
+
 def _cmd_ed(merged):
     kind = _require(merged, "model")
     V = _require(merged, "V")
     N = _get_particles(merged, V)
     window = merged.get("window") or 100
     cuts = _get_cuts(merged, V, range(V // 2 + 1))
+    if kind not in _ED_FLAGS:
+        raise ConfigError("--model must be spin1_xxz or bose_hubbard "
+                          "for the ed command")
+    stray = [f"--{flag}" for chain, flags in _ED_FLAGS.items() if chain != kind
+             for flag in flags if merged.get(_dest(flag)) is not None]
+    if stray:
+        raise ConfigError(f"{kind} takes no {', '.join(stray)}")
     if kind == "spin1_xxz":
         lam = merged.get("lam")
         delta = merged.get("Delta")
         if lam is None or delta is None:
             raise ConfigError("spin1_xxz needs --lambda and --Delta")
         ham = build_spin1_xxz(V, M=N - V, lam=lam, delta=delta)
-    elif kind == "bose_hubbard":
+    else:
         U = merged.get("U")
         if U is None:
             raise ConfigError("bose_hubbard needs --U")
         ham = build_bose_hubbard(V, N, U=U, n_max=merged.get("nmax"))
-    else:
-        raise ConfigError("--model must be spin1_xxz or bose_hubbard "
-                          "for the ed command")
     rep = mid_spectrum_entropies(ham, window, cuts)
     params = ";".join(f"{k}={v}" for k, v in sorted(ham.couplings.items()))
     header = ["V_A", "f", "mean_S", "std_S", "window", "params"]
@@ -480,20 +475,24 @@ def render_json(result) -> str:
     doc = result.get("json_doc")
     if doc is None:
         doc = dict(result.get("meta", {}))
-        doc["rows"] = [
-            {name: _json_cell(cell)
-             for name, cell in zip(result["header"], row)}
-            for row in result["rows"]
-        ]
-    return json.dumps(doc, indent=2, default=_json_cell) + "\n"
+        doc["rows"] = [dict(zip(result["header"], row))
+                       for row in result["rows"]]
+    _json_exact(doc)  # a cycle would not get past it: no encoder check
+    return json.dumps(doc, indent=2, check_circular=False) + "\n"
 
 
-def _json_cell(value):
-    if isinstance(value, float) and (math.isinf(value) or math.isnan(value)):
-        return _format_cell(value)
-    if isinstance(value, int) and abs(value) >= 2 ** 53:
-        return str(value)  # keep exactness past double precision
-    return value
+def _json_exact(doc) -> None:
+    """Make `doc` exact as JSON, in place through its dicts and lists:
+    every non-finite float becomes its CSV text and every int of magnitude
+    2^53 or more, which a double would round, a decimal string."""
+    for key, value in doc.items() if type(doc) is dict else enumerate(doc):
+        kind = type(value)
+        if kind is dict or kind is list:
+            _json_exact(value)
+        elif kind is float and not math.isfinite(value):
+            doc[key] = _format_cell(value)
+        elif kind is int and not -2 ** 53 < value < 2 ** 53:
+            doc[key] = str(value)
 
 
 def _emit(result, merged):

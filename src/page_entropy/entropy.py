@@ -521,27 +521,20 @@ def y_exponent(model: LocalModel, f: float, n: float, n_a: float) -> float:
 def n_crit(model: LocalModel, f: float, n: float) -> float:
     """Filling n_A where the dominant side of the cut flips (root of Y).
 
-    Linearized forms: away from the peak, f n - (f - 1/2) beta / beta';
-    at the peak (beta' ~ 0), the curvature form through beta(n*).  Exactly
-    at f = 1/2 the root is f n by symmetry.
+    Linearized form f n - (f - 1/2) beta / beta'; exactly at f = 1/2 the
+    root is f n by symmetry.  Where |beta'(n)| <= 1e-9 (at the peak n*)
+    the form lands far outside [0, n_max], and NumericalError is raised.
     """
     if not 0.0 < f <= 0.5 + KRONECKER_TOL:
         raise DomainError("n_crit is defined for 0 < f <= 1/2; "
                           "use symmetry for the other half")
     if abs(f - 0.5) < KRONECKER_TOL:
         return f * n
-    saddles = _Saddles(model)
-    sol = saddles.at(n, "n_crit")
-    if abs(sol.beta1) > 1e-9:
-        return f * n - (f - 0.5) * sol.beta / sol.beta1
-    star = saddles.star
-    if star is None:
-        raise NumericalError("n_crit: beta' = 0 without a finite n_max")
-    if abs(n - star) < 1e-9:
-        raise NumericalError("n_crit falls outside the Gaussian window: "
-                             "beta' and n - n* vanish together at f != 1/2")
-    sol_star = saddles.at(star)
-    return f * n + (f - 0.5) * sol_star.beta / (abs(sol_star.beta2) * (n - star))
+    sol = _Saddles(model).at(n, "n_crit")
+    if abs(sol.beta1) <= 1e-9:
+        raise NumericalError(f"n_crit is undefined where beta'(n) vanishes "
+                             f"at f != 1/2 (n={n})")
+    return f * n - (f - 0.5) * sol.beta / sol.beta1
 
 
 # -- variance ----------------------------------------------------------------
@@ -613,13 +606,17 @@ def distinguishable_asymptotic(V: float, N: float,
 
 # -- combined report ----------------------------------------------------------
 
+# the panel entries `report` computes, by method key
+METHODS = ("exact", "asymptotic", "resolved", "exact_variance",
+           "asymptotic_variance")
+
+
 def report(model: LocalModel, specs,
-           methods: tuple[str, ...] = ("exact", "asymptotic", "resolved",
-                                       "exact_variance",
-                                       "asymptotic_variance")
-           ) -> list[EntropyReport]:
+           methods: tuple[str, ...] = METHODS) -> list[EntropyReport]:
     """The requested mean/variance panel of every cut in `specs`, the
-    bipartitions of one request, in their order.
+    bipartitions of one request, in their order; a method key outside
+    METHODS is refused (DomainError), and so is an asymptotic method where
+    V (or V^1.5, for the variance) overflows a double.
 
     Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
     or its complement is trivial.
@@ -631,6 +628,10 @@ def report(model: LocalModel, specs,
     curve is one call, and each panel equals that of a call with its cut
     alone.
     """
+    unknown = [key for key in methods if key not in METHODS]
+    if unknown:
+        raise DomainError(f"unknown report method(s) {', '.join(unknown)}; "
+                          f"choose from {', '.join(METHODS)}")
     specs = list(specs)
     want_variance = "exact_variance" in methods
     if want_variance or "exact" in methods:
@@ -651,17 +652,24 @@ def report(model: LocalModel, specs,
         exact_mean = asym = resolved = exact_var = asym_var = None
         if "exact" in methods:
             exact_mean = 0.0 if boundary else exact_sums(spec)[0]
-        if "asymptotic" in methods:
-            asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
-                    if boundary else _asymptotic_terms(saddles, V, f, n))
-        if "resolved" in methods:
-            resolved = 0.0 if boundary else _resolved_average(saddles, V, f, n)
         if want_variance:
             exact_var = (VarianceEstimate(0.0, None, 0.0) if boundary
                          else _variance_estimate(*exact_sums(spec)[1:]))
-        if "asymptotic_variance" in methods:
-            asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None) if boundary
-                        else _asymptotic_variance(saddles, V, f, n))
+        try:  # float(V) first: past the float range, V_A / V underflows
+            if "asymptotic" in methods:
+                asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
+                        if boundary
+                        else _asymptotic_terms(saddles, float(V), f, n))
+            if "resolved" in methods:
+                resolved = (0.0 if boundary
+                            else _resolved_average(saddles, float(V), f, n))
+            if "asymptotic_variance" in methods:
+                asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None)
+                            if boundary
+                            else _asymptotic_variance(saddles, float(V), f, n))
+        except OverflowError:
+            raise DomainError(f"the asymptotic forms overflow the float range "
+                              f"at V={V}") from None
         reports.append(EntropyReport(
             V=V, N=spec.N, V_A=spec.V_A, f=f, n=n, exact_mean=exact_mean,
             asymptotic=asym, resolved=resolved, exact_variance=exact_var,

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dimensions import extended_binomial_closed
 from .errors import DomainError, InfeasibleSizeError
 from .haar_sampler import SectorBlock, entropy_of_block_vector
 
@@ -86,21 +85,23 @@ class MidSpectrumReport:
 def _occupation_basis(V: int, N: int, cap: int) -> np.ndarray:
     """All occupation rows of length V summing to N with n_i <= cap.
 
-    Returns a read-only (dim, V) int64 array in lexicographic order.  The
-    sector is counted in closed form first, so an empty or oversized one
-    is refused before any state is enumerated.
+    Returns a read-only (dim, V) int64 array in lexicographic order.  It is
+    built one site at a time from the feasible prefixes, each of which
+    extends to at least one state, so a level with more than MAX_DENSE_DIM
+    prefixes refuses the sector before any of them is stored.  More than
+    MAX_DENSE_DIM sites are refused first: a sector with more than one
+    state has at least V, the distinct translates of its packed occupation
+    (full sites, then the remainder, then empty sites).
     """
-    dim = 1 if N == 0 else extended_binomial_closed(V, N, cap)
-    if dim == 0:
-        raise DomainError(f"empty sector: V={V}, N={N}, cap={cap}")
-    if dim > MAX_DENSE_DIM:
-        size = dim if dim < 2 ** 64 else f"above 2^{dim.bit_length() - 1}"
-        raise InfeasibleSizeError(f"sector dimension {size} exceeds "
-                                  f"dense limit {MAX_DENSE_DIM}")
+    if V > MAX_DENSE_DIM:
+        raise InfeasibleSizeError(f"V={V} sites exceed the dense limit "
+                                  f"{MAX_DENSE_DIM}")
     if N >= _MAX_PARTICLES:
         # int64 occupations: products and sums of two occupations stay exact
         raise InfeasibleSizeError(f"N={N} particles exceed the occupation "
                                   f"limit 2^31")
+    if N > cap * V:
+        raise DomainError(f"empty sector: V={V}, N={N}, cap={cap}")
     # one level per site: every feasible prefix and its last digit, in
     # lexicographic order (np.repeat keeps each prefix's digits together)
     parents, digits = [], []
@@ -109,12 +110,16 @@ def _occupation_basis(V: int, N: int, cap: int) -> np.ndarray:
         # leave enough capacity for the remaining sites
         lo = np.maximum(0, left - cap * (sites_left - 1))
         count = np.minimum(cap, left) - lo + 1
+        if count.sum() > MAX_DENSE_DIM:  # the dimension is at least that
+            raise InfeasibleSizeError(f"sector dimension exceeds dense "
+                                      f"limit {MAX_DENSE_DIM}")
         parent = np.repeat(np.arange(left.size), count)
         start = np.cumsum(count) - count
         digit = lo[parent] + np.arange(parent.size) - start[parent]
         parents.append(parent)
         digits.append(digit)
         left = left[parent] - digit
+    dim = left.size
     occ = np.empty((dim, V), dtype=np.int64)
     row = np.arange(dim)
     for site in range(V - 1, -1, -1):

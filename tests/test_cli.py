@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -425,28 +426,29 @@ def _independent_output(argv, name, V, N, cuts):
     if command == "page":
         methods = (argv[argv.index("--methods") + 1].split(",")
                    if "--methods" in argv else list(cli._PAGE_METHODS))
-        keys = tuple(dict.fromkeys(cli._METHOD_KEYS[m] for m in methods))
-        header = ["V_A", "f"] + methods
+        wanted = {cli._PAGE_COLUMNS[m][0] for m in methods}
+        keys = [key for key in cli._PAGE_JSON if key in wanted]
     else:
-        keys = ("exact_variance", "asymptotic_variance")
+        keys = ["exact_variance", "asymptotic_variance"]
         header = ["V_A", "f", "exact_variance", "log_exact_variance",
                   "asymptotic_variance", "log_asymptotic_variance"]
     reports = [entropy.report(model, [entropy.BipartitionSpec(V, N, v_a)],
-                              keys)[0]
+                              tuple(keys))[0]
                for v_a in (range(V + 1) if cuts is None else cuts)]
-    if command == "page":
-        rows = [[rep.V_A, rep.f] + [cli._report_value(rep, cli._METHOD_KEYS[m])
+    if command == "page" and fmt == "json":
+        header = ["V_A", "f"] + keys
+        rows = [[rep.V_A, rep.f] + [cli._PAGE_JSON[key](rep) for key in keys]
+                for rep in reports]
+    elif command == "page":
+        header = ["V_A", "f"] + methods
+        rows = [[rep.V_A, rep.f] + [attrgetter(cli._PAGE_COLUMNS[m][1])(rep)
                                     for m in methods] for rep in reports]
     else:
         rows = [[rep.V_A, rep.f, rep.exact_variance.value,
                  rep.exact_variance.log_value, rep.asymptotic_variance.value,
                  rep.asymptotic_variance.log_value] for rep in reports]
     result = {"header": header, "rows": rows, "meta": meta}
-    if fmt == "csv":
-        return cli.render_csv(result)
-    if command == "page":
-        result["json_doc"] = cli._page_json(reports, meta)
-    return cli.render_json(result)
+    return cli.render_csv(result) if fmt == "csv" else cli.render_json(result)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -478,6 +480,74 @@ def test_full_sweep_solves_each_saddle_and_mirrored_cut_once(capsys,
     assert calls["dim_table"] == 2 * 20  # two tables per cut V_A <= V/2
 
 
+# flag values of the CLI fuzz test: sizes from a small band or far beyond
+# any budget (medium sizes run within the budget, for seconds), and reals
+_FUZZ_HUGE = st.sampled_from([2 ** 53 + 1, 10 ** 30, 10 ** 400])
+_FUZZ_REALS = st.sampled_from(["0.5", "0.25", "1", "2.25", "0", "1e-300",
+                               "1e300", "-1"])
+_FUZZ_MODELS = ["fermions", "bosons", "spin_j:1", "capped_bosons:3",
+                "hardcore_bosons_2species", "bosons_2species_ordered"]
+_FUZZ_FLAGS = {command: cli._build_parser().parse_args([command]).flags
+               for command in ("beta", "page", "scaling", "variance", "mc",
+                               "ed", "dims")}
+_FUZZ_OPTIONAL = {"VA", "methods", "window", "seed", "nmax", "format"}
+_OTHER_CHAIN = {"spin1_xxz": ("U", "nmax"),
+                "bose_hubbard": ("lambda", "Delta")}
+
+
+@st.composite
+def fuzz_requests(draw):
+    """argv of one subcommand with a random value for each of its flags but
+    --out.  An optional flag is given half the time, the other ed chain's
+    couplings 1 time in 4, one of --N and --n mostly alone, and every other
+    flag always, unless it is the one flag a request drops 1 time in 4."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    # ed sizes stay small enough for a dense eigh well inside a second
+    small = st.integers(-1, 6 if command == "ed" else 12)
+    size = st.one_of(small, small, small, _FUZZ_HUGE).map(str)
+    sizes = st.lists(size, min_size=1,
+                     max_size=1 if command == "mc" else 3).map(",".join)
+    values = {
+        "model": st.sampled_from(["spin1_xxz", "bose_hubbard"]
+                                 if command == "ed" else _FUZZ_MODELS),
+        "n": _FUZZ_REALS, "f": _FUZZ_REALS, "lambda": _FUZZ_REALS,
+        "Delta": _FUZZ_REALS, "U": _FUZZ_REALS, "VA": sizes,
+        "V-list": sizes, "format": st.sampled_from(["csv", "json"]),
+        "grid": st.tuples(_FUZZ_REALS, _FUZZ_REALS, size).map(":".join),
+        "methods": st.lists(st.sampled_from(list(cli._PAGE_COLUMNS)),
+                            min_size=1, max_size=3).map(",".join),
+    }
+    flags = _FUZZ_FLAGS[command]
+    dropped = draw(st.sampled_from(flags + [None] * 3 * len(flags)))
+    particles = draw(st.sampled_from(["N", "n", "N", "n", "Nn", ""]))
+    argv, model = [command], None
+    for flag in flags:  # --model comes first
+        if flag in ("N", "n"):
+            chance = 4 if flag in particles else 0
+        elif flag in _OTHER_CHAIN.get(model, ()):
+            chance = 1
+        elif flag in _FUZZ_OPTIONAL and (command, flag) != ("mc", "VA"):
+            chance = 2
+        else:
+            chance = 0 if flag in ("out", dropped) else 4
+        if draw(st.integers(0, 3)) < chance:
+            text = draw(values.get(flag, size))
+            model = text if flag == "model" else model
+            argv.append(f"--{flag}={text}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fuzz_requests())
+def test_cli_fuzz_exits_with_a_documented_code_in_time(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert time.perf_counter() - start < 2.0, argv
+
+
 def test_ed_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "ed", "--model", "spin1_xxz", "--V", "6",
                            "--N", "6", "--lambda", "0", "--Delta", "0.55",
@@ -503,11 +573,41 @@ def test_oversized_ed_sectors_refused_up_front(capsys):
                   "--lambda", "0", "--Delta", "1"),
                  # a dimension with more decimal digits than str() prints
                  ("ed", "--model", "bose_hubbard", "--V", "20000", "--N",
-                  "20000", "--U", "1")):
+                  "20000", "--U", "1"),
+                 # more sites than the dense limit, even for one state
+                 ("ed", "--model", "spin1_xxz", "--V", "20000", "--N", "0",
+                  "--lambda", "0", "--Delta", "1"),
+                 ("ed", "--model", "spin1_xxz", "--V", str(10 ** 30), "--N",
+                  str(2 ** 53 + 1), "--lambda", "0", "--Delta", "1"),
+                 ("ed", "--model", "spin1_xxz", "--V", str(10 ** 30), "--N",
+                  str(10 ** 30), "--lambda", "0", "--Delta", "1"),
+                 ("ed", "--model", "bose_hubbard", "--V", str(2 ** 53 + 1),
+                  "--N", "0", "--U", "1"),
+                 # 2^20 + 1 occupations of the first site alone
+                 ("ed", "--model", "bose_hubbard", "--V", "4000", "--N",
+                  "2147483647", "--nmax", "1048576", "--U", "1")):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, *argv)
         assert code == 4 and "dense limit" in err
         assert time.perf_counter() - start < 2.0
+
+
+def test_ed_refuses_the_other_chains_flags(capsys, tmp_path):
+    spin = ("ed", "--model", "spin1_xxz", "--V", "4", "--N", "4",
+            "--lambda", "0", "--Delta", "1")
+    bose = ("ed", "--model", "bose_hubbard", "--V", "4", "--N", "2",
+            "--U", "1")
+    for argv, extra, config, named in (
+            (spin, ("--U", "1", "--nmax", "2"), {}, "--U, --nmax"),
+            (spin, (), {"nmax": 2}, "--nmax"),
+            (bose, ("--lambda", "5", "--Delta", "3"), {}, "--lambda, --Delta"),
+            (bose, (), {"Delta": 3}, "--Delta")):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv,
+                                 *extra)
+        assert (code, out) == (2, "") and f"takes no {named}" in err, err
+        assert argv[2] in err
 
 
 def test_ed_bose_hubbard(capsys):
@@ -610,6 +710,30 @@ def test_out_file_and_big_int_json(capsys, tmp_path):
     assert isinstance(cell, str) and int(cell) == math.comb(64, 32)
     small = doc["rows"][1]["d_N"]
     assert isinstance(small, int) and small == 64
+
+
+def test_every_json_document_keeps_big_ints_and_infinities_as_text(capsys):
+    big = 10 ** 20
+    code, out, _ = run_cli(capsys, "page", "--model", "fermions", "--V",
+                           str(big), "--N", str(big // 2), "--VA", "7",
+                           "--methods", "asymptotic", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["V"], doc["N"]) == (str(big), str(big // 2))
+    assert doc["rows"][0]["V_A"] == 7
+    code, out, _ = run_cli(capsys, "mc", "--model", "fermions", "--V", "6",
+                           "--N", "3", "--VA", "3", "--samples", "4",
+                           "--seed", str(big))
+    assert code == 0 and json.loads(out)["seed"] == str(big)
+    # 2^53 - 1 is exact as a double, 2^53 is the first int printed as text
+    for seed, cell in ((2 ** 53 - 1, 2 ** 53 - 1), (2 ** 53, str(2 ** 53))):
+        code, out, _ = run_cli(capsys, *_MC, "--samples", "1", "--seed",
+                               str(seed))
+        assert code == 0 and json.loads(out)["seed"] == cell
+    # the boundary rows of an unbounded model's saddle family
+    code, out, _ = run_cli(capsys, "beta", "--model", "bosons", "--grid",
+                           "0:1:2", "--format", "json")
+    assert code == 0 and '"inf"' in out and "Infinity" not in out
 
 
 def test_grid_validation(capsys):
@@ -782,7 +906,16 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
             (("page", "--model", "bosons", "--V", "10", "--n", "1e308",
               "--methods", "asymptotic"), 2, "float range"),
             (("scaling", "--model", "bosons", "--f", "0.5", "--n", "1e308",
-              "--V-list", "10"), 2, "float range")):
+              "--V-list", "10"), 2, "float range"),
+            # asymptotic columns whose V, V^1.5 or f V overflow a float
+            (("page", "--model", "fermions", "--V", str(10 ** 206), "--N",
+              str(5 * 10 ** 205), "--VA", "7", "--methods", "asym_var"), 2,
+             f"V={10 ** 206}"),
+            (("scaling", "--model", "fermions", "--f", "0.5", "--n", "0.5",
+              "--V-list", str(10 ** 309)), 2, f"V={10 ** 309}"),
+            (("page", "--model", "fermions", "--V", beyond_float, "--N",
+              str(10 ** 400 // 2), "--VA", "5", "--methods", "asymptotic"),
+             2, f"V={beyond_float}")):
         start = time.perf_counter()
         got, out, err = run_cli(capsys, *argv)
         assert (got, out) == (code, "") and text in err, (argv, err)

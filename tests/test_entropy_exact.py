@@ -241,6 +241,17 @@ def test_report_panel_and_errors():
         BipartitionSpec(4, 2, 5)  # V_A out of range
 
 
+def test_report_refuses_unknown_method_keys():
+    # the page column names are not report keys
+    with pytest.raises(DomainError) as err:
+        report(catalog("fermions"), [BipartitionSpec(10, 5, 3)],
+               ("exact_var", "asymptotic", "asym"))
+    message = str(err.value)
+    assert "exact_var, asym;" in message
+    assert "exact, asymptotic, resolved, exact_variance, " \
+        "asymptotic_variance" in message
+
+
 @pytest.mark.parametrize("model, V, N", [
     (catalog("fermions"), 12, 5), (catalog("bosons"), 9, 7),
     (catalog("spin_j", 1), 20, 10)])

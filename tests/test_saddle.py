@@ -55,12 +55,13 @@ def mp_zeta(model, z, terms=600):
     """High-precision (zeta, zeta') straight from the coefficients."""
     top = model.n_max + 1 if model.n_max is not None else terms
     s0 = s1 = mp.mpf(0)
+    power, lower = mp.mpf(1), mp.mpf(0)  # z**k and z**(k - 1)
     for k in range(top):
         a = model.coefficient(k)
         if a:
-            s0 += a * z**k
-            if k:
-                s1 += a * k * z**(k - 1)
+            s0 += a * power
+            s1 += a * k * lower
+        power, lower = power * z, power
     return s0, s1
 
 
