@@ -117,7 +117,7 @@ def _grid(text):
     return lo, hi, count
 
 
-# long flag (also its config key) -> add_argument keywords
+# long flag (also its config key and its parsed name) -> add_argument keywords
 _FLAGS = {
     "model": {"help": "catalog name, name:param, or JSON model file"},
     "V": {"type": _number(int, 1)},
@@ -129,13 +129,12 @@ _FLAGS = {
     "samples": {"type": _number(int, 1)},
     "seed": {"type": _number(int, 0)},
     "window": {"type": _number(int, 1)},
-    "lambda": {"dest": "lam", "type": _number(float)},
+    "lambda": {"type": _number(float)},
     "Delta": {"type": _number(float)},
     "U": {"type": _number(float)},
     "nmax": {"type": int},
     "f": {"type": _number(float), "help": "subsystem fraction"},
-    "V-list": {"dest": "V_list",
-               "type": _CommaList(_number(int, 1), "system sizes"),
+    "V-list": {"type": _CommaList(_number(int, 1), "system sizes"),
                "help": "comma-separated system sizes"},
     "methods": {"type": _CommaList(_method, "page columns"),
                 "help": "comma-separated page columns "
@@ -191,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, exit_on_error=False)
         flags = flags.split() + ["out", "format"]
         for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            p.add_argument(f"--{flag}", dest=flag, **_FLAGS[flag])
         p.set_defaults(run=run, flags=flags, parser=p)
     return parser
 
@@ -219,8 +218,12 @@ def _merge_config(args) -> dict:
         if key not in args.flags:
             raise ConfigError(f"config field {key!r} does not apply to "
                               f"the {args.command} command")
-    # flags win: only the keys no flag has set are parsed onto args
-    unset = [key for key in config if getattr(args, _dest(key)) is None]
+    # flags win, and --N and --n are one setting: only the keys no flag
+    # has set are parsed onto args
+    given = {key for key in args.flags if getattr(args, key) is not None}
+    if given & {"N", "n"}:
+        given |= {"N", "n"}
+    unset = [key for key in config if key not in given]
     args.parser.parse_args([_config_token(key, config[key]) for key in unset],
                            namespace=args)
     return dict(vars(args))
@@ -238,14 +241,10 @@ def _config_token(key, value) -> str:
     return f"--{key}={value}"
 
 
-def _dest(flag) -> str:
-    return _FLAGS[flag].get("dest", flag)
-
-
 # -- shared option handling -------------------------------------------------
 
 def _require(merged, flag):
-    value = merged.get(_dest(flag))
+    value = merged.get(flag)
     if value is None:
         raise ConfigError(f"--{flag} is required for this command")
     return value
@@ -281,15 +280,19 @@ def _get_cuts(merged, V: int, default):
     return cuts
 
 
-def _get_cut_specs(merged, V: int, N: int, columns: int):
-    """One BipartitionSpec per --VA cut size (default: every V_A), refused
-    with their `columns` printed values above the budget before any is
-    built."""
+def _cut_request(merged, columns: int):
+    """(model, specs, meta) of a `page` or `variance` request: one
+    BipartitionSpec per --VA cut size (default: every V_A), refused with
+    their `columns` printed values above the budget before any is built."""
+    model = _get_model(merged)
+    V = _require(merged, "V")
+    N = _get_particles(merged, V)
     cuts = _get_cuts(merged, V, range(V + 1))
     # counted without len(), which stops at 2^63 for a range
     budget.check_cut_work(V + 1 if merged.get("VA") is None else len(cuts),
                           columns, merged.get("format") == "json")
-    return [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
+    specs = [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
+    return model, specs, {"model": model.label, "V": V, "N": N}
 
 
 # -- commands ----------------------------------------------------------------
@@ -313,11 +316,8 @@ def _cmd_beta(merged):
 
 
 def _cmd_page(merged):
-    model = _get_model(merged)
-    V = _require(merged, "V")
-    N = _get_particles(merged, V)
     methods = merged.get("methods") or _PAGE_METHODS
-    specs = _get_cut_specs(merged, V, N, len(methods))
+    model, specs, meta = _cut_request(merged, len(methods))
     wanted = {_PAGE_COLUMNS[method][0] for method in methods}
     keys = [key for key in _PAGE_JSON if key in wanted]
     reports = ent.report(model, specs, tuple(keys))
@@ -329,8 +329,7 @@ def _cmd_page(merged):
         header = ["V_A", "f"] + list(methods)
         cells = attrgetter("V_A", "f", *(_PAGE_COLUMNS[m][1] for m in methods))
         rows = [cells(rep) for rep in reports]
-    return {"header": header, "rows": rows,
-            "meta": {"model": model.label, "V": V, "N": N}}
+    return {"header": header, "rows": rows, "meta": meta}
 
 
 def _cmd_scaling(merged):
@@ -363,10 +362,7 @@ def _cmd_scaling(merged):
 
 
 def _cmd_variance(merged):
-    model = _get_model(merged)
-    V = _require(merged, "V")
-    N = _get_particles(merged, V)
-    specs = _get_cut_specs(merged, V, N, columns=4)
+    model, specs, meta = _cut_request(merged, columns=4)
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
               "asymptotic_variance", "log_asymptotic_variance"]
     reports = ent.report(model, specs,
@@ -374,8 +370,7 @@ def _cmd_variance(merged):
     rows = [[rep.V_A, rep.f, rep.exact_variance.value,
              rep.exact_variance.log_value, rep.asymptotic_variance.value,
              rep.asymptotic_variance.log_value] for rep in reports]
-    return {"header": header, "rows": rows,
-            "meta": {"model": model.label, "V": V, "N": N}}
+    return {"header": header, "rows": rows, "meta": meta}
 
 
 def _cmd_mc(merged):
@@ -412,11 +407,11 @@ def _cmd_ed(merged):
         raise ConfigError("--model must be spin1_xxz or bose_hubbard "
                           "for the ed command")
     stray = [f"--{flag}" for chain, flags in _ED_FLAGS.items() if chain != kind
-             for flag in flags if merged.get(_dest(flag)) is not None]
+             for flag in flags if merged.get(flag) is not None]
     if stray:
         raise ConfigError(f"{kind} takes no {', '.join(stray)}")
     if kind == "spin1_xxz":
-        lam = merged.get("lam")
+        lam = merged.get("lambda")
         delta = merged.get("Delta")
         if lam is None or delta is None:
             raise ConfigError("spin1_xxz needs --lambda and --Delta")
@@ -506,8 +501,11 @@ def _emit(result, merged):
         sys.set_int_max_str_digits(digit_limit)
     out = merged.get("out")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
 

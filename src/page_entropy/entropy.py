@@ -109,15 +109,22 @@ class BipartitionSpec:
         return ((self.V_A, n_a_values.stop - 1),
                 (self.V - self.V_A, self.N - n_a_values.start))
 
-    def blocks(self, n_max: Optional[int], build_table) -> list[tuple]:
+    def blocks(self, model: LocalModel, build_table) -> list[tuple]:
         """(N_A, d_A, d_B) of each nonempty block, with the two `tables`
-        built by build_table(sites, N_cap); an empty sector builds none."""
-        n_a_values = self.n_a_range(n_max)
-        if not n_a_values:
-            return []
-        table_a, table_b = (build_table(*args) for args in self.tables(n_max))
-        return [(n_a, table_a[n_a], table_b[self.N - n_a]) for n_a in
-                n_a_values if table_a[n_a] and table_b[self.N - n_a]]
+        built by build_table(model, sites, N_cap).  A sector with no
+        nonempty block is refused (DomainError); an empty range of N_A
+        (N above V n_max) builds no table."""
+        n_a_values = self.n_a_range(model.n_max)
+        blocks = []
+        if n_a_values:
+            table_a, table_b = (build_table(model, *args)
+                                for args in self.tables(model.n_max))
+            blocks = [(n_a, table_a[n_a], table_b[self.N - n_a]) for n_a in
+                      n_a_values if table_a[n_a] and table_b[self.N - n_a]]
+        if not blocks:
+            raise DomainError(f"empty sector: V={self.V}, N={self.N} "
+                              f"for {model.label}")
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -246,11 +253,8 @@ def _sector_sums(model: LocalModel, spec: BipartitionSpec,
     if spec.V > _EXACT_V_LIMIT:
         raise InfeasibleSizeError(
             f"exact sum limited to V <= {_EXACT_V_LIMIT}")
-    blocks = spec.blocks(model.n_max, lambda *args: dim_table(model, *args))
+    blocks = spec.blocks(model, dim_table)
     d_n = sum(d_a * d_b for _, d_a, d_b in blocks)
-    if d_n == 0:
-        raise DomainError(f"empty sector: V={spec.V}, N={spec.N} "
-                          f"for {model.label}")
 
     # the sector's kernel terms are fixed per cut
     psi_n = digamma_of_dim(d_n)
@@ -372,13 +376,9 @@ def _resolved_average(saddles: _Saddles, V: float, f: float,
     sol = saddles.at(n, "resolved_average")
     value = sol.beta * f * V + 0.5 * (f + math.log1p(-f))
     if sol.beta1 != 0.0:
-        value += _x2_kernel(V, abs(f - 0.5), sol.beta, abs(sol.beta1),
-                            abs(sol.beta2))
-    star = saddles.star
-    if star is not None:
-        sol_star = saddles.at(star)
-        value -= 0.5 * _x1_kernel((f - 0.5) * V, (n - star) * math.sqrt(V),
-                                  sol_star.beta, abs(sol_star.beta2))
+        value += _resolve_x2(saddles, V, f, n)
+    if saddles.star is not None:
+        value -= 0.5 * _resolve_x1(saddles, V, f, n)
     return value
 
 

@@ -65,10 +65,6 @@ class SectorBlock:
 @dataclass(frozen=True)
 class SectorBasis:
     """Block decomposition of a bipartite fixed-N sector."""
-    label: str
-    V: int
-    N: int
-    V_A: int
     blocks: tuple[SectorBlock, ...]
     dim: int
 
@@ -119,8 +115,7 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
     blocks = []
     offset = 0
     work = 0
-    for n_a, d_a, d_b in spec.blocks(model.n_max,
-                                     lambda *args: dim_table(model, *args)):
+    for n_a, d_a, d_b in spec.blocks(model, dim_table):
         if max(d_a, d_b) > _MAX_BLOCK_SIDE:
             raise InfeasibleSizeError(
                 f"block side above 2^53 at N_A={n_a}; cannot sample")
@@ -131,10 +126,7 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
                 f"{MAX_SAMPLE_WORK:.0e}")
         blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
         offset += d_a * d_b
-    if offset == 0:
-        raise DomainError(f"empty sector: V={V}, N={N} for {model.label}")
-    return SectorBasis(label=model.label, V=V, N=N, V_A=V_A,
-                       blocks=tuple(blocks), dim=offset)
+    return SectorBasis(blocks=tuple(blocks), dim=offset)
 
 
 def sample_entropies(basis: SectorBasis, rng, count: int) -> np.ndarray:

@@ -131,6 +131,8 @@ def parse_model(text: str) -> LocalModel:
                 return from_json(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read model file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read model file {text!r}: {exc}")
     name, _, param = text.partition(":")
     if not param:
         return catalog(name)

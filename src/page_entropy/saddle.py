@@ -57,8 +57,28 @@ def solve_z0(model: LocalModel, n: float) -> float:
         raise DomainError(f"filling must be positive, got n={n}")
     if model.n_max is not None and n >= model.n_max:
         raise DomainError(f"filling n={n} is not below n_max={model.n_max}")
-
-    return _bracketed_root(model, n)
+    lo, hi = _initial_bracket(model, n)
+    z = 0.5 * (lo + hi)
+    for _ in range(60):
+        f, f1, f2 = eval_zeta(model, z)
+        ratio = f1 / f
+        value = z * ratio - n
+        # tighten the bracket first so an endpoint hit is not rejected
+        if value > 0.0:
+            hi = z
+        else:
+            lo = z
+        deriv = ratio + z * (f2 / f - ratio * ratio)
+        z_next = z - value / deriv
+        if not lo <= z_next <= hi:
+            z_next = 0.5 * (lo + hi)
+        if abs(z_next - z) <= 1e-15 * abs(z_next):
+            return z_next
+        z = z_next
+    if abs(_z_of(model, z) - n) <= 1e-10 * n:
+        return z
+    raise NumericalError(f"saddle Newton iteration stalled at n={n} "
+                         f"for {model.label}")
 
 
 def beta_family(model: LocalModel, n: float) -> SaddleSolution:
@@ -117,31 +137,6 @@ def ln_dim_asymptotic(model: LocalModel, V: int, n: float) -> float:
 def _z_of(model: LocalModel, z: float) -> float:
     f, f1, _ = eval_zeta(model, z)
     return z * f1 / f
-
-
-def _bracketed_root(model: LocalModel, n: float) -> float:
-    lo, hi = _initial_bracket(model, n)
-    z = 0.5 * (lo + hi)
-    for _ in range(60):
-        f, f1, f2 = eval_zeta(model, z)
-        ratio = f1 / f
-        value = z * ratio - n
-        # tighten the bracket first so an endpoint hit is not rejected
-        if value > 0.0:
-            hi = z
-        else:
-            lo = z
-        deriv = ratio + z * (f2 / f - ratio * ratio)
-        z_next = z - value / deriv
-        if not lo <= z_next <= hi:
-            z_next = 0.5 * (lo + hi)
-        if abs(z_next - z) <= 1e-15 * abs(z_next):
-            return z_next
-        z = z_next
-    if abs(_z_of(model, z) - n) <= 1e-10 * n:
-        return z
-    raise NumericalError(f"saddle Newton iteration stalled at n={n} "
-                         f"for {model.label}")
 
 
 def _initial_bracket(model: LocalModel, n: float):

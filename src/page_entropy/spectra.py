@@ -53,7 +53,6 @@ _MAX_PARTICLES = 2 ** 31
 class SectorHamiltonian:
     """Dense sector Hamiltonian plus its occupation basis: a read-only
     (dim, V) int64 array, one whole sector in lexicographic order."""
-    kind: str
     V: int
     N: int
     couplings: dict
@@ -73,9 +72,6 @@ class CutEntropies:
 @dataclass(frozen=True)
 class MidSpectrumReport:
     """Mid-spectrum entanglement panel for one sector Hamiltonian."""
-    kind: str
-    V: int
-    N: int
     dim: int
     window_lo: int
     window_hi: int
@@ -206,7 +202,7 @@ def build_spin1_xxz(V: int, M: int, lam: float, delta: float) -> SectorHamiltoni
                      + (new % 3 - pair % 3) * weight[j])
             rows = np.searchsorted(keys, keys[cols] + shift)
             matrix[rows, cols] += bond[new, pair]
-    return SectorHamiltonian(kind="spin1_xxz", V=V, N=N,
+    return SectorHamiltonian(V=V, N=N,
                              couplings={"lambda": lam, "Delta": delta,
                                         "M": M},
                              basis=occ, matrix=matrix)
@@ -237,8 +233,7 @@ def build_bose_hubbard(V: int, N: int, U: float,
                                    keys[cols] + (weight[dst] - weight[src]))
             matrix[rows, cols] += -np.sqrt((occ[cols, dst] + 1)
                                            * occ[cols, src])
-    return SectorHamiltonian(kind="bose_hubbard", V=V, N=N,
-                             couplings={"U": U, "n_max": n_max},
+    return SectorHamiltonian(V=V, N=N, couplings={"U": U, "n_max": n_max},
                              basis=occ, matrix=matrix)
 
 
@@ -276,8 +271,8 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
             if len(entropies) > 1:
                 std = float(np.std(entropies, ddof=1))
         stats.append(CutEntropies(V_A=v_a, f=v_a / ham.V, mean=mean, std=std))
-    return MidSpectrumReport(kind=ham.kind, V=ham.V, N=ham.N, dim=dim,
-                             window_lo=lo, window_hi=hi, cuts=tuple(stats))
+    return MidSpectrumReport(dim=dim, window_lo=lo, window_hi=hi,
+                             cuts=tuple(stats))
 
 
 def _cut_blocks(basis: np.ndarray, v_a: int):

@@ -276,6 +276,11 @@ _BAD_VALUES = [
     (_DIMS4, "out", None, "OUT"),
     (_DIMS4, "out", True, "OUT"),
     (_MC4, "seed", "FLAG:-1", 3),
+    (("page", "--model", "fermions", "--V", "4"), "n", "FLAG:nan", 0.5),
+    (("scaling", "--model", "fermions", "--n", "0.5", "--V-list", "8"),
+     "f", "FLAG:inf", 0.5),
+    (("ed", "--model", "spin1_xxz", "--V", "3", "--N", "3", "--Delta", "1"),
+     "lambda", "FLAG:nan", 0),
 ]
 
 
@@ -302,10 +307,55 @@ def test_particle_number_and_filling_are_exclusive(capsys, tmp_path):
                            "--N", "2", "--n", "0.5")
     assert code == 2 and "--N" in err and "--n" in err
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"N": 2}))
+    cfg.write_text(json.dumps({"N": 2, "n": 0.5}))
     code, _, err = run_cli(capsys, "--config", str(cfg), "page", "--model",
-                           "fermions", "--V", "8", "--n", "0.5")
+                           "fermions", "--V", "8")
     assert code == 2 and "--N" in err and "--n" in err
+    # they are one setting: a flag for either keeps the config's value out
+    page = ("page", "--model", "fermions", "--V", "8", "--VA", "3",
+            "--methods", "exact")
+    for config, flag, N in (({"N": 2}, ("--n", "0.5"), "4"),
+                            ({"n": 0.5}, ("--N", "2"), "2"),
+                            ({"N": 2, "n": 0.5}, ("--N", "3"), "3")):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(cfg), *page, *flag)
+        want = run_cli(capsys, *page, "--N", N)
+        assert (code, out, err) == want and code == 0
+
+
+# (request, its message); FILES stands for a directory holding a JSON
+# array and a model file that is not UTF-8 text
+_REFUSALS = [
+    (("ed", "--model", "bose_hubbard", "--V", "3", "--N", "2"),
+     "bose_hubbard needs --U"),
+    (("dims", "--model", "fermions:x", "--V", "4"),
+     "model parameter must be a number, got 'x'"),
+    (("dims", "--model", "FILES/missing.json", "--V", "4"),
+     "cannot read model file: [Errno 2] No such file or directory: "
+     "'FILES/missing.json'"),
+    (("dims", "--model", "FILES/latin1.json", "--V", "4"),
+     "cannot read model file 'FILES/latin1.json': 'utf-8' codec can't "
+     "decode byte 0xe9"),
+    (("--config", "FILES/array.json", "dims", "--model", "fermions"),
+     "config must be a JSON object of flag values"),
+    (_DIMS4 + ("--out", "FILES"),
+     "cannot write output file: [Errno 21] Is a directory: 'FILES'"),
+    (_DIMS4 + ("--out", "FILES/missing/dims.csv"),
+     "cannot write output file: [Errno 2] No such file or directory: "
+     "'FILES/missing/dims.csv'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _REFUSALS,
+                         ids=[message[:24] for _, message in _REFUSALS])
+def test_refusals_exit_2_with_their_message(capsys, tmp_path, argv, message):
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "latin1.json").write_bytes(b'{"label": "caf\xe9", "P": [1]}')
+    argv = [arg.replace("FILES", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: " +
+                          message.replace("FILES", str(tmp_path))), err
 
 
 def test_exact_sums_refused_up_front(capsys):
@@ -490,26 +540,37 @@ _FUZZ_MODELS = ["fermions", "bosons", "spin_j:1", "capped_bosons:3",
 _FUZZ_FLAGS = {command: cli._build_parser().parse_args([command]).flags
                for command in ("beta", "page", "scaling", "variance", "mc",
                                "ed", "dims")}
-_FUZZ_OPTIONAL = {"VA", "methods", "window", "seed", "nmax", "format"}
+_FUZZ_OPTIONAL = {"VA", "methods", "window", "seed", "nmax", "format",
+                  "out"}
+# file arguments: FILES is a directory holding a JSON array and a file that
+# is not UTF-8 text, where out.csv can be written
+_FUZZ_OUT = st.sampled_from(["FILES/missing/out.csv", "FILES",
+                             "FILES/out.csv"])
+_FUZZ_FILES = ["FILES/missing.json", "FILES", "FILES/latin1.json",
+               "FILES/array.json"]
 _OTHER_CHAIN = {"spin1_xxz": ("U", "nmax"),
                 "bose_hubbard": ("lambda", "Delta")}
 
 
 @st.composite
 def fuzz_requests(draw):
-    """argv of one subcommand with a random value for each of its flags but
-    --out.  An optional flag is given half the time, the other ed chain's
-    couplings 1 time in 4, one of --N and --n mostly alone, and every other
-    flag always, unless it is the one flag a request drops 1 time in 4."""
+    """argv of one subcommand with a random value for each of its flags.
+    An optional flag is given half the time, the other ed chain's couplings
+    1 time in 4, one of --N and --n mostly alone, and every other flag
+    always, unless it is the one flag a request drops 1 time in 4.  A
+    --config file comes first 1 time in 8, and --model is a file 1 time
+    in 8."""
     command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
     # ed sizes stay small enough for a dense eigh well inside a second
     small = st.integers(-1, 6 if command == "ed" else 12)
     size = st.one_of(small, small, small, _FUZZ_HUGE).map(str)
     sizes = st.lists(size, min_size=1,
                      max_size=1 if command == "mc" else 3).map(",".join)
+    models = st.sampled_from(["spin1_xxz", "bose_hubbard"]
+                             if command == "ed" else _FUZZ_MODELS)
     values = {
-        "model": st.sampled_from(["spin1_xxz", "bose_hubbard"]
-                                 if command == "ed" else _FUZZ_MODELS),
+        "model": st.one_of(*[models] * 7, st.sampled_from(_FUZZ_FILES)),
+        "out": _FUZZ_OUT,
         "n": _FUZZ_REALS, "f": _FUZZ_REALS, "lambda": _FUZZ_REALS,
         "Delta": _FUZZ_REALS, "U": _FUZZ_REALS, "VA": sizes,
         "V-list": sizes, "format": st.sampled_from(["csv", "json"]),
@@ -521,6 +582,8 @@ def fuzz_requests(draw):
     dropped = draw(st.sampled_from(flags + [None] * 3 * len(flags)))
     particles = draw(st.sampled_from(["N", "n", "N", "n", "Nn", ""]))
     argv, model = [command], None
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(0, f"--config={draw(st.sampled_from(_FUZZ_FILES))}")
     for flag in flags:  # --model comes first
         if flag in ("N", "n"):
             chance = 4 if flag in particles else 0
@@ -529,7 +592,7 @@ def fuzz_requests(draw):
         elif flag in _FUZZ_OPTIONAL and (command, flag) != ("mc", "VA"):
             chance = 2
         else:
-            chance = 0 if flag in ("out", dropped) else 4
+            chance = 0 if flag == dropped else 4
         if draw(st.integers(0, 3)) < chance:
             text = draw(values.get(flag, size))
             model = text if flag == "model" else model
@@ -537,9 +600,18 @@ def fuzz_requests(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("fuzz")
+    (files / "array.json").write_text("[1, 2]")
+    (files / "latin1.json").write_bytes(b"\xff\xfe{}")
+    return str(files)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(fuzz_requests())
-def test_cli_fuzz_exits_with_a_documented_code_in_time(argv):
+def test_cli_fuzz_exits_with_a_documented_code_in_time(fuzz_files, argv):
+    argv = [arg.replace("FILES", fuzz_files) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -898,6 +970,9 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
               "--VA", "3", "--samples", "1"), 2, "empty sector"),
             (("page", "--model", "fermions", "--V", "6", "--N", "30000000",
               "--VA", "3", "--methods", "exact"), 2, "empty sector"),
+            (("ed", "--model", "bose_hubbard", "--V", "2", "--N", "5",
+              "--U", "1", "--nmax", "2"), 2,
+             "empty sector: V=2, N=5, cap=2"),
             # a filling beyond the float range, in N / V or in n V
             (("page", "--model", "fermions", "--V", "6", "--N", beyond_float,
               "--methods", "asymptotic"), 2, "float range"),

@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ import page_entropy.dimensions as dimensions
 from page_entropy.dimensions import (dim_fixed_n, dim_table,
                                      distinguishable_dim,
                                      extended_binomial_closed)
+from page_entropy.errors import DomainError
 from page_entropy.local_model import LocalModel, catalog, power, product
 
 FIVE = ("fermions", "hardcore_bosons_2species", "bosons",
@@ -163,6 +166,30 @@ def test_composite_model_dims():
     for V in range(1, 7):
         for N in range(0, 2 * V + 1):
             assert dim_fixed_n(doubled, V, N) == math.comb(2 * V, N)
+
+
+# (call, message); each raises DomainError
+_REFUSALS = [
+    (lambda: dim_table(catalog("fermions"), -1, 2),
+     "V must be nonnegative, got -1"),
+    (lambda: dim_table(catalog("fermions"), 2, -1),
+     "N_cap must be nonnegative, got -1"),
+    (lambda: extended_binomial_closed(-1, 2, 1),
+     "extended binomial needs V >= 0 and n_max >= 1"),
+    (lambda: extended_binomial_closed(3, 2, 0),
+     "extended binomial needs V >= 0 and n_max >= 1"),
+    (lambda: distinguishable_dim(0, 1),
+     "distinguishable_dim needs V >= 1 and N >= 0"),
+    (lambda: distinguishable_dim(4, -1),
+     "distinguishable_dim needs V >= 1 and N >= 0"),
+]
+
+
+@pytest.mark.parametrize("call,message", _REFUSALS,
+                         ids=[message for _, message in _REFUSALS])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 def test_distinguishable_dim():

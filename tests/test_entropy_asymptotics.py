@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -310,6 +311,33 @@ def test_y_exponent_and_n_crit():
         n_crit(m, 0.7, n)
     with pytest.raises(NumericalError):
         n_crit(m, 0.3, 0.5)  # beta' and n - n* vanish together
+
+
+_FERMIONS = catalog("fermions")
+
+
+# (call, error type, message)
+_REFUSALS = [
+    (lambda: resolve_x1(_FERMIONS, 0.5, 0.5, 0.4), DomainError,
+     "resolve_x1 needs V >= 1"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.5, 0.5, 1.0, 100.0), NumericalError,
+     "X2 is undefined at beta'(n) = 0 (n = n*)"),
+    (lambda: y_exponent(_FERMIONS, 1.0, 0.4, 0.2), DomainError,
+     "y_exponent needs 0 < f < 1"),
+    (lambda: y_exponent(_FERMIONS, 0.5, 0.2, 0.3), DomainError,
+     "n_a outside the physical block range"),
+    (lambda: distinguishable_asymptotic(0.5, 1.0, 0.0), DomainError,
+     "need V >= 1 and 0 <= V_A <= V"),
+    (lambda: distinguishable_asymptotic(10.0, 5.0, 11.0), DomainError,
+     "need V >= 1 and 0 <= V_A <= V"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", _REFUSALS,
+                         ids=[message for _, _, message in _REFUSALS])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_asymptotic_variance_values():

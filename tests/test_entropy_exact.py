@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -17,7 +18,7 @@ from page_entropy.entropy import (BipartitionSpec, VarianceEstimate,
                                   rho_weight)
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import build_sector_basis, mc_average
-from page_entropy.local_model import catalog
+from page_entropy.local_model import LocalModel, catalog
 
 mp.mp.dps = 40
 
@@ -221,6 +222,9 @@ def test_distinguishable_exact_values():
         ref += rho * phi
     got = distinguishable_exact_average(2, 2, 1)
     assert abs(got - ref) < 1e-12
+    # a trivial cut: one block, its mean digamma(d_N) - digamma(d_N) = 0
+    assert distinguishable_exact_average(5, 3, 0) == 0.0
+    assert distinguishable_exact_average(5, 3, 5) == 0.0
 
 
 def test_report_panel_and_errors():
@@ -239,6 +243,39 @@ def test_report_panel_and_errors():
         exact_average(m, BipartitionSpec(4, 9, 2))  # empty sector
     with pytest.raises(ValueError):
         BipartitionSpec(4, 2, 5)  # V_A out of range
+
+
+_FERMIONS = catalog("fermions")
+_GAP = LocalModel("gap", [1, 0, 1])  # a_1 = 0: N = 1 has no state
+
+
+# (call, message); each raises DomainError
+_REFUSALS = [
+    (lambda: BipartitionSpec(0, 0, 0), "V must be >= 1, got 0"),
+    (lambda: BipartitionSpec(4, -1, 2), "N must be nonnegative, got -1"),
+    (lambda: rho_weight(_FERMIONS, BipartitionSpec(8, 4, 0), 0.1),
+     "rho_weight needs 0 < f < 1"),
+    (lambda: gaussian_moments(_FERMIONS, BipartitionSpec(8, 4, 8)),
+     "gaussian_moments needs 0 < f < 1"),
+    (lambda: entropy.distinguishable_exact_average(0, 1, 0),
+     "need V >= 1, 0 <= V_A <= V, N >= 0"),
+    (lambda: entropy.distinguishable_exact_average(4, 2, 5),
+     "need V >= 1, 0 <= V_A <= V, N >= 0"),
+    (lambda: entropy.distinguishable_exact_average(4, -1, 2),
+     "need V >= 1, 0 <= V_A <= V, N >= 0"),
+    # both tables built, but no block is nonempty
+    (lambda: exact_average(_GAP, BipartitionSpec(3, 1, 1)),
+     "empty sector: V=3, N=1 for gap"),
+    (lambda: build_sector_basis(_GAP, 3, 1, 1),
+     "empty sector: V=3, N=1 for gap"),
+]
+
+
+@pytest.mark.parametrize("call,message", _REFUSALS,
+                         ids=[message for _, message in _REFUSALS])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
 
 
 def test_report_refuses_unknown_method_keys():

@@ -221,6 +221,8 @@ def test_product_convolves():
     two = product([catalog("fermions"), catalog("fermions")])
     assert two.coefficients(4) == [1, 2, 1, 0]
     assert two.n_max == 2
+    with pytest.raises(DomainError, match="product needs at least one model"):
+        product([])
 
 
 def test_product_closed_form_consistent():

@@ -86,6 +86,7 @@ def test_trigamma_known_values():
     for d in list(range(0, 40)) + [10**5, 10**10]:
         ref = float(mp.polygamma(1, d + 1))
         assert abs(trigamma_of_dim(d) - ref) < 1e-12
+    assert trigamma_of_dim(2 ** 1100) == 0.0  # 1 / d underflows a double
 
 
 def test_erfc_reference_points():
@@ -130,6 +131,8 @@ def test_exp_times_erfc_extreme_no_overflow():
     assert exp_times_erfc(1e6, 1100.0) == 0.0  # product underflows cleanly
     # underflow side returns a clean zero
     assert exp_times_erfc(-800.0, 5.0) == 0.0
+    # overflow side: exp(800) erfc(-1) is beyond a double
+    assert exp_times_erfc(800.0, -1.0) == math.inf
     # negative b never cancels badly: erfc(-b) is in (1, 2)
     got2 = exp_times_erfc(3.0, -2.0)
     ref2 = float(mp.exp(3) * mp.erfc(-2))

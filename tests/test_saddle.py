@@ -248,3 +248,5 @@ def test_ln_dim_asymptotic_converges():
     assert all(a > b for a, b in zip(errs, errs[1:]))
     with pytest.raises(DomainError):
         ln_dim_asymptotic(m, 100, 0.0)
+    with pytest.raises(DomainError, match="V must be >= 1, got 0"):
+        ln_dim_asymptotic(m, 0, 0.3)

@@ -132,6 +132,8 @@ def test_build_errors():
         build_spin1_xxz(10, 0, 0.0, 1.0)  # central trinomial 8953 > 4000
     with pytest.raises(DomainError):
         build_bose_hubbard(4, -1, 1.0)
+    with pytest.raises(DomainError, match="need at least 2 sites"):
+        build_bose_hubbard(1, 1, 1.0)
     with pytest.raises(DomainError):
         build_bose_hubbard(4, 3, 1.0, n_max=0)
     with pytest.raises(InfeasibleSizeError):
@@ -168,7 +170,7 @@ def test_cut_blocks_against_reduced_density_matrix():
 
 def test_window_never_splits_a_multiplet():
     basis = np.array([(0, 2), (1, 1), (2, 0)])
-    ham = SectorHamiltonian(kind="toy", V=2, N=2, couplings={},
+    ham = SectorHamiltonian(V=2, N=2, couplings={},
                             basis=basis, matrix=np.diag([1.0, 1.0, 2.0]))
     report = mid_spectrum_entropies(ham, 1, [1])
     # the median state is degenerate with its left neighbor: both kept
