@@ -78,7 +78,9 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     The cut's two dimension tables (`BipartitionSpec.tables`) cost their
     `_table_work_seconds`; each N_A block takes 4 us + 25 ns * w^1.6 for
     w-word dimensions, 2.5 times that with the variance.  Calibrated on
-    fermions to capped_bosons:100000, V up to 4000.
+    fermions to capped_bosons:100000, V up to 4000, with every cut's tables
+    built anew; a `page` sweep steps them from cut to cut and evaluates
+    mirrored blocks once at 2N = V n_max, so its cuts cost less.
     """
     n_a_values = spec.n_a_range(model.n_max)
     if spec.V_A in (0, spec.V) or not n_a_values:

@@ -210,6 +210,9 @@ def _merge_config(args) -> dict:
         raise ConfigError(f"cannot read config file: {exc}")
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config file {args.config!r} nests too deeply to "
+                          f"parse") from None
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object of flag values")
     for key in config:

@@ -11,7 +11,9 @@ Floats never appear, so dimensions with thousands of digits are fine.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .errors import DomainError
 from .local_model import LocalModel, _derivative, _poly_mul
@@ -56,6 +58,52 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
         h.append(sum((u - m * a) * h[top - i] for i, u, a in steps)
                  // (m * a_0))
     return tuple(h[reach:]) + (0,) * (N_cap - N_eff)
+
+
+def grow_table(model: LocalModel, table, N_cap: int) -> list[int]:
+    """`dim_table(model, V + 1, N_cap)` from `table`, the d_m of V sites,
+    which must hold every nonzero d_m with m <= N_cap: times P, then
+    divided by Q as a power series (Q(0) = 1, so nothing is divided)."""
+    return _over(_times(table, model.P, N_cap + 1), model.Q)
+
+
+def shrink_table(model: LocalModel, table, N_cap: int) -> list[int]:
+    """`dim_table(model, V - 1, N_cap)` from `table`, the d_m of V >= 1
+    sites, which must hold every nonzero d_m with m <= N_cap: times Q,
+    then divided exactly by P (a_0 = P(0) >= 1)."""
+    return _over(_times(table, model.Q, N_cap + 1), model.P)
+
+
+def _times(series, poly: list[int], length: int) -> list[int]:
+    """The first `length` coefficients of series * poly, entries past the
+    end of `series` counting as 0; one pass per nonzero poly[i]."""
+    series = list(series[:length])
+    series += [0] * (length - len(series))
+    a_0 = poly[0]
+    out = series[:] if a_0 == 1 else [a_0 * x for x in series]
+    for i in range(1, min(len(poly), length)):
+        c = poly[i]
+        if c:
+            out[i:] = [x + c * y for x, y in zip(out[i:], series)]
+    return out
+
+
+def _over(series: list[int], poly: list[int]) -> list[int]:
+    """series / poly as a power series whose coefficients are integers, so
+    that each step's division by poly[0] is exact; one sequential pass."""
+    a_0, deg = poly[0], len(poly) - 1
+    if deg == 0:
+        return series if a_0 == 1 else [x // a_0 for x in series]
+    if a_0 == 1 and deg == 1:  # e.g. Q = 1 - z, P = 1 + z
+        c = poly[1]
+        if c == -1:
+            return list(accumulate(series))
+        return list(accumulate(series, lambda prev, x: x - c * prev))
+    back = poly[:0:-1]  # poly[deg], ..., poly[1]
+    out = [0] * deg
+    for x in series:
+        out.append((x - sum(map(mul, back, out[-deg:]))) // a_0)
+    return out[deg:]
 
 
 def extended_binomial_closed(V: int, N: int, n_max: int) -> int:

@@ -19,12 +19,21 @@ e.g. the 1/(d_N + 1) variance prefactor, which is why variance results
 carry a log-value side channel.
 
 A request over many cuts of one sector (a page curve) is one `report`
-call, which solves each shared quantity once: the exact sums of the cuts
-V_A and V - V_A, which are the same bit for bit (the block kernels are
-symmetric in d_A, d_B and `math.fsum` is correctly rounded, so block order
-cannot matter), and the saddle solutions at n and n*, which depend on the
-filling alone.  Within a cut, Psi(d_N + 1) and (d_N + 1) Psi'(d_N + 1) are
-computed once, not once per block.
+call, which solves each shared quantity once.  The exact sums of the cuts
+V_A and V - V_A are the same bit for bit (the block kernels are symmetric
+in d_A, d_B and `math.fsum` is correctly rounded, so block order cannot
+matter), and the sector's distinct cuts min(V_A, V - V_A) are swept in
+ascending order: a cut one site past the previous one steps that cut's
+two dimension tables by one factor of zeta = P/Q each (exact series
+products and quotients), instead of building them anew.  At
+2N = V n_max the block list of a palindromic P (fermions, spin_j, capped
+bosons) reads the same backwards; that is checked on the list itself,
+and then each mirrored pair of blocks is evaluated once and its terms
+summed twice, which fsum's correct rounding leaves bit-identical.  Within
+a cut each product d_A d_B is formed once, Psi(d_N + 1) and
+(d_N + 1) Psi'(d_N + 1) once, and Psi, Psi' of a block's larger side in
+one evaluation.  The saddle solutions at n and n* depend on the filling
+alone and are solved once.
 
 A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
 sampler and the run-time estimate, and before any table is built a
@@ -40,11 +49,12 @@ from math import erfc
 from typing import Optional
 
 from . import budget
-from .dimensions import dim_table, distinguishable_dim
+from .dimensions import (dim_table, distinguishable_dim, grow_table,
+                         shrink_table)
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
-                       trigamma_of_dim)
+                       polygamma_of_dim, trigamma_of_dim)
 from .saddle import beta_family, n_star
 
 # |f - 1/2| or |n - n*| below this counts as exactly on the special point.
@@ -245,54 +255,94 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
-def _sector_sums(model: LocalModel, spec: BipartitionSpec,
-                 want_variance: bool):
-    """(mean, variance numerator, d_N) over the block decomposition; the
-    caller has passed the cut through `budget.check_exact_work`.  An empty
-    sector or V above 4000 is refused before any table is built."""
-    if spec.V > _EXACT_V_LIMIT:
+def _sector_sums(model: LocalModel, V: int, N: int, cuts,
+                 want_variance: bool) -> dict:
+    """{V_A: (mean, variance numerator, d_N)} of the cuts 0 < V_A <= V/2 in
+    `cuts` of one sector, swept in ascending V_A; the caller has passed
+    them through `budget.check_exact_work`.  An empty sector or V above
+    4000 is refused before any table is built.
+
+    A cut one site past the previous one steps that cut's two tables
+    (`grow_table`, `shrink_table`) instead of building them; any other cut
+    builds its tables with `dim_table`.  Each block's product d_A d_B is
+    formed once and d_N summed from the products."""
+    if V > _EXACT_V_LIMIT:
         raise InfeasibleSizeError(
             f"exact sum limited to V <= {_EXACT_V_LIMIT}")
-    blocks = spec.blocks(model, dim_table)
-    d_n = sum(d_a * d_b for _, d_a, d_b in blocks)
+    tables = {}  # sites -> its table, for the two sides of the last cut
 
-    # the sector's kernel terms are fixed per cut
+    def table(model, sites, N_cap):
+        if sites not in tables:
+            if sites - 1 in tables:
+                tables[sites] = grow_table(model, tables[sites - 1], N_cap)
+            elif sites + 1 in tables:
+                tables[sites] = shrink_table(model, tables[sites + 1], N_cap)
+            else:
+                tables[sites] = dim_table(model, sites, N_cap)
+        return tables[sites]
+
+    # at 2N = V n_max a palindromic P makes the block list a palindrome
+    may_mirror = model.n_max is not None and 2 * N == V * model.n_max
+    sums = {}
+    for V_A in sorted(cuts):
+        pairs = [(d_a, d_b) for _, d_a, d_b in
+                 BipartitionSpec(V, N, V_A).blocks(model, table)]
+        tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
+        twice = 0  # leading blocks that also stand for their mirror image
+        if may_mirror and all(pairs[i] == pairs[~i]
+                              for i in range(len(pairs) // 2)):
+            twice = len(pairs) // 2
+        sums[V_A] = _block_sums(pairs[:len(pairs) - twice], twice,
+                                want_variance)
+    return sums
+
+
+def _block_sums(pairs, twice: int, want_variance: bool):
+    """(mean, variance numerator, d_N) of the blocks `pairs`, (d_A, d_B),
+    the first `twice` of them counted twice.  `math.fsum` is correctly
+    rounded, so a repeated term gives the sum of the full list bit for
+    bit."""
+    products = [d_a * d_b for d_a, d_b in pairs]
+    d_n = sum(products) + sum(products[:twice])
     psi_n = digamma_of_dim(d_n)
-    trigamma_n = _times_trigamma(d_n + 1, d_n) if want_variance else 0.0
+    trigamma_n = (_times_trigamma(d_n + 1, d_n, trigamma_of_dim(d_n))
+                  if want_variance else None)
     mean_terms = []
     square_terms = []
-    for _, d_a, d_b in blocks:
-        rho = (d_a * d_b) / d_n
-        phi = _phi(d_a, d_b, psi_n)
+    for product, (d_a, d_b) in zip(products, pairs):
+        rho = product / d_n
+        phi, chi = _phi(d_a, d_b, psi_n, trigamma_n)
         mean_terms.append(rho * phi)
         if want_variance:
-            square_terms.append(rho * (phi * phi + _chi(d_a, d_b, trigamma_n)))
+            square_terms.append(rho * (phi * phi + chi))
+    mean_terms += mean_terms[:twice]
+    square_terms += square_terms[:twice]
     mean = math.fsum(mean_terms)
     numerator = math.fsum(square_terms) - mean * mean if want_variance else 0.0
     return mean, numerator, d_n
 
 
-def _phi(d_a: int, d_b: int, psi_n: float) -> float:
-    """Mean entropy of one (d_a x d_b) block; psi_n = Psi(d_N + 1)."""
-    big, small = (d_a, d_b) if d_a >= d_b else (d_b, d_a)
-    return psi_n - digamma_of_dim(big) - (small - 1) / (2 * big)
+def _phi(d_a: int, d_b: int, psi_n: float,
+         trigamma_n: Optional[float] = None) -> tuple:
+    """(phi, chi) of one (d_a x d_b) block from one polygamma evaluation of
+    its larger side: its mean entropy, psi_n = Psi(d_N + 1), and, given
+    trigamma_n = (d_N + 1) Psi'(d_N + 1), its second-moment kernel (else
+    None)."""
+    small, big = (d_a, d_b) if d_a <= d_b else (d_b, d_a)
+    psi, trigamma = polygamma_of_dim(big)
+    phi = psi_n - psi - (small - 1) / (2 * big)
+    if trigamma_n is None:
+        return phi, None
+    term1 = ((small + big) / big) * _times_trigamma(big, big, trigamma)
+    term3 = ((small - 1) * (small + 2 * big - 1)) / (4 * big * big)
+    return phi, term1 - trigamma_n - term3
 
 
-def _chi(d_a: int, d_b: int, trigamma_n: float) -> float:
-    """Second-moment kernel of one block (d_a <= d_b branch; ties too);
-    trigamma_n = (d_N + 1) Psi'(d_N + 1)."""
-    if d_a > d_b:
-        d_a, d_b = d_b, d_a
-    term1 = ((d_a + d_b) / d_b) * _times_trigamma(d_b, d_b)
-    term3 = ((d_a - 1) * (d_a + 2 * d_b - 1)) / (4 * d_b * d_b)
-    return term1 - trigamma_n - term3
-
-
-def _times_trigamma(m: int, d: int) -> float:
-    """m * Psi'(d + 1) for m = d or d + 1, stable for integers of any size
-    (limit 1)."""
+def _times_trigamma(m: int, d: int, trigamma: float) -> float:
+    """m * trigamma, trigamma = Psi'(d + 1), for m = d or d + 1, stable for
+    integers of any size (limit 1)."""
     if d.bit_length() <= 900:
-        return float(m) * trigamma_of_dim(d)
+        return float(m) * trigamma
     return 1.0
 
 
@@ -584,7 +634,7 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
         if d_a == 0 or d_b == 0:
             continue
         rho = (math.comb(N, n_a) * d_a * d_b) / d_n
-        terms.append(rho * _phi(d_a, d_b, psi_n))
+        terms.append(rho * _phi(d_a, d_b, psi_n)[0])
     return math.fsum(terms)
 
 
@@ -637,13 +687,19 @@ def report(model: LocalModel, specs,
     if want_variance or "exact" in methods:
         budget.check_exact_work(model, specs, want_variance)
     saddles = _Saddles(model)
+    sectors = {}  # (V, N) -> its distinct cuts min(V_A, V - V_A) > 0
+    for spec in specs:
+        V, N, cut = spec.mirrored_cut
+        if cut:
+            sectors.setdefault((V, N), set()).add(cut)
     sums = {}  # mirrored cut -> (mean, variance numerator, d_N)
 
-    def exact_sums(spec):  # one pass serves the mean and the variance
-        cut = spec.mirrored_cut
-        if cut not in sums:
-            sums[cut] = _sector_sums(model, spec, want_variance)
-        return sums[cut]
+    def exact_sums(spec):  # one sweep serves a sector's means and variances
+        if spec.mirrored_cut not in sums:
+            V, N = spec.V, spec.N
+            swept = _sector_sums(model, V, N, sectors[V, N], want_variance)
+            sums.update(((V, N, cut), value) for cut, value in swept.items())
+        return sums[spec.mirrored_cut]
 
     reports = []
     for spec in specs:

@@ -108,6 +108,9 @@ def from_json(document) -> LocalModel:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"model document is not valid JSON: {exc}")
+        except RecursionError:
+            raise ConfigError("model document nests too deeply to parse") \
+                from None
     if not isinstance(document, dict):
         raise ConfigError("model document must be a JSON object")
     unknown = sorted(set(document) - {"label", "P", "Q", "charge_offset"})
@@ -133,6 +136,8 @@ def parse_model(text: str) -> LocalModel:
             raise ConfigError(f"cannot read model file: {exc}")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot read model file {text!r}: {exc}")
+        except ConfigError as exc:
+            raise ConfigError(f"model file {text!r}: {exc}") from None
     name, _, param = text.partition(":")
     if not param:
         return catalog(name)

@@ -56,7 +56,11 @@ def ln_big(d) -> float:
     goes through a lossy full-integer float conversion.  Relative error
     is a few ulp (< 1e-14) regardless of magnitude.
     """
-    d = _as_positive_int(d, "ln_big")
+    return _ln_positive(_as_positive_int(d, "ln_big"))
+
+
+def _ln_positive(d: int) -> float:
+    """`ln_big` of an int already known to be positive."""
     bits = d.bit_length()
     if bits <= 96:
         return math.log(d)
@@ -70,25 +74,7 @@ def digamma_of_dim(d) -> float:
     Exact harmonic recurrence for d < 16, asymptotic series at x = d + 1
     otherwise; absolute error < 1e-12 everywhere (far smaller in practice).
     """
-    d = _as_dim_int(d, "digamma_of_dim")
-    if d < _SERIES_THRESHOLD:
-        # Psi(d+1) = -gamma + H_d, summed smallest-first.
-        acc = 0.0
-        for k in range(d, 0, -1):
-            acc += 1.0 / k
-        return acc - _EULER_GAMMA
-    x = d + 1
-    result = ln_big(x)
-    inv = _safe_inverse(x)
-    if inv == 0.0:
-        return result
-    inv2 = inv * inv
-    tail = 0.0
-    power = inv2
-    for coeff in _DIGAMMA_TAIL:
-        tail += coeff * power
-        power *= inv2
-    return result - 0.5 * inv + tail
+    return polygamma_of_dim(_as_dim_int(d, "digamma_of_dim"))[0]
 
 
 def trigamma_of_dim(d) -> float:
@@ -97,23 +83,39 @@ def trigamma_of_dim(d) -> float:
     Exact recurrence for d < 16, asymptotic series otherwise; absolute
     error < 1e-12.  Underflows smoothly to 0 for astronomically large d.
     """
-    d = _as_dim_int(d, "trigamma_of_dim")
+    return polygamma_of_dim(_as_dim_int(d, "trigamma_of_dim"))[1]
+
+
+def polygamma_of_dim(d: int) -> tuple[float, float]:
+    """(Psi(d + 1), Psi'(d + 1)) for a nonnegative int d of any size, as
+    `digamma_of_dim` and `trigamma_of_dim` give them, from one pass: the
+    exact recurrences for d < 16, else one ln_big and one 1/(d + 1) shared
+    by the two asymptotic series.  d is not type-checked."""
     if d < _SERIES_THRESHOLD:
-        acc = 0.0
+        # Psi(d+1) = -gamma + H_d, summed smallest-first; likewise Psi'
+        psi = 0.0
+        trigamma = 0.0
         for k in range(d, 0, -1):
-            acc -= 1.0 / (k * k)
-        return acc + _PI2_OVER_6
+            psi += 1.0 / k
+            trigamma -= 1.0 / (k * k)
+        return psi - _EULER_GAMMA, trigamma + _PI2_OVER_6
     x = d + 1
+    log_x = _ln_positive(x)
     inv = _safe_inverse(x)
     if inv == 0.0:
-        return 0.0
+        return log_x, 0.0
     inv2 = inv * inv
-    result = inv + 0.5 * inv2
+    tail = 0.0
+    power = inv2
+    for coeff in _DIGAMMA_TAIL:
+        tail += coeff * power
+        power *= inv2
+    trigamma = inv + 0.5 * inv2
     power = inv * inv2
     for coeff in _TRIGAMMA_TAIL:
-        result += coeff * power
+        trigamma += coeff * power
         power *= inv2
-    return result
+    return log_x - 0.5 * inv + tail, trigamma
 
 
 def erfcx(x: float) -> float:

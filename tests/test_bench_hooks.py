@@ -20,6 +20,12 @@ MODULES = {"cli": cli, "entropy": entropy, "saddle": saddle,
 RUNS = (
     (["page", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "2"],
      ["entropy.report", "dimensions.dim_table", "saddle.beta_family"], {}),
+    # a full sweep builds the first cut's two tables and steps the rest;
+    # at half filling it evaluates 1 + 2 + 2 + 3 of the 2 + 3 + 4 + 5
+    # blocks of the cuts V_A = 1..4, each mirrored pair once
+    (["page", "--model", "fermions", "--V", "8", "--N", "4"],
+     ["entropy.report", "dimensions.dim_table", "dimensions.dim_table"],
+     {"dimensions.calls": 2, "entropy.blocks": 8, "cli.rows": 9}),
     (["mc", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "3",
       "--samples", "10"],
      ["dimensions.dim_table", "dimensions.dim_table",

@@ -324,7 +324,9 @@ def test_particle_number_and_filling_are_exclusive(capsys, tmp_path):
 
 
 # (request, its message); FILES stands for a directory holding a JSON
-# array and a model file that is not UTF-8 text
+# array, a model file that is not UTF-8 text and a JSON document nested
+# deeper than the parser's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
 _REFUSALS = [
     (("ed", "--model", "bose_hubbard", "--V", "3", "--N", "2"),
      "bose_hubbard needs --U"),
@@ -338,6 +340,12 @@ _REFUSALS = [
      "decode byte 0xe9"),
     (("--config", "FILES/array.json", "dims", "--model", "fermions"),
      "config must be a JSON object of flag values"),
+    (("dims", "--model", "FILES/deep.json", "--V", "4"),
+     "model file 'FILES/deep.json': model document nests too deeply to "
+     "parse"),
+    (("--config", "FILES/deep.json", "dims", "--model", "fermions", "--V",
+      "4"),
+     "config file 'FILES/deep.json' nests too deeply to parse"),
     (_DIMS4 + ("--out", "FILES"),
      "cannot write output file: [Errno 21] Is a directory: 'FILES'"),
     (_DIMS4 + ("--out", "FILES/missing/dims.csv"),
@@ -351,6 +359,7 @@ _REFUSALS = [
 def test_refusals_exit_2_with_their_message(capsys, tmp_path, argv, message):
     (tmp_path / "array.json").write_text("[1, 2]")
     (tmp_path / "latin1.json").write_bytes(b'{"label": "caf\xe9", "P": [1]}')
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
     argv = [arg.replace("FILES", str(tmp_path)) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -513,7 +522,8 @@ def test_sweep_output_equals_independent_per_cut_reports(request):
 
 def test_full_sweep_solves_each_saddle_and_mirrored_cut_once(capsys,
                                                              monkeypatch):
-    calls = {"beta_family": 0, "dim_table": 0}
+    calls = {"beta_family": 0, "dim_table": 0, "grow_table": 0,
+             "shrink_table": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -527,7 +537,10 @@ def test_full_sweep_solves_each_saddle_and_mirrored_cut_once(capsys,
                            "--n", "1")
     assert code == 0 and len(parse_csv(out)[1]) == 41
     assert calls["beta_family"] <= 2  # once at n, once at n*
-    assert calls["dim_table"] == 2 * 20  # two tables per cut V_A <= V/2
+    # the first cut V_A = 1 builds its two tables, and each later cut
+    # V_A <= V/2 steps the previous one's; at V_A = 20 both sides are one
+    assert (calls["dim_table"], calls["grow_table"],
+            calls["shrink_table"]) == (2, 19, 18)
 
 
 # flag values of the CLI fuzz test: sizes from a small band or far beyond
@@ -547,7 +560,7 @@ _FUZZ_OPTIONAL = {"VA", "methods", "window", "seed", "nmax", "format",
 _FUZZ_OUT = st.sampled_from(["FILES/missing/out.csv", "FILES",
                              "FILES/out.csv"])
 _FUZZ_FILES = ["FILES/missing.json", "FILES", "FILES/latin1.json",
-               "FILES/array.json"]
+               "FILES/array.json", "FILES/deep.json"]
 _OTHER_CHAIN = {"spin1_xxz": ("U", "nmax"),
                 "bose_hubbard": ("lambda", "Delta")}
 
@@ -605,6 +618,7 @@ def fuzz_files(tmp_path_factory):
     files = tmp_path_factory.mktemp("fuzz")
     (files / "array.json").write_text("[1, 2]")
     (files / "latin1.json").write_bytes(b"\xff\xfe{}")
+    (files / "deep.json").write_text(DEEP_JSON)
     return str(files)
 
 

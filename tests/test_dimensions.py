@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import page_entropy.dimensions as dimensions
 from page_entropy.dimensions import (dim_fixed_n, dim_table,
                                      distinguishable_dim,
-                                     extended_binomial_closed)
+                                     extended_binomial_closed, grow_table,
+                                     shrink_table)
 from page_entropy.errors import DomainError
-from page_entropy.local_model import LocalModel, catalog, power, product
+from page_entropy.local_model import (CATALOG, LocalModel, catalog,
+                                      from_json, power, product)
 
 FIVE = ("fermions", "hardcore_bosons_2species", "bosons",
         "bosons_2species_unordered", "bosons_2species_ordered")
@@ -114,6 +116,39 @@ def test_dim_table_edges():
     assert list(dim_table(m, 0, 2)) == [1, 0, 0]
     # truncation beyond V*n_max zero-pads
     assert list(dim_table(m, 2, 5)) == [1, 2, 1, 0, 0, 0]
+
+
+# every catalog model, and P/Q models with a_0 = 2, so that the exact
+# division by P(0) is exercised, and deg Q = 2
+STEP_MODELS = ([catalog(name) for name in CATALOG]
+               + [catalog("spin_j", j) for j in (0.5, 1, 1.5)]
+               + [catalog("capped_bosons", 3)]
+               + [from_json('{"P": [2, 1], "Q": [1, -1, -1]}'),
+                  from_json('{"P": [2, 3, 2], "Q": [1, 0, -1]}'),
+                  from_json('{"P": [2, 0, 1]}'),
+                  from_json('{"P": [2], "Q": [1, -1]}'),
+                  from_json('{"P": [3, 1, 2], "Q": [1, -1]}')])
+
+
+@pytest.mark.parametrize("model", STEP_MODELS,
+                         ids=[m.label + str(m.P + m.Q) for m in STEP_MODELS])
+def test_stepped_tables_equal_dim_table(model):
+    # up from 0 sites to V and back down, capped as a sweep caps them
+    V = 9
+    for N in (0, 1, 4, 13, 30):
+        def cap(sites):
+            return N if model.n_max is None else min(N, sites * model.n_max)
+        table = dim_table(model, 0, cap(0))
+        for sites in range(1, V + 1):
+            table = grow_table(model, table, cap(sites))
+            assert table == list(dim_table(model, sites, cap(sites)))
+        for sites in range(V - 1, -1, -1):
+            table = shrink_table(model, table, cap(sites))
+            assert table == list(dim_table(model, sites, cap(sites)))
+    if model.n_max is not None:  # entries past the table's end count as 0
+        table = dim_table(model, 3, 3 * model.n_max)
+        assert grow_table(model, table, 5 * model.n_max) == \
+            list(dim_table(model, 4, 5 * model.n_max))
 
 
 def test_extended_binomial_matches_powering():

@@ -361,6 +361,48 @@ def test_report_memo_is_bit_identical_and_serves_one_model():
     assert fermion_reps[0] != spin_reps[0]
 
 
+SWEEP_MODELS = (("fermions", None), ("bosons", None), ("spin_j", 1),
+                ("capped_bosons", 3), ("hardcore_bosons_2species", None))
+
+
+@pytest.mark.parametrize("name,param", SWEEP_MODELS)
+def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
+    # a sweep steps its tables from cut to cut and, at 2N = V n_max,
+    # evaluates each mirrored pair of blocks once; each panel still equals
+    # that of its cut alone, bit for bit
+    model = catalog(name) if param is None else catalog(name, param)
+    methods = ("exact", "exact_variance")
+    calls = {"dim_table": 0, "_phi": 0}
+    for key in calls:
+        def counted(*args, key=key, fn=getattr(entropy, key)):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(entropy, key, counted)
+    V = 14
+    top = V * (model.n_max or 2)
+    for N in (top // 2, top // 2 - 3, 5):
+        alone = [report(model, [BipartitionSpec(V, N, v_a)], methods)[0]
+                 for v_a in range(V + 1)]
+        for v_as in (range(V + 1), (9, 2, 5, 4, 12, 0, 3),
+                     (11, 6, 2, 13, 9)):
+            calls.update(dict.fromkeys(calls, 0))
+            specs = [BipartitionSpec(V, N, v_a) for v_a in v_as]
+            assert report(model, specs, methods) == [alone[v_a]
+                                                     for v_a in v_as]
+            # one table pair for each cut not next to the previous one
+            assert calls["dim_table"] == 2 * (1 + (v_as[0] == 11))
+            blocks = sum(len(BipartitionSpec(V, N, cut).n_a_range(
+                model.n_max)) for cut in {spec.mirrored_cut[2]
+                                          for spec in specs} - {0})
+            mirrored = (model.n_max is not None and 2 * N == top
+                        and model.P == model.P[::-1])
+            assert (calls["_phi"] < blocks) == mirrored
+        # Vandermonde: every cut's blocks sum to the sector dimension
+        sums = entropy._sector_sums(model, V, N, range(1, V // 2 + 1), True)
+        assert {d_n for _, _, d_n in sums.values()} == \
+            {dim_fixed_n(model, V, N)}
+
+
 def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
     checks = []
     real_check = budget.check_exact_work
