@@ -32,6 +32,15 @@ def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
                     for spec in distinct.values()))
 
 
+def check_labeled_work(V: int, N: int) -> None:
+    """Refuse (InfeasibleSizeError) the N + 1 blocks of a labeled-particle
+    sum above BUDGET_S at `_block_seconds`, w = N log2(V) / 64 the words of
+    d_N = V^N: within 2x of measured times at V = N = 400 to 4000."""
+    _refuse_above_budget(
+        f"labeled-particle exact sum of {N + 1} blocks",
+        lambda: (N + 1) * _block_seconds(N * math.log2(V) / 64.0))
+
+
 def check_table_work(model: LocalModel, tables, rows: int = 0) -> None:
     """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
     front: raises InfeasibleSizeError if their `_table_work_seconds`, plus
@@ -76,18 +85,18 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     """Estimated run time of one cut's exact sums, from sizes alone.
 
     The cut's two dimension tables (`BipartitionSpec.tables`) cost their
-    `_table_work_seconds`; each N_A block takes 4 us + 25 ns * w^1.6 for
-    w-word dimensions, 2.5 times that with the variance.  Calibrated on
-    fermions to capped_bosons:100000, V up to 4000, with every cut's tables
-    built anew; a `page` sweep steps them from cut to cut and evaluates
-    mirrored blocks once at 2N = V n_max, so its cuts cost less.
+    `_table_work_seconds`; each N_A block takes `_block_seconds`, 2.5 times
+    that with the variance.  Calibrated on fermions to
+    capped_bosons:100000, V up to 4000, with every cut's tables built anew;
+    a `page` sweep steps them from cut to cut and evaluates mirrored blocks
+    once at 2N = V n_max, so its cuts cost less.
     """
     n_a_values = spec.n_a_range(model.n_max)
     if spec.V_A in (0, spec.V) or not n_a_values:
         return 0.0
     seconds = _table_work_seconds(model, spec.tables(model.n_max))
     words = _dim_bits_bound(model, spec.N)(spec.V, spec.N) / 64.0
-    per_block = 4e-6 + 2.5e-8 * words ** 1.6
+    per_block = _block_seconds(words)
     blocks = n_a_values.stop - n_a_values.start  # len() stops at 2^63
     return seconds + blocks * per_block * (2.5 if want_variance else 1.0)
 
@@ -109,6 +118,11 @@ def sample_seconds(basis) -> float:
     fermions (V = 4 to 28), bosons and spin-1, all within 1.5x."""
     mins = [min(blk.d_a, blk.d_b) for blk in basis.blocks]
     return 1.4e-6 + 1.4e-7 * sum(mins) + 2.3e-8 * sum(m * m for m in mins)
+
+
+def _block_seconds(words: float) -> float:
+    """One block of an exact sum on w-word dimensions: 4 us + 25 ns w^1.6."""
+    return 4e-6 + 2.5e-8 * words ** 1.6
 
 
 def _table_work_seconds(model: LocalModel, tables) -> float:

@@ -1,8 +1,9 @@
 """Typical entanglement entropy of a bipartite number-conserving sector.
 
 Exact finite-size averages and variances are sums over the subsystem
-particle number N_A: the state counts d_A, d_B, d_N are exact integers, the
-weight of a block is rho = d_A d_B / d_N, and the block mean is
+particle number N_A: block N_A has exact integer state counts d_A, d_B and
+weight w = d_A d_B (C(N, N_A) d_A d_B for labeled particles), d_N is the
+sum of the weights, rho = w / d_N, and the block mean is
 
     phi = Psi(d_N + 1) - Psi(max(d_A, d_B) + 1)
           - min((d_A - 1) / (2 d_B), (d_B - 1) / (2 d_A)).
@@ -37,7 +38,8 @@ alone and are solved once.
 
 A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
 sampler and the run-time estimate, and before any table is built a
-request's sums are refused above the budget (`budget.check_exact_work`).
+request's sums are refused above the budget (`budget.check_exact_work`)
+or at V above 4000.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from math import erfc
 from typing import Optional
 
 from . import budget
-from .dimensions import (dim_table, distinguishable_dim, grow_table,
-                         shrink_table)
+from .dimensions import dim_table, grow_table, shrink_table
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
@@ -258,17 +259,13 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
 def _sector_sums(model: LocalModel, V: int, N: int, cuts,
                  want_variance: bool) -> dict:
     """{V_A: (mean, variance numerator, d_N)} of the cuts 0 < V_A <= V/2 in
-    `cuts` of one sector, swept in ascending V_A; the caller has passed
-    them through `budget.check_exact_work`.  An empty sector or V above
-    4000 is refused before any table is built.
+    `cuts` of one sector, swept in ascending V_A, after `report`'s checks;
+    an empty sector is refused before any table is built.
 
     A cut one site past the previous one steps that cut's two tables
     (`grow_table`, `shrink_table`) instead of building them; any other cut
-    builds its tables with `dim_table`.  Each block's product d_A d_B is
-    formed once and d_N summed from the products."""
-    if V > _EXACT_V_LIMIT:
-        raise InfeasibleSizeError(
-            f"exact sum limited to V <= {_EXACT_V_LIMIT}")
+    builds its tables with `dim_table`.  Each evaluated block's product
+    d_A d_B is formed once, as its weight."""
     tables = {}  # sites -> its table, for the two sides of the last cut
 
     def table(model, sites, N_cap):
@@ -292,25 +289,25 @@ def _sector_sums(model: LocalModel, V: int, N: int, cuts,
         if may_mirror and all(pairs[i] == pairs[~i]
                               for i in range(len(pairs) // 2)):
             twice = len(pairs) // 2
-        sums[V_A] = _block_sums(pairs[:len(pairs) - twice], twice,
+        sums[V_A] = _block_sums([(d_a * d_b, d_a, d_b) for d_a, d_b
+                                 in pairs[:len(pairs) - twice]], twice,
                                 want_variance)
     return sums
 
 
-def _block_sums(pairs, twice: int, want_variance: bool):
-    """(mean, variance numerator, d_N) of the blocks `pairs`, (d_A, d_B),
-    the first `twice` of them counted twice.  `math.fsum` is correctly
-    rounded, so a repeated term gives the sum of the full list bit for
-    bit."""
-    products = [d_a * d_b for d_a, d_b in pairs]
-    d_n = sum(products) + sum(products[:twice])
+def _block_sums(blocks, twice: int, want_variance: bool):
+    """(mean, variance numerator, d_N) of the `blocks`, (weight, d_A, d_B),
+    the first `twice` of them counted twice; d_N is the sum of the weights
+    and a block's rho = weight / d_N.  `math.fsum` is correctly rounded, so
+    a repeated term gives the sum of the full list bit for bit."""
+    d_n = sum(w for w, _, _ in blocks) + sum(w for w, _, _ in blocks[:twice])
     psi_n = digamma_of_dim(d_n)
     trigamma_n = (_times_trigamma(d_n + 1, d_n, trigamma_of_dim(d_n))
                   if want_variance else None)
     mean_terms = []
     square_terms = []
-    for product, (d_a, d_b) in zip(products, pairs):
-        rho = product / d_n
+    for weight, d_a, d_b in blocks:
+        rho = weight / d_n
         phi, chi = _phi(d_a, d_b, psi_n, trigamma_n)
         mean_terms.append(rho * phi)
         if want_variance:
@@ -621,21 +618,17 @@ def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
 # -- distinguishable (labeled) particles -------------------------------------
 
 def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
-    """Exact mean entropy for N labeled particles on V sites, V_A in A."""
+    """Exact mean entropy for N labeled particles on V sites, V_A in A: 0 at
+    V_A = 0 and V, else the block sum with d_A = V_A^N_A and weights
+    C(N, N_A) d_A d_B, refused above `budget.check_labeled_work`."""
     if V < 1 or not 0 <= V_A <= V or N < 0:
         raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
-    d_n = distinguishable_dim(V, N)
-    psi_n = digamma_of_dim(d_n)
-    v_b = V - V_A
-    terms = []
-    for n_a in range(N + 1):
-        d_a = V_A ** n_a
-        d_b = v_b ** (N - n_a)
-        if d_a == 0 or d_b == 0:
-            continue
-        rho = (math.comb(N, n_a) * d_a * d_b) / d_n
-        terms.append(rho * _phi(d_a, d_b, psi_n)[0])
-    return math.fsum(terms)
+    if V_A in (0, V):
+        return 0.0
+    budget.check_labeled_work(V, N)
+    sides = [(V_A ** n_a, (V - V_A) ** (N - n_a)) for n_a in range(N + 1)]
+    return _block_sums([(math.comb(N, n_a) * d_a * d_b, d_a, d_b)
+                        for n_a, (d_a, d_b) in enumerate(sides)], 0, False)[0]
 
 
 def distinguishable_asymptotic(V: float, N: float,
@@ -672,11 +665,11 @@ def report(model: LocalModel, specs,
     or its complement is trivial.
 
     With an exact method, the exact sums of all cuts are refused up front
-    by one `budget.check_exact_work`.  Each shared quantity is then
-    computed once per call: the exact sums of the mirrored cuts V_A and
-    V - V_A, and the saddle solutions at each filling and at n*.  So a page
-    curve is one call, and each panel equals that of a call with its cut
-    alone.
+    by one `budget.check_exact_work`, or if a cut 0 < V_A < V has V above
+    4000.  Each shared quantity is then computed once per call: the exact
+    sums of the mirrored cuts V_A and V - V_A, and the saddle solutions at
+    each filling and at n*.  So a page curve is one call, and each panel
+    equals that of a call with its cut alone.
     """
     unknown = [key for key in methods if key not in METHODS]
     if unknown:
@@ -686,6 +679,9 @@ def report(model: LocalModel, specs,
     want_variance = "exact_variance" in methods
     if want_variance or "exact" in methods:
         budget.check_exact_work(model, specs, want_variance)
+        if any(s.V > _EXACT_V_LIMIT and 0 < s.V_A < s.V for s in specs):
+            raise InfeasibleSizeError(
+                f"exact sum limited to V <= {_EXACT_V_LIMIT}")
     saddles = _Saddles(model)
     sectors = {}  # (V, N) -> its distinct cuts min(V_A, V - V_A) > 0
     for spec in specs:

@@ -34,18 +34,15 @@ _MAX_DEGREE = 10 ** 6  # largest catalog n_max; P is stored densely
 class LocalModel:
     """Immutable site model zeta = P/Q: integer coefficient lists, lowest
     degree first, with Q(0) = 1, no common factor and a_0 = P(0) >= 1 (a
-    charge-0 vacuum state).  `charge_offset` is the physical charge of k = 0
-    (negative for spin windows)."""
+    charge-0 vacuum state, from which charges count particles)."""
 
-    def __init__(self, label: str, P: Sequence[int], Q: Sequence[int] = (1,),
-                 charge_offset: int = 0):
+    def __init__(self, label: str, P: Sequence[int], Q: Sequence[int] = (1,)):
         self.label = str(label)
-        for c in [*P, *Q, charge_offset]:
+        for c in [*P, *Q]:
             if isinstance(c, bool) or not isinstance(c, int):
-                raise DomainError(f"{self.label}: P, Q and charge_offset "
-                                  f"must be integers, got {c!r}")
+                raise DomainError(f"{self.label}: P and Q must be integers, "
+                                  f"got {c!r}")
         self.P, self.Q = _trim(list(P)), _trim(list(Q))
-        self.charge_offset = charge_offset
         if not self.Q or self.Q[0] != 1:
             raise DomainError(f"{self.label}: Q(0) must be 1")
         if not self.P or self.P[0] < 1:
@@ -94,15 +91,16 @@ class LocalModel:
 
     def to_json(self) -> str:
         """Serialize to a JSON document (see `from_json`)."""
-        return json.dumps({"label": self.label, "P": self.P, "Q": self.Q,
-                           "charge_offset": self.charge_offset}, indent=2)
+        return json.dumps({"label": self.label, "P": self.P, "Q": self.Q},
+                          indent=2)
 
     def __repr__(self):
         return f"LocalModel({self.label!r}, P={self.P}, Q={self.Q})"
 
 
 def from_json(document) -> LocalModel:
-    """Rebuild a model from `LocalModel.to_json` output (str or dict)."""
+    """Rebuild a model from `LocalModel.to_json` output (str or dict), an
+    object of label, P and Q (default [1]); other keys raise ConfigError."""
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -113,16 +111,15 @@ def from_json(document) -> LocalModel:
                 from None
     if not isinstance(document, dict):
         raise ConfigError("model document must be a JSON object")
-    unknown = sorted(set(document) - {"label", "P", "Q", "charge_offset"})
+    unknown = sorted(set(document) - {"label", "P", "Q"})
     if unknown:
         raise ConfigError(f"model document has unknown key(s) "
                           f"{', '.join(map(repr, unknown))}; it takes "
-                          f"label, P, Q and charge_offset")
+                          f"label, P and Q")
     P, Q = document.get("P"), document.get("Q", [1])
     if not isinstance(P, list) or not isinstance(Q, list):
         raise ConfigError("model document needs integer lists P (and Q)")
-    return LocalModel(document.get("label", "custom"), P, Q,
-                      document.get("charge_offset", 0))
+    return LocalModel(document.get("label", "custom"), P, Q)
 
 
 def parse_model(text: str) -> LocalModel:
@@ -212,8 +209,7 @@ def catalog(name: str, param=None) -> LocalModel:
 
 
 def product(models: Sequence[LocalModel]) -> LocalModel:
-    """Site carrying all the given species: P's and Q's multiply (common
-    factors cancel), charge offsets add."""
+    """All the given species on one site: P's and Q's multiply."""
     models = list(models)
     if not models:
         raise DomainError("product needs at least one model")
@@ -222,8 +218,7 @@ def product(models: Sequence[LocalModel]) -> LocalModel:
         P, Q = _poly_mul(result.P, other.P), _poly_mul(result.Q, other.Q)
         g = _poly_gcd(P, Q)
         result = LocalModel(f"product({result.label},{other.label})",
-                            _poly_div(P, g), _poly_div(Q, g),
-                            result.charge_offset + other.charge_offset)
+                            _poly_div(P, g), _poly_div(Q, g))
     return result
 
 
@@ -234,15 +229,7 @@ def power(model: LocalModel, m: int) -> LocalModel:
     if m == 1:
         return model
     result = product([model] * m)
-    return LocalModel(f"{model.label}^{m}", result.P, result.Q,
-                      result.charge_offset)
-
-
-def shift_charges(coefficients: Sequence[int], k_min: int,
-                  label: str = "shifted") -> LocalModel:
-    """Polynomial model of the charge window k_min .. k_min + len - 1, re-based
-    onto particle numbers: at magnetization M, N = M - V * k_min."""
-    return LocalModel(label, coefficients, charge_offset=k_min)
+    return LocalModel(f"{model.label}^{m}", result.P, result.Q)
 
 
 # -- polynomials: coefficient lists, lowest degree first --------------------

@@ -56,7 +56,10 @@ def ln_big(d) -> float:
     goes through a lossy full-integer float conversion.  Relative error
     is a few ulp (< 1e-14) regardless of magnitude.
     """
-    return _ln_positive(_as_positive_int(d, "ln_big"))
+    d = _as_dim_int(d, "ln_big")
+    if d == 0:
+        raise DomainError("ln_big: log of zero dimension")
+    return _ln_positive(d)
 
 
 def _ln_positive(d: int) -> float:
@@ -187,13 +190,6 @@ def _safe_inverse(x: int) -> float:
     if x.bit_length() > 1000:
         return 0.0
     return 1.0 / float(x)
-
-
-def _as_positive_int(d, where: str) -> int:
-    d = _as_dim_int(d, where)
-    if d == 0:
-        raise DomainError(f"{where}: log of zero dimension")
-    return d
 
 
 def _as_dim_int(d, where: str) -> int:

@@ -142,15 +142,20 @@ def _z_of(model: LocalModel, z: float) -> float:
 def _initial_bracket(model: LocalModel, n: float):
     """(lo, hi) with Z(lo) < n < Z(hi): lo walks down from min(1, r/2) by
     factors of 4, hi up from 1 by factors of 4, or toward a finite radius r
-    as r - (r/4) 4^-k (kept above lo)."""
+    as r - (r/4) 4^-k (kept above lo), refused once that rounds to r."""
     radius = model.radius
     lo = _walk(lambda k: math.ldexp(min(1.0, 0.5 * radius), -2 * k),
                lambda z: _z_of(model, z) >= n, "z = 0")
     if model.n_max is not None:
         return lo, _walk(lambda k: math.ldexp(1.0, 2 * k),
                          lambda z: _z_of(model, z) <= n, "z = inf")
+
+    def short_of_radius(z):
+        if z < radius:
+            return z <= lo or _z_of(model, z) <= n
+        raise NumericalError(f"bracketing failed toward the radius at n={n}")
     return lo, _walk(lambda k: radius - math.ldexp(0.25 * radius, -2 * k),
-                     lambda z: z <= lo or _z_of(model, z) <= n, "the radius")
+                     short_of_radius, "the radius")
 
 
 def _walk(point, short, toward: str) -> float:

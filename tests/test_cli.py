@@ -772,6 +772,16 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "30",
                            "--N", "15", "--VA", "15", "--samples", "1")
     assert code == 4 and "infeasible" in err
+    code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "100",
+                           "--N", "50", "--VA", "1", "--samples", "1")
+    assert code == 4 and "block side above 2^53 at N_A=0; cannot sample" in err
+    # fillings whose saddle lies closer to the radius than a double resolves
+    for argv in (("beta", "--model", "bosons", "--grid", "1e16:1e16:1"),
+                 ("page", "--model", "bosons", "--V", "10", "--N",
+                  "100000000000000000000", "--VA", "5", "--methods",
+                  "asymptotic")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "bracketing failed toward the radius" in err
 
     def boom(*a, **k):
         raise NumericalError("synthetic loss of precision")
@@ -977,6 +987,9 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
               "--methods", "exact"), 4, "budget"),
             (("dims", "--model", "bosons", "--V", "4", "--N", beyond_float),
              4, "budget"),
+            # any sector of a request above V = 4000, before any other's
+            (("scaling", "--model", "bosons", "--f", "0.5", "--n", "1",
+              "--V-list", "4000,4002"), 4, "exact sum limited to V <= 4000"),
             # N above V n_max: no N_A block, so no table to build
             (("mc", "--model", "fermions", "--V", "6", "--N", huge, "--VA",
               "3", "--samples", "1"), 2, "empty sector"),

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -222,9 +223,29 @@ def test_distinguishable_exact_values():
         ref += rho * phi
     got = distinguishable_exact_average(2, 2, 1)
     assert abs(got - ref) < 1e-12
-    # a trivial cut: one block, its mean digamma(d_N) - digamma(d_N) = 0
+    # a trivial cut is 0 at any size, with no big-int work
     assert distinguishable_exact_average(5, 3, 0) == 0.0
     assert distinguishable_exact_average(5, 3, 5) == 0.0
+    assert distinguishable_exact_average(10 ** 6, 10 ** 9, 10 ** 6) == 0.0
+    # the block sum shared with identical particles, pinned to the values
+    # of the separate labeled-particle loop it replaced
+    for args, value in (((50, 50, 25), 106.03794811121122),
+                        ((400, 400, 100), 685.4510764463323),
+                        ((401, 133, 77), 175.99038708233968)):
+        assert distinguishable_exact_average(*args) == value
+
+
+def test_distinguishable_exact_sum_refused_above_the_budget():
+    start = time.perf_counter()
+    with pytest.raises(InfeasibleSizeError,
+                       match="labeled-particle exact sum of 16001 blocks "
+                             "estimated at 187 s, above the 60 s budget"):
+        entropy.distinguishable_exact_average(16000, 16000, 4000)
+    assert time.perf_counter() - start < 1.0
+    # V = N = 4000 took 2.9-4.1 s and is estimated at 4 s: it runs
+    budget.check_labeled_work(4000, 4000)
+    with pytest.raises(InfeasibleSizeError, match="inf s"):
+        budget.check_labeled_work(10, 10 ** 400)
 
 
 def test_report_panel_and_errors():

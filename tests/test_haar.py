@@ -86,6 +86,10 @@ def test_basis_errors():
         build_sector_basis(m, 4, 9, 2)  # no states above full filling
     with pytest.raises(InfeasibleSizeError):
         build_sector_basis(m, 30, 15, 15)  # C(30,15) ~ 1.55e8
+    # d_B = C(99, 50) ~ 5e28 at N_A = 0: no longer an exact Gamma shape
+    with pytest.raises(InfeasibleSizeError,
+                       match=r"block side above 2\^53 at N_A=0"):
+        build_sector_basis(m, 100, 50, 1)
 
 
 def test_iter_sector_states_counts():

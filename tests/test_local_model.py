@@ -10,8 +10,7 @@ import pytest
 import page_entropy.cli as cli
 from page_entropy.errors import ConfigError, DomainError
 from page_entropy.local_model import (LocalModel, catalog, eval_zeta,
-                                      from_json, power, product,
-                                      shift_charges)
+                                      from_json, power, product)
 
 mp.mp.dps = 40
 
@@ -142,8 +141,14 @@ def test_validation_rules(capsys, tmp_path):
         assert cli.main(["dims", "--model", str(doc), "--V", "3",
                          "--N", "4"]) == 2
         assert "config error" in capsys.readouterr().err
-    with pytest.raises(DomainError):
-        LocalModel("offset", [1, 1], charge_offset=0.5)
+    # a key the format does not have is named, not ignored
+    doc = tmp_path / "offset.json"
+    doc.write_text(json.dumps({"label": "spin1_window", "P": [1, 1, 1],
+                               "Q": [1], "charge_offset": -1}))
+    assert cli.main(["dims", "--model", str(doc), "--V", "3",
+                     "--N", "3"]) == 2
+    assert ("unknown key(s) 'charge_offset'; it takes label, P and Q"
+            in capsys.readouterr().err)
     # (1 - 2 z^70)/(1 - z): the first negative a_k lies past the probe
     # made at construction and is refused when first computed
     late = LocalModel("late_negative", [1] + [0] * 69 + [-2], [1, -1])
@@ -180,13 +185,11 @@ def test_json_round_trip_catalog():
 
 
 def test_json_round_trip_explicit_list():
-    model = shift_charges([1, 2, 1], k_min=-1, label="triplet")
+    model = LocalModel("triplet", [1, 2, 1])
     doc = json.loads(model.to_json())
-    assert doc == {"label": "triplet", "P": [1, 2, 1], "Q": [1],
-                   "charge_offset": -1}
+    assert doc == {"label": "triplet", "P": [1, 2, 1], "Q": [1]}
     clone = from_json(doc)
     assert clone.coefficients(4) == [1, 2, 1, 0]
-    assert clone.charge_offset == -1
     assert clone.n_max == 2
 
 
@@ -242,14 +245,3 @@ def test_power_and_identity():
     assert cubed.n_max == 3
     with pytest.raises(DomainError):
         power(model, 0)
-
-
-def test_shift_charges_maps_spin_window():
-    spin1 = shift_charges([1, 1, 1], k_min=-1, label="spin1_window")
-    ref = catalog("spin_j", 1)
-    assert spin1.coefficients(4) == ref.coefficients(4)
-    assert spin1.charge_offset == -1
-    with pytest.raises(DomainError):
-        shift_charges([1, 1], k_min=None)
-    with pytest.raises(DomainError):
-        shift_charges([], k_min=0)

@@ -2,7 +2,8 @@
 
 Every `page-entropy` line of its `sh` blocks runs in-process through
 `cli.main` and must exit 0; where comment lines follow a command, they are
-its expected output.  The `## Library` block is executed as Python.
+its expected output.  The `## Library` block is executed as Python, and
+each `json` block, a model file, loads with `from_json` and runs `dims`.
 """
 
 import json
@@ -11,6 +12,7 @@ import shlex
 from pathlib import Path
 
 import page_entropy.cli as cli
+from page_entropy.local_model import from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,3 +68,15 @@ def test_readme_library_block_runs():
     [body] = [body for heading, body in _blocks("python")
               if heading == "## Library"]
     exec(compile(body, "README.md", "exec"), {})
+
+
+def test_readme_model_files_load_and_run(capsys, tmp_path):
+    bodies = [body for _, body in _blocks("json")]
+    assert len(bodies) == 2
+    for i, body in enumerate(bodies):
+        from_json(body)  # a key outside the format raises ConfigError
+        path = tmp_path / f"model{i}.json"
+        path.write_text(body)
+        code = cli.main(["dims", "--model", str(path), "--V", "3",
+                         "--N", "3"])
+        assert code == 0, (body, capsys.readouterr().err)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -184,6 +185,18 @@ def test_bracket_walk_stops_at_its_limit(monkeypatch, name, n, probes,
     with pytest.raises(NumericalError, match=f"bracketing failed {message}"):
         solve_z0(parse_model(name), n)
     assert calls == probes
+
+
+@pytest.mark.parametrize("name, n", [("bosons", 1e16),
+                                     ("bosons_2species_ordered", 1e17)])
+def test_bracket_walk_refuses_a_filling_beyond_the_radius_grid(name, n):
+    # z0 lies closer to the radius than the spacing of doubles there, so
+    # the probe r - (r/4) 4^-k rounds to r before it brackets n
+    with pytest.raises(NumericalError,
+                       match=re.escape(f"toward the radius at n={n}")):
+        solve_z0(catalog(name), n)
+    # a filling 100 times smaller still solves
+    assert beta_family(catalog(name), n / 100).z0 < catalog(name).radius
 
 
 def test_nstar_values_and_maximum():
