@@ -15,6 +15,7 @@ from .errors import InfeasibleSizeError
 from .local_model import LocalModel
 
 BUDGET_S = 60.0
+_JSON_FACTOR = 2.0  # printing as JSON takes about twice as long as CSV
 
 
 def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
@@ -41,12 +42,14 @@ def check_labeled_work(V: int, N: int) -> None:
         lambda: (N + 1) * _block_seconds(N * math.log2(V) / 64.0))
 
 
-def check_table_work(model: LocalModel, tables, rows: int = 0) -> None:
+def check_table_work(model: LocalModel, tables, rows: int = 0,
+                     as_json: bool = False) -> None:
     """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
     front: raises InfeasibleSizeError if their `_table_work_seconds`, plus
-    `_render_seconds` for printing `rows` entries of them, exceed
-    BUDGET_S."""
-    printing = [(lambda: _render_seconds(model, tables, rows),
+    `_render_seconds` for printing `rows` entries of them (`_JSON_FACTOR`
+    times that as JSON), exceed BUDGET_S."""
+    factor = _JSON_FACTOR if as_json else 1.0
+    printing = [(lambda: factor * _render_seconds(model, tables, rows),
                  f"to print {rows} rows")] if rows else []
     _refuse_above_budget("dimension tables",
                          lambda: _table_work_seconds(model, tables), *printing)
@@ -104,10 +107,10 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
 def cut_seconds(columns: int, as_json: bool) -> float:
     """Estimated run time of one cut of a request apart from its exact sums:
     the cut, its saddle-based columns and the printing of `columns` values,
-    12 us + 7 us a column, twice that as JSON.  `page` sweeps at V = 1e5
-    took 17-34 us a cut (CSV) and 36-69 us (JSON) with 1 to 3 columns on
-    fermions, bosons and spin-1."""
-    return (1.2e-5 + 7e-6 * columns) * (2.0 if as_json else 1.0)
+    12 us + 7 us a column, `_JSON_FACTOR` times that as JSON.  `page` sweeps
+    at V = 1e5 took 17-34 us a cut (CSV) and 36-69 us (JSON) with 1 to 3
+    columns on fermions, bosons and spin-1."""
+    return (1.2e-5 + 7e-6 * columns) * (_JSON_FACTOR if as_json else 1.0)
 
 
 def sample_seconds(basis) -> float:

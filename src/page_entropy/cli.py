@@ -33,36 +33,19 @@ from .saddle import beta_family, n_star
 from .spectra import build_bose_hubbard, build_spin1_xxz, \
     mid_spectrum_entropies
 
-# page column -> (its `entropy.report` key, the EntropyReport attribute)
+# page column -> (its `entropy.report` key, the EntropyReport attribute, the
+# attribute's fields in a JSON entry); a CSV cell is the attribute's .value
+# if it has fields, else the attribute itself
 _PAGE_COLUMNS = {
-    "exact": ("exact", "exact_mean"),
-    "asymptotic": ("asymptotic", "asymptotic.value"),
-    "resolved": ("resolved", "resolved"),
-    "exact_var": ("exact_variance", "exact_variance.value"),
-    "asym_var": ("asymptotic_variance", "asymptotic_variance.value"),
+    "exact": ("exact", "exact_mean", ()),
+    "asymptotic": ("asymptotic", "asymptotic", ("a", "b", "c", "value")),
+    "resolved": ("resolved", "resolved", ()),
+    "exact_var": ("exact_variance", "exact_variance", ("value", "log_value")),
+    "asym_var": ("asymptotic_variance", "asymptotic_variance",
+                 ("value", "prefactor", "exponent", "log_value")),
 }
 _PAGE_METHODS = tuple(_PAGE_COLUMNS)
 _PAGE_COLUMNS["variance"] = _PAGE_COLUMNS["exact_var"]  # an alias
-
-
-def _entry(attribute, *fields):
-    """rep -> one EntropyReport attribute, or a dict of its `fields`."""
-    value = attrgetter(attribute)
-    if not fields:
-        return value
-    cells = attrgetter(*fields)
-    return lambda rep: dict(zip(fields, cells(value(rep))))
-
-
-# report key -> its page-JSON entry
-_PAGE_JSON = {
-    "exact": _entry("exact_mean"),
-    "asymptotic": _entry("asymptotic", "a", "b", "c", "value"),
-    "resolved": _entry("resolved"),
-    "exact_variance": _entry("exact_variance", "value", "log_value"),
-    "asymptotic_variance": _entry("asymptotic_variance", "value", "prefactor",
-                                  "exponent", "log_value"),
-}
 
 
 # -- flag types: argparse applies them to flags and config values alike ------
@@ -321,16 +304,21 @@ def _cmd_beta(merged):
 def _cmd_page(merged):
     methods = merged.get("methods") or _PAGE_METHODS
     model, specs, meta = _cut_request(merged, len(methods))
-    wanted = {_PAGE_COLUMNS[method][0] for method in methods}
-    keys = [key for key in _PAGE_JSON if key in wanted]
-    reports = ent.report(model, specs, tuple(keys))
+    wanted = {_PAGE_COLUMNS[method] for method in methods}
+    entries = [_PAGE_COLUMNS[m] for m in _PAGE_METHODS
+               if _PAGE_COLUMNS[m] in wanted]
+    reports = ent.report(model, specs, tuple(key for key, _, _ in entries))
     if merged.get("format") == "json":  # a row entry per report key
-        header = ["V_A", "f"] + keys
-        rows = [[rep.V_A, rep.f] + [_PAGE_JSON[key](rep) for key in keys]
-                for rep in reports]
+        header = ["V_A", "f"] + [key for key, _, _ in entries]
+        rows = [[rep.V_A, rep.f] + [
+            {name: getattr(getattr(rep, attribute), name) for name in fields}
+            if fields else getattr(rep, attribute)
+            for _, attribute, fields in entries] for rep in reports]
     else:
         header = ["V_A", "f"] + list(methods)
-        cells = attrgetter("V_A", "f", *(_PAGE_COLUMNS[m][1] for m in methods))
+        paths = [attribute + ".value" if fields else attribute
+                 for _, attribute, fields in map(_PAGE_COLUMNS.get, methods)]
+        cells = attrgetter("V_A", "f", *paths)
         rows = [cells(rep) for rep in reports]
     return {"header": header, "rows": rows, "meta": meta}
 
@@ -443,7 +431,8 @@ def _cmd_dims(merged):
         if model.n_max is None:
             raise ConfigError("--N cap is required for unbounded models")
         cap = V * model.n_max
-    budget.check_table_work(model, ((V, cap),), rows=cap + 1)
+    budget.check_table_work(model, ((V, cap),), rows=cap + 1,
+                            as_json=merged.get("format") == "json")
     table = dim_table(model, V, cap)
     rows = [[N, d] for N, d in enumerate(table)]
     return {"header": ["N", "d_N"], "rows": rows,

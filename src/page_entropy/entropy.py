@@ -31,10 +31,10 @@ products and quotients), instead of building them anew.  At
 bosons) reads the same backwards; that is checked on the list itself,
 and then each mirrored pair of blocks is evaluated once and its terms
 summed twice, which fsum's correct rounding leaves bit-identical.  Within
-a cut each product d_A d_B is formed once, Psi(d_N + 1) and
-(d_N + 1) Psi'(d_N + 1) once, and Psi, Psi' of a block's larger side in
-one evaluation.  The saddle solutions at n and n* depend on the filling
-alone and are solved once.
+a cut each product d_A d_B is formed once, as a weight summed into the
+d_N the block kernel is given, and Psi, Psi' of d_N + 1 and of a block's
+larger side come from one evaluation each.  The saddle solutions at n
+and n* depend on the filling alone and are solved once.
 
 A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
 sampler and the run-time estimate, and before any table is built a
@@ -51,9 +51,11 @@ from math import erfc
 from typing import Optional
 
 from . import budget
-from .dimensions import dim_table, grow_table, shrink_table
+from .dimensions import (dim_table, distinguishable_dim, grow_table,
+                         shrink_table)
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
+# perfbench/spans.py patches digamma_of_dim and trigamma_of_dim here
 from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
                        polygamma_of_dim, trigamma_of_dim)
 from .saddle import beta_family, n_star
@@ -289,21 +291,22 @@ def _sector_sums(model: LocalModel, V: int, N: int, cuts,
         if may_mirror and all(pairs[i] == pairs[~i]
                               for i in range(len(pairs) // 2)):
             twice = len(pairs) // 2
-        sums[V_A] = _block_sums([(d_a * d_b, d_a, d_b) for d_a, d_b
-                                 in pairs[:len(pairs) - twice]], twice,
-                                want_variance)
+        blocks = [(d_a * d_b, d_a, d_b) for d_a, d_b
+                  in pairs[:len(pairs) - twice]]
+        d_n = sum(w for w, _, _ in blocks + blocks[:twice])
+        sums[V_A] = (*_block_sums(blocks, d_n, twice, want_variance), d_n)
     return sums
 
 
-def _block_sums(blocks, twice: int, want_variance: bool):
-    """(mean, variance numerator, d_N) of the `blocks`, (weight, d_A, d_B),
-    the first `twice` of them counted twice; d_N is the sum of the weights
-    and a block's rho = weight / d_N.  `math.fsum` is correctly rounded, so
-    a repeated term gives the sum of the full list bit for bit."""
-    d_n = sum(w for w, _, _ in blocks) + sum(w for w, _, _ in blocks[:twice])
-    psi_n = digamma_of_dim(d_n)
-    trigamma_n = (_times_trigamma(d_n + 1, d_n, trigamma_of_dim(d_n))
-                  if want_variance else None)
+def _block_sums(blocks, d_n: int, twice: int, want_variance: bool):
+    """(mean, variance numerator) of the `blocks`, (weight, d_A, d_B), read
+    once in order (a generator will do), the first `twice` of them counted
+    twice; d_n is the caller's sum of all their weights, so a block's rho =
+    weight / d_n.  `math.fsum` is correctly rounded, so a repeated term
+    gives the sum of the full list bit for bit."""
+    psi_n, trigamma = polygamma_of_dim(d_n)
+    trigamma_n = (_times_trigamma(d_n + 1, d_n, trigamma) if want_variance
+                  else None)
     mean_terms = []
     square_terms = []
     for weight, d_a, d_b in blocks:
@@ -316,7 +319,7 @@ def _block_sums(blocks, twice: int, want_variance: bool):
     square_terms += square_terms[:twice]
     mean = math.fsum(mean_terms)
     numerator = math.fsum(square_terms) - mean * mean if want_variance else 0.0
-    return mean, numerator, d_n
+    return mean, numerator
 
 
 def _phi(d_a: int, d_b: int, psi_n: float,
@@ -619,16 +622,17 @@ def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
 
 def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     """Exact mean entropy for N labeled particles on V sites, V_A in A: 0 at
-    V_A = 0 and V, else the block sum with d_A = V_A^N_A and weights
-    C(N, N_A) d_A d_B, refused above `budget.check_labeled_work`."""
+    V_A = 0 and V, else the block sum with d_A = V_A^N_A, weights C(N, N_A)
+    d_A d_B and d_N = V^N, refused above `budget.check_labeled_work`."""
     if V < 1 or not 0 <= V_A <= V or N < 0:
         raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
     if V_A in (0, V):
         return 0.0
     budget.check_labeled_work(V, N)
-    sides = [(V_A ** n_a, (V - V_A) ** (N - n_a)) for n_a in range(N + 1)]
-    return _block_sums([(math.comb(N, n_a) * d_a * d_b, d_a, d_b)
-                        for n_a, (d_a, d_b) in enumerate(sides)], 0, False)[0]
+    sides = ((V_A ** n_a, (V - V_A) ** (N - n_a)) for n_a in range(N + 1))
+    blocks = ((math.comb(N, n_a) * d_a * d_b, d_a, d_b)
+              for n_a, (d_a, d_b) in enumerate(sides))
+    return _block_sums(blocks, distinguishable_dim(V, N), 0, False)[0]
 
 
 def distinguishable_asymptotic(V: float, N: float,

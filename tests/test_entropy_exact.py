@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -231,8 +232,23 @@ def test_distinguishable_exact_values():
     # of the separate labeled-particle loop it replaced
     for args, value in (((50, 50, 25), 106.03794811121122),
                         ((400, 400, 100), 685.4510764463323),
-                        ((401, 133, 77), 175.99038708233968)):
+                        ((401, 133, 77), 175.99038708233968),
+                        ((2000, 2000, 500), 4231.974338448711)):
         assert distinguishable_exact_average(*args) == value
+
+
+def test_distinguishable_exact_sum_streams_its_blocks():
+    # with d_N = V^N known, the N + 1 big-int blocks stream through the
+    # kernel and only its float terms are held (holding the blocks peaked
+    # at 10.8 MiB here)
+    tracemalloc.start()
+    try:
+        value = entropy.distinguishable_exact_average(2000, 2000, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 4231.974338448711
+    assert peak < 2 ** 20
 
 
 def test_distinguishable_exact_sum_refused_above_the_budget():
@@ -422,6 +438,26 @@ def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
         sums = entropy._sector_sums(model, V, N, range(1, V // 2 + 1), True)
         assert {d_n for _, _, d_n in sums.values()} == \
             {dim_fixed_n(model, V, N)}
+
+
+@pytest.mark.parametrize("N,V_A,twice", [(4, 4, 2), (3, 3, 0)])
+def test_block_kernel_streams_blocks_with_its_callers_d_n(N, V_A, twice):
+    # fermions V = 8: the half-filled V_A = 4 cut's blocks are a palindrome
+    # whose first `twice` stand for their mirror images, the N = 3 cut's
+    # are not; the kernel reads the blocks once, so a generator will do
+    model = catalog("fermions")
+    pairs = [(d_a, d_b) for _, d_a, d_b in
+             BipartitionSpec(8, N, V_A).blocks(model, dim_table)]
+    assert (pairs == pairs[::-1]) == (twice > 0)
+    blocks = [(d_a * d_b, d_a, d_b) for d_a, d_b in pairs]
+    d_n = dim_fixed_n(model, 8, N)
+    half = blocks[:len(blocks) - twice]
+    streamed = entropy._block_sums((block for block in half), d_n, twice,
+                                   True)
+    assert streamed == entropy._block_sums(half, d_n, twice, True)
+    assert streamed == entropy._block_sums(blocks, d_n, 0, True)
+    assert entropy._sector_sums(model, 8, N, [V_A], True) == {
+        V_A: (*streamed, d_n)}
 
 
 def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
