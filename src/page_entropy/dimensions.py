@@ -98,7 +98,17 @@ def _over(series: list[int], poly: list[int]) -> list[int]:
         c = poly[1]
         if c == -1:
             return list(accumulate(series))
-        return list(accumulate(series, lambda prev, x: x - c * prev))
+        out = []
+        prev = 0
+        if c == 1:  # spares a big-int product per entry
+            for x in series:
+                prev = x - prev
+                out.append(prev)
+            return out
+        for x in series:
+            prev = x - c * prev
+            out.append(prev)
+        return out
     back = poly[:0:-1]  # poly[deg], ..., poly[1]
     out = [0] * deg
     for x in series:

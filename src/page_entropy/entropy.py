@@ -305,8 +305,10 @@ def _block_sums(blocks, d_n: int, twice: int, want_variance: bool):
     weight / d_n.  `math.fsum` is correctly rounded, so a repeated term
     gives the sum of the full list bit for bit."""
     psi_n, trigamma = polygamma_of_dim(d_n)
-    trigamma_n = (_times_trigamma(d_n + 1, d_n, trigamma) if want_variance
-                  else None)
+    trigamma_n = None
+    if want_variance:  # (d_N + 1) Psi'(d_N + 1), whose limit is 1
+        trigamma_n = (float(d_n + 1) * trigamma if d_n.bit_length() <= 900
+                      else 1.0)
     mean_terms = []
     square_terms = []
     for weight, d_a, d_b in blocks:
@@ -327,23 +329,22 @@ def _phi(d_a: int, d_b: int, psi_n: float,
     """(phi, chi) of one (d_a x d_b) block from one polygamma evaluation of
     its larger side: its mean entropy, psi_n = Psi(d_N + 1), and, given
     trigamma_n = (d_N + 1) Psi'(d_N + 1), its second-moment kernel (else
-    None)."""
+    None).  The integers s1 = small - 1 and b2 = 2 big are formed once
+    and shared: (small - 1) / (2 big) and the chi term (small - 1)(small +
+    2 big - 1) / (4 big^2) are each one exact int / int true division,
+    s1 / b2 and s1 (s1 + b2) / b2^2, which CPython rounds correctly."""
     small, big = (d_a, d_b) if d_a <= d_b else (d_b, d_a)
     psi, trigamma = polygamma_of_dim(big)
-    phi = psi_n - psi - (small - 1) / (2 * big)
+    s1 = small - 1
+    b2 = big + big
+    phi = psi_n - psi - s1 / b2
     if trigamma_n is None:
         return phi, None
-    term1 = ((small + big) / big) * _times_trigamma(big, big, trigamma)
-    term3 = ((small - 1) * (small + 2 * big - 1)) / (4 * big * big)
+    # big Psi'(big + 1), whose limit is 1
+    big_trigamma = float(big) * trigamma if big.bit_length() <= 900 else 1.0
+    term1 = ((small + big) / big) * big_trigamma
+    term3 = s1 * (s1 + b2) / (b2 * b2)
     return phi, term1 - trigamma_n - term3
-
-
-def _times_trigamma(m: int, d: int, trigamma: float) -> float:
-    """m * trigamma, trigamma = Psi'(d + 1), for m = d or d + 1, stable for
-    integers of any size (limit 1)."""
-    if d.bit_length() <= 900:
-        return float(m) * trigamma
-    return 1.0
 
 
 # -- Gaussian block-weight profile -----------------------------------------

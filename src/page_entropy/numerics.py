@@ -4,7 +4,10 @@ Sector dimensions in this package are exact Python integers that routinely
 exceed the double range (hundreds of digits), so the log / digamma / trigamma
 helpers here never convert the full integer to float.  Logs come from the
 bit length plus the leading bits; digamma and trigamma switch between an
-exact recurrence (small arguments) and the standard asymptotic series.
+exact recurrence (small arguments) and the standard asymptotic series,
+which past 64 bits is cut to its leading terms ln x and 1/x: there every
+later term is below half an ulp of them, so the doubles are the full
+series' bit for bit.
 
 The scaled complementary error function `erfcx` is pure Python on top of
 `math.erfc` and a continued fraction, so importing the package loads no
@@ -37,6 +40,18 @@ _EXP_SQUARE_GRID = 2.0 ** 20
 # Arguments at or above this use the asymptotic series; below it the exact
 # recurrence down to Psi(1) / Psi'(1).
 _SERIES_THRESHOLD = 16
+
+# Arguments x of more than this many bits take Psi(x) = ln x and
+# Psi'(x) = 1/x.  Then 1/x <= 2^-64: the digamma terms after ln x sum to
+# about 1/(2x) <= 2^-65, under half an ulp (2^-48) of ln x >= 44.3, and
+# each trigamma term after 1/x is at most 2^-65 of it, under its half-ulp
+# (at least 2^-54 of it); rounding to nearest returns the full series'
+# doubles.  Near 54 bits the trigamma term 1/(2x^2) would start to count.
+_SHORT_SERIES_BITS = 64
+
+# 1/x is taken as 0.0 for x of more than this many bits (float(x) itself
+# overflows past 1024).
+_ZERO_INVERSE_BITS = 1000
 
 # Digamma asymptotic tail: Psi(x) ~ ln x - 1/(2x) - sum B_2k / (2k x^2k).
 # Coefficients of x^{-2}, x^{-4}, ... ; truncation error < 1e-15 at x >= 17.
@@ -93,7 +108,9 @@ def polygamma_of_dim(d: int) -> tuple[float, float]:
     """(Psi(d + 1), Psi'(d + 1)) for a nonnegative int d of any size, as
     `digamma_of_dim` and `trigamma_of_dim` give them, from one pass: the
     exact recurrences for d < 16, else one ln_big and one 1/(d + 1) shared
-    by the two asymptotic series.  d is not type-checked."""
+    by the two asymptotic series.  Once x = d + 1 has more than 64 bits
+    the series stop at (ln x, 1/x), which equal the full sums bit for bit
+    (see `_SHORT_SERIES_BITS`).  d is not type-checked."""
     if d < _SERIES_THRESHOLD:
         # Psi(d+1) = -gamma + H_d, summed smallest-first; likewise Psi'
         psi = 0.0
@@ -104,9 +121,10 @@ def polygamma_of_dim(d: int) -> tuple[float, float]:
         return psi - _EULER_GAMMA, trigamma + _PI2_OVER_6
     x = d + 1
     log_x = _ln_positive(x)
-    inv = _safe_inverse(x)
-    if inv == 0.0:
-        return log_x, 0.0
+    bits = x.bit_length()
+    if bits > _SHORT_SERIES_BITS:
+        return log_x, 1.0 / float(x) if bits <= _ZERO_INVERSE_BITS else 0.0
+    inv = 1.0 / float(x)
     inv2 = inv * inv
     tail = 0.0
     power = inv2
@@ -183,13 +201,6 @@ def exp_times_erfc(a: float, b: float) -> float:
     if a > 709.0:
         return math.inf
     return 2.0 * math.exp(a) - erfcx(-b) * math.exp(a - b * b)
-
-
-def _safe_inverse(x: int) -> float:
-    """1/x for a positive integer, 0.0 once the true value underflows."""
-    if x.bit_length() > 1000:
-        return 0.0
-    return 1.0 / float(x)
 
 
 def _as_dim_int(d, where: str) -> int:

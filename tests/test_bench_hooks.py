@@ -26,6 +26,11 @@ RUNS = (
     (["page", "--model", "fermions", "--V", "8", "--N", "4"],
      ["entropy.report", "dimensions.dim_table", "dimensions.dim_table"],
      {"dimensions.calls": 2, "entropy.blocks": 8, "cli.rows": 9}),
+    # blocks on both sides of Psi's 2^64 cut (short series above it) are
+    # each still one counted `_phi` call
+    (["page", "--model", "fermions", "--V", "80", "--N", "40"],
+     ["entropy.report", "dimensions.dim_table", "dimensions.dim_table"],
+     {"dimensions.calls": 2, "entropy.blocks": 440, "cli.rows": 81}),
     (["mc", "--model", "fermions", "--V", "6", "--N", "3", "--VA", "3",
       "--samples", "10"],
      ["dimensions.dim_table", "dimensions.dim_table",

@@ -118,8 +118,9 @@ def test_dim_table_edges():
     assert list(dim_table(m, 2, 5)) == [1, 2, 1, 0, 0, 0]
 
 
-# every catalog model, and P/Q models with a_0 = 2, so that the exact
-# division by P(0) is exercised, and deg Q = 2
+# every catalog model, P/Q models with a_0 = 2, so that the exact
+# division by P(0) is exercised, and deg Q = 2, and a divisor 1 - 3z,
+# whose coefficient no catalog model's degree-1 P or Q has
 STEP_MODELS = ([catalog(name) for name in CATALOG]
                + [catalog("spin_j", j) for j in (0.5, 1, 1.5)]
                + [catalog("capped_bosons", 3)]
@@ -127,7 +128,8 @@ STEP_MODELS = ([catalog(name) for name in CATALOG]
                   from_json('{"P": [2, 3, 2], "Q": [1, 0, -1]}'),
                   from_json('{"P": [2, 0, 1]}'),
                   from_json('{"P": [2], "Q": [1, -1]}'),
-                  from_json('{"P": [3, 1, 2], "Q": [1, -1]}')])
+                  from_json('{"P": [3, 1, 2], "Q": [1, -1]}'),
+                  from_json('{"P": [1, 1], "Q": [1, -3]}')])
 
 
 @pytest.mark.parametrize("model", STEP_MODELS,

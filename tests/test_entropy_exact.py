@@ -20,7 +20,7 @@ from page_entropy.entropy import (BipartitionSpec, VarianceEstimate,
                                   rho_weight)
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import build_sector_basis, mc_average
-from page_entropy.local_model import LocalModel, catalog
+from page_entropy.local_model import LocalModel, catalog, from_json
 
 mp.mp.dps = 40
 
@@ -438,6 +438,57 @@ def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
         sums = entropy._sector_sums(model, V, N, range(1, V // 2 + 1), True)
         assert {d_n for _, _, d_n in sums.values()} == \
             {dim_fixed_n(model, V, N)}
+
+
+# Full-sweep exact sums of sectors whose blocks straddle Psi's 2^64 cut
+# (below it the full asymptotic series, above it ln x and 1/x), pinned
+# bit for bit: (model, V, N, {V_A: (exact mean, exact variance)}).
+PINNED_SWEEPS = (
+    (('bosons',), 60, 60, {
+        1: (1.3861519189651315, 1.9221257696549408e-35),
+        15: (20.773986663535688, 2.179466280850989e-34),
+        20: (27.687154554084543, 2.5694461464399276e-34),
+        30: (38.48888366787054, 7.201170790808467e-35),
+        40: (27.687154554084543, 2.5694461464399276e-34),
+        59: (1.3861519189651315, 1.9221257696549408e-35)}),
+    (('spin_j', 1), 80, 80, {
+        1: (1.0986024415497126, 2.447351861535154e-42),
+        20: (21.95399602473768, 3.793276070036539e-39),
+        26: (28.530666961311805, 6.459386594576495e-39),
+        40: (43.349099740350574, 4.6406176142132006e-38),
+        53: (29.62621275314611, 6.971653592591662e-39),
+        79: (1.0986024415497126, 2.447351861535154e-42)}),
+    (('hardcore_bosons_2species',), 60, 30, {
+        1: (1.0397207708399137, 9.458806939139754e-28),
+        15: (15.578025223130869, 1.1057848013342278e-26),
+        20: (20.759756067574354, 1.325194530974514e-26),
+        30: (29.884371900312832, 1.949166637975592e-27),
+        40: (20.759756067574354, 1.325194530974514e-26),
+        59: (1.0397207708399137, 9.458806939139754e-28)}),
+    (('capped_bosons', 3), 50, 70, {
+        1: (1.382258124021065, 1.5285042735919148e-31),
+        12: (16.57109428013595, 1.93071144400527e-30),
+        16: (22.08491794064592, 2.6190146100341704e-30),
+        25: (33.889356935278464, 5.2660180833344094e-30),
+        33: (23.46235039854117, 2.794312530297599e-30),
+        49: (1.382258124021065, 1.5285042735919148e-31)}),
+    ({"P": [1, 2]}, 80, 40, {
+        1: (1.0397207708399137, 1.0161399308889482e-36),
+        20: (20.77636293607135, 1.569158321898967e-35),
+        26: (26.999744010764974, 1.8497001986439928e-35),
+        40: (40.13148036338044, 2.9820114276706402e-36),
+        53: (28.036408153519265, 1.8879163451842877e-35),
+        79: (1.0397207708399137, 1.0161399308889482e-36)}),
+)
+
+
+@pytest.mark.parametrize("spec,V,N,pinned", PINNED_SWEEPS)
+def test_pinned_sweeps_straddling_the_short_series_cut(spec, V, N, pinned):
+    model = from_json(spec) if isinstance(spec, dict) else catalog(*spec)
+    reps = report(model, [BipartitionSpec(V, N, v_a) for v_a in range(V + 1)],
+                  ("exact", "exact_variance"))
+    assert {v_a: (reps[v_a].exact_mean, reps[v_a].exact_variance.value)
+            for v_a in pinned} == pinned
 
 
 @pytest.mark.parametrize("N,V_A,twice", [(4, 4, 2), (3, 3, 0)])

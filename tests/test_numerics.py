@@ -8,7 +8,7 @@ import pytest
 
 from page_entropy.errors import DomainError
 from page_entropy.numerics import (digamma_of_dim, erfcx, exp_times_erfc,
-                                   ln_big, trigamma_of_dim)
+                                   ln_big, polygamma_of_dim, trigamma_of_dim)
 
 mp.mp.dps = 50
 
@@ -58,12 +58,52 @@ def test_digamma_known_values():
 
 
 def test_digamma_across_branch_and_huge():
-    for d in list(range(0, 40)) + [10**6, 10**12]:
+    huge = [2**64 - 2, 2**64 - 1, 2**64, 10**20, 2**80 + 7, 10**30]
+    for d in list(range(0, 40)) + [10**6, 10**12] + huge:
         ref = float(mp.digamma(d + 1))
         assert abs(digamma_of_dim(d) - ref) < 1e-12
     # beyond floats: compare against ln d (they agree to O(1/d))
     d = 1 << 400
     assert abs(digamma_of_dim(d) - ln_big(d)) < 1e-100
+
+
+def _full_series(d: int) -> tuple[float, float]:
+    """(Psi(d + 1), Psi'(d + 1)) for d >= 16 from every term of the two
+    asymptotic series, with 1/x = 0.0 past 1000 bits."""
+    x = d + 1
+    log_x = ln_big(x)
+    inv = 0.0 if x.bit_length() > 1000 else 1.0 / float(x)
+    if inv == 0.0:
+        return log_x, 0.0
+    inv2 = inv * inv
+    tail = 0.0
+    power = inv2
+    for coeff in (-1.0 / 12.0, 1.0 / 120.0, -1.0 / 252.0, 1.0 / 240.0,
+                  -1.0 / 132.0):
+        tail += coeff * power
+        power *= inv2
+    trigamma = inv + 0.5 * inv2
+    power = inv * inv2
+    for coeff in (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+                  5.0 / 66.0):
+        trigamma += coeff * power
+        power *= inv2
+    return log_x - 0.5 * inv + tail, trigamma
+
+
+def test_polygamma_short_series_is_bit_identical_to_full_series():
+    # past 64 bits only ln x and 1/x are summed; the powers of two from
+    # 2^5 up bracket that cut from both sides, and the 1000-bit one
+    points = [2**64 + k for k in range(-3, 4)]
+    for k in range(5, 1011):
+        points += [2**k - 1, 2**k, 2**k + 1]
+    rng = random.Random(19)
+    for _ in range(200):
+        bits = rng.randrange(60, 1101)
+        points.append(rng.getrandbits(bits) | (1 << (bits - 1)))
+    for d in points:
+        got, want = polygamma_of_dim(d), _full_series(d)
+        assert [v.hex() for v in got] == [v.hex() for v in want], d
 
 
 def test_digamma_recurrence_property():
