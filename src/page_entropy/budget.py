@@ -22,8 +22,8 @@ def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
     """Refuse exact sums over `specs`, the cuts of one request, up front.
 
     A request computes the sums of a cut and of its mirror V - V_A once
-    (see `entropy.report`), so each mirrored pair, like a repeated cut, is
-    counted once.  Raises InfeasibleSizeError if the summed
+    (see `entropy._exact_sums`), so each mirrored pair, like a repeated
+    cut, is counted once.  Raises InfeasibleSizeError if the summed
     `exact_work_seconds` exceed BUDGET_S.
     """
     distinct = {spec.mirrored_cut: spec for spec in specs}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError
 from .local_model import LocalModel, _derivative, _poly_mul
@@ -76,14 +76,17 @@ def shrink_table(model: LocalModel, table, N_cap: int) -> list[int]:
 
 def _times(series, poly: list[int], length: int) -> list[int]:
     """The first `length` coefficients of series * poly, entries past the
-    end of `series` counting as 0; one pass per nonzero poly[i]."""
+    end of `series` counting as 0; one pass per nonzero poly[i], with no
+    big-int product where poly[i] is 1."""
     series = list(series[:length])
     series += [0] * (length - len(series))
     a_0 = poly[0]
     out = series[:] if a_0 == 1 else [a_0 * x for x in series]
     for i in range(1, min(len(poly), length)):
         c = poly[i]
-        if c:
+        if c == 1:
+            out[i:] = map(add, out[i:], series)
+        elif c:
             out[i:] = [x + c * y for x, y in zip(out[i:], series)]
     return out
 

@@ -36,15 +36,16 @@ d_N the block kernel is given, and Psi, Psi' of d_N + 1 and of a block's
 larger side come from one evaluation each.  The saddle solutions at n
 and n* depend on the filling alone and are solved once.
 
-A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
-sampler and the run-time estimate, and before any table is built a
-request's sums are refused above the budget (`budget.check_exact_work`)
-or at V above 4000.
+`_exact_sums` owns a request's exact sums: it refuses them above the
+budget (`budget.check_exact_work`) or at V above 4000 before any table is
+built.  A cut's blocks and tables come from its `BipartitionSpec`, as in
+the Haar sampler and the run-time estimate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import erfc
@@ -258,17 +259,23 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
-def _sector_sums(model: LocalModel, V: int, N: int, cuts,
-                 want_variance: bool) -> dict:
-    """{V_A: (mean, variance numerator, d_N)} of the cuts 0 < V_A <= V/2 in
-    `cuts` of one sector, swept in ascending V_A, after `report`'s checks;
-    an empty sector is refused before any table is built.
-
-    A cut one site past the previous one steps that cut's two tables
-    (`grow_table`, `shrink_table`) instead of building them; any other cut
-    builds its tables with `dim_table`.  Each evaluated block's product
-    d_A d_B is formed once, as its weight."""
-    tables = {}  # sites -> its table, for the two sides of the last cut
+def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
+    """{mirrored cut: (mean, VarianceEstimate or None)} of the cuts
+    0 < V_A < V in `specs`, one request's, after one `check_exact_work`
+    and the V <= 4000 limit.  Each sector's distinct cuts are swept in
+    ascending order: a cut one site past the previous one steps that cut's
+    two tables (`grow_table`, `shrink_table`), any other builds them with
+    `dim_table`, and an empty sector is refused before its first table.
+    Each evaluated block's product d_A d_B is formed once, as its weight."""
+    budget.check_exact_work(model, specs, want_variance)
+    sectors = {}  # (V, N) -> its distinct cuts min(V_A, V - V_A) > 0
+    for spec in specs:
+        V, N, cut = spec.mirrored_cut
+        if cut:
+            sectors.setdefault((V, N), set()).add(cut)
+    if any(V > _EXACT_V_LIMIT for V, _ in sectors):
+        raise InfeasibleSizeError(
+            f"exact sum limited to V <= {_EXACT_V_LIMIT}")
 
     def table(model, sites, N_cap):
         if sites not in tables:
@@ -280,21 +287,25 @@ def _sector_sums(model: LocalModel, V: int, N: int, cuts,
                 tables[sites] = dim_table(model, sites, N_cap)
         return tables[sites]
 
-    # at 2N = V n_max a palindromic P makes the block list a palindrome
-    may_mirror = model.n_max is not None and 2 * N == V * model.n_max
     sums = {}
-    for V_A in sorted(cuts):
-        pairs = [(d_a, d_b) for _, d_a, d_b in
-                 BipartitionSpec(V, N, V_A).blocks(model, table)]
-        tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
-        twice = 0  # leading blocks that also stand for their mirror image
-        if may_mirror and all(pairs[i] == pairs[~i]
-                              for i in range(len(pairs) // 2)):
-            twice = len(pairs) // 2
-        blocks = [(d_a * d_b, d_a, d_b) for d_a, d_b
-                  in pairs[:len(pairs) - twice]]
-        d_n = sum(w for w, _, _ in blocks + blocks[:twice])
-        sums[V_A] = (*_block_sums(blocks, d_n, twice, want_variance), d_n)
+    for (V, N), cuts in sectors.items():
+        tables = {}  # sites -> its table, for the two sides of the last cut
+        for V_A in sorted(cuts):
+            pairs = [(d_a, d_b) for _, d_a, d_b in
+                     BipartitionSpec(V, N, V_A).blocks(model, table)]
+            tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
+            # a palindromic block list (a palindromic P at 2N = V n_max):
+            # its leading blocks also stand for their mirror images
+            twice = 0
+            if all(pairs[i] == pairs[~i] for i in range(len(pairs) // 2)):
+                twice = len(pairs) // 2
+            blocks = [(d_a * d_b, d_a, d_b) for d_a, d_b
+                      in pairs[:len(pairs) - twice]]
+            d_n = sum(w for w, _, _ in blocks + blocks[:twice])
+            mean, numerator = _block_sums(blocks, d_n, twice, want_variance)
+            sums[V, N, V_A] = (mean, _variance_estimate(numerator, d_n)
+                               if want_variance else None)
+            del pairs, blocks  # freed before the next sector's tables
     return sums
 
 
@@ -385,6 +396,7 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
     only at f = 1/2 exactly (tolerance 1e-12); the constant picks up an
     extra -1/2 only at f = 1/2 and n = n* simultaneously.
     """
+    _check_volume(V, "asymptotic_terms")
     return _asymptotic_terms(_Saddles(model), V, f, n)
 
 
@@ -416,6 +428,7 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     through f = 1/2 (sqrt(V) deficit) and n = n* (extra -1/2); valid for
     all 0 < f < 1 at moderate V.
     """
+    _check_volume(V, "resolved_average")
     return _resolved_average(_Saddles(model), V, f, n)
 
 
@@ -466,13 +479,12 @@ def _x2_kernel(V: float, df: float, beta: float, ab1: float,
 
 def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
+    _check_volume(V, "resolve_x1")
     return _resolve_x1(_Saddles(model), V, f, n)
 
 
 def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
     star, sol_star = saddles.peak()
-    if V < 1:
-        raise DomainError("resolve_x1 needs V >= 1")
     return _x1_kernel((f - 0.5) * V, (n - star) * math.sqrt(V),
                       sol_star.beta, abs(sol_star.beta2))
 
@@ -483,6 +495,7 @@ def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     Undefined where beta'(n) = 0 (i.e. exactly at n*): the kernel divides
     by |beta'|; callers there are on the delta itself.
     """
+    _check_volume(V, "resolve_x2")
     return _resolve_x2(_Saddles(model), V, f, n)
 
 
@@ -521,6 +534,7 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     0 for s < 1/2, the erfc crossover exactly at s = 1/2, a linear-plus-
     deficit form on 1/2 < s <= 1, and the pure sqrt(V) deficit beyond.
     """
+    _check_volume(V, "x2_powerlaw")
     sol = _Saddles(model).at(n, "x2_powerlaw")
     beta, ab1, ab2 = sol.beta, abs(sol.beta1), abs(sol.beta2)
     if ab1 == 0.0:
@@ -538,6 +552,7 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
 def kronecker_resolution(model: LocalModel, V: float, f: float,
                          n: float) -> KroneckerResolution:
     """Crossover panel at the canonical double scaling (s=1, t=1/2)."""
+    _check_volume(V, "kronecker_resolution")
     saddles = _Saddles(model)
     star = saddles.star
     lam_f = (f - 0.5) * V
@@ -597,6 +612,7 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2.
     Returned with the log side channel since the value underflows quickly.
     """
+    _check_volume(V, "asymptotic_variance")
     return _asymptotic_variance(_Saddles(model), V, f, n)
 
 
@@ -625,6 +641,9 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     """Exact mean entropy for N labeled particles on V sites, V_A in A: 0 at
     V_A = 0 and V, else the block sum with d_A = V_A^N_A, weights C(N, N_A)
     d_A d_B and d_N = V^N, refused above `budget.check_labeled_work`."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (V, N, V_A)):
+        raise DomainError(f"need integer V, N and V_A, got {V!r}, {N!r}, "
+                          f"{V_A!r}")
     if V < 1 or not 0 <= V_A <= V or N < 0:
         raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
     if V_A in (0, V):
@@ -641,6 +660,9 @@ def distinguishable_asymptotic(V: float, N: float,
     """Labeled-particle mean decomposition c1 V lnV + c2 V + c3 sqrt(V) lnV."""
     if V < 1 or not 0 <= V_A <= V:
         raise DomainError("need V >= 1 and 0 <= V_A <= V")
+    if not (V <= sys.float_info.max and 0 <= N <= sys.float_info.max):
+        raise DomainError(f"need V and N >= 0 within the float range, got "
+                          f"V={V!r}, N={N!r}")
     n = N / V
     f = _normalized_fraction(V_A / V)
     c1 = n * f
@@ -669,12 +691,11 @@ def report(model: LocalModel, specs,
     Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
     or its complement is trivial.
 
-    With an exact method, the exact sums of all cuts are refused up front
-    by one `budget.check_exact_work`, or if a cut 0 < V_A < V has V above
-    4000.  Each shared quantity is then computed once per call: the exact
-    sums of the mirrored cuts V_A and V - V_A, and the saddle solutions at
-    each filling and at n*.  So a page curve is one call, and each panel
-    equals that of a call with its cut alone.
+    With an exact method, `_exact_sums` refuses or computes the exact sums
+    of all cuts first, those of the mirrored cuts V_A and V - V_A once.
+    The saddle solutions at each filling and at n* are solved once per
+    call too.  So a page curve is one call, and each panel equals that of
+    a call with its cut alone.
     """
     unknown = [key for key in methods if key not in METHODS]
     if unknown:
@@ -682,36 +703,17 @@ def report(model: LocalModel, specs,
                           f"choose from {', '.join(METHODS)}")
     specs = list(specs)
     want_variance = "exact_variance" in methods
-    if want_variance or "exact" in methods:
-        budget.check_exact_work(model, specs, want_variance)
-        if any(s.V > _EXACT_V_LIMIT and 0 < s.V_A < s.V for s in specs):
-            raise InfeasibleSizeError(
-                f"exact sum limited to V <= {_EXACT_V_LIMIT}")
+    sums = (_exact_sums(model, specs, want_variance)
+            if want_variance or "exact" in methods else {})
+    # a cut without sums is a boundary cut, or no exact method was asked
+    no_sums = (0.0, VarianceEstimate(0.0, None, 0.0))
     saddles = _Saddles(model)
-    sectors = {}  # (V, N) -> its distinct cuts min(V_A, V - V_A) > 0
-    for spec in specs:
-        V, N, cut = spec.mirrored_cut
-        if cut:
-            sectors.setdefault((V, N), set()).add(cut)
-    sums = {}  # mirrored cut -> (mean, variance numerator, d_N)
-
-    def exact_sums(spec):  # one sweep serves a sector's means and variances
-        if spec.mirrored_cut not in sums:
-            V, N = spec.V, spec.N
-            swept = _sector_sums(model, V, N, sectors[V, N], want_variance)
-            sums.update(((V, N, cut), value) for cut, value in swept.items())
-        return sums[spec.mirrored_cut]
-
     reports = []
     for spec in specs:
         f, V, n = spec.f, spec.V, spec.n
         boundary = spec.V_A in (0, V)
-        exact_mean = asym = resolved = exact_var = asym_var = None
-        if "exact" in methods:
-            exact_mean = 0.0 if boundary else exact_sums(spec)[0]
-        if want_variance:
-            exact_var = (VarianceEstimate(0.0, None, 0.0) if boundary
-                         else _variance_estimate(*exact_sums(spec)[1:]))
+        asym = resolved = asym_var = None
+        exact_mean, exact_var = sums.get(spec.mirrored_cut, no_sums)
         try:  # float(V) first: past the float range, V_A / V underflows
             if "asymptotic" in methods:
                 asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
@@ -728,13 +730,23 @@ def report(model: LocalModel, specs,
             raise DomainError(f"the asymptotic forms overflow the float range "
                               f"at V={V}") from None
         reports.append(EntropyReport(
-            V=V, N=spec.N, V_A=spec.V_A, f=f, n=n, exact_mean=exact_mean,
-            asymptotic=asym, resolved=resolved, exact_variance=exact_var,
+            V=V, N=spec.N, V_A=spec.V_A, f=f, n=n,
+            exact_mean=exact_mean if "exact" in methods else None,
+            asymptotic=asym, resolved=resolved,
+            exact_variance=exact_var if want_variance else None,
             asymptotic_variance=asym_var))
     return reports
 
 
 # -- helpers ------------------------------------------------------------------
+
+def _check_volume(V: float, where: str) -> None:
+    """Refuse (DomainError) a V that is not a number >= 1 within the float
+    range, in the public asymptotic functions; `report` checks its own."""
+    if not 1 <= V <= sys.float_info.max:  # NaN fails both comparisons
+        raise DomainError(f"{where} needs V >= 1 within the float range, "
+                          f"got {V!r}")
+
 
 def _normalized_fraction(f: float) -> float:
     f = float(f)

@@ -591,6 +591,15 @@ def test_full_sweep_solves_each_saddle_and_mirrored_cut_once(capsys,
     # V_A <= V/2 steps the previous one's; at V_A = 20 both sides are one
     assert (calls["dim_table"], calls["grow_table"],
             calls["shrink_table"]) == (2, 19, 18)
+    # an unsorted, gapped list with mirrored cuts is swept in ascending
+    # order all the same: the distinct cuts 1..5 step their tables, and
+    # 20, not next to 5, builds its one table
+    calls.update(dict.fromkeys(calls, 0))
+    code, out, _ = run_cli(capsys, "page", "--model", "spin_j:1", "--V", "40",
+                           "--n", "1", "--VA", "20,3,37,4,5,1,38")
+    assert code == 0 and len(parse_csv(out)[1]) == 7
+    assert calls == {"beta_family": 1, "dim_table": 3, "grow_table": 4,
+                     "shrink_table": 4}
 
 
 # flag values of the CLI fuzz test: sizes from a small band or far beyond

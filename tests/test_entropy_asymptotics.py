@@ -330,6 +330,55 @@ _REFUSALS = [
      "need V >= 1 and 0 <= V_A <= V"),
     (lambda: distinguishable_asymptotic(10.0, 5.0, 11.0), DomainError,
      "need V >= 1 and 0 <= V_A <= V"),
+    # a V that is not a number >= 1 within the float range, refused
+    # before any math call
+    (lambda: asymptotic_terms(_FERMIONS, -10, 0.5, 0.5), DomainError,
+     "asymptotic_terms needs V >= 1 within the float range, got -10"),
+    (lambda: asymptotic_terms(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
+     "asymptotic_terms needs V >= 1 within the float range, got nan"),
+    (lambda: asymptotic_terms(_FERMIONS, math.inf, 0.3, 0.4), DomainError,
+     "asymptotic_terms needs V >= 1 within the float range, got inf"),
+    (lambda: asymptotic_terms(_FERMIONS, 10 ** 400, 0.3, 0.4), DomainError,
+     "asymptotic_terms needs V >= 1 within the float range, got 1000"),
+    (lambda: asymptotic_variance(_FERMIONS, -4, 0.3, 0.4), DomainError,
+     "asymptotic_variance needs V >= 1 within the float range, got -4"),
+    (lambda: asymptotic_variance(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
+     "asymptotic_variance needs V >= 1 within the float range, got nan"),
+    (lambda: resolve_x2(_FERMIONS, -4, 0.3, 0.4), DomainError,
+     "resolve_x2 needs V >= 1 within the float range, got -4"),
+    (lambda: resolve_x2(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
+     "resolve_x2 needs V >= 1 within the float range, got nan"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.4, 0.5, 1.0, -4), DomainError,
+     "x2_powerlaw needs V >= 1 within the float range, got -4"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.4, 0.5, 1.0, math.nan), DomainError,
+     "x2_powerlaw needs V >= 1 within the float range, got nan"),
+    (lambda: kronecker_resolution(_FERMIONS, -4, 0.3, 0.4), DomainError,
+     "kronecker_resolution needs V >= 1 within the float range, got -4"),
+    (lambda: kronecker_resolution(_FERMIONS, math.nan, 0.3, 0.4),
+     DomainError,
+     "kronecker_resolution needs V >= 1 within the float range, got nan"),
+    (lambda: resolve_x1(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
+     "resolve_x1 needs V >= 1 within the float range, got nan"),
+    (lambda: resolved_average(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
+     "resolved_average needs V >= 1 within the float range, got nan"),
+    # labeled particles: a negative or non-finite N, a V or N past the
+    # float range, a non-integer size
+    (lambda: distinguishable_asymptotic(10, -5, 5), DomainError,
+     "need V and N >= 0 within the float range, got V=10, N=-5"),
+    (lambda: distinguishable_asymptotic(10, math.nan, 5), DomainError,
+     "need V and N >= 0 within the float range, got V=10, N=nan"),
+    (lambda: distinguishable_asymptotic(10, math.inf, 5), DomainError,
+     "need V and N >= 0 within the float range, got V=10, N=inf"),
+    (lambda: distinguishable_asymptotic(10 ** 400, 5, 3 * 10 ** 399),
+     DomainError, "need V and N >= 0 within the float range, got V=1000"),
+    (lambda: distinguishable_exact_average(10, 5.5, 3), DomainError,
+     "need integer V, N and V_A, got 10, 5.5, 3"),
+    (lambda: distinguishable_exact_average(10, 5, 2.5), DomainError,
+     "need integer V, N and V_A, got 10, 5, 2.5"),
+    (lambda: distinguishable_exact_average(10.0, 5, 3), DomainError,
+     "need integer V, N and V_A, got 10.0, 5, 3"),
+    (lambda: distinguishable_exact_average(10, True, 1), DomainError,
+     "need integer V, N and V_A, got 10, True, 1"),
 ]
 
 

@@ -435,9 +435,13 @@ def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
                         and model.P == model.P[::-1])
             assert (calls["_phi"] < blocks) == mirrored
         # Vandermonde: every cut's blocks sum to the sector dimension
-        sums = entropy._sector_sums(model, V, N, range(1, V // 2 + 1), True)
-        assert {d_n for _, _, d_n in sums.values()} == \
-            {dim_fixed_n(model, V, N)}
+        # (each variance is finished with the sector dimension d_N)
+        specs = [BipartitionSpec(V, N, v_a) for v_a in range(1, V // 2 + 1)]
+        d_n = dim_fixed_n(model, V, N)
+        assert all(var.numerator > 0.0
+                   and var == entropy._variance_estimate(var.numerator, d_n)
+                   for _, var in entropy._exact_sums(model, specs,
+                                                     True).values())
 
 
 # Full-sweep exact sums of sectors whose blocks straddle Psi's 2^64 cut
@@ -507,8 +511,10 @@ def test_block_kernel_streams_blocks_with_its_callers_d_n(N, V_A, twice):
                                    True)
     assert streamed == entropy._block_sums(half, d_n, twice, True)
     assert streamed == entropy._block_sums(blocks, d_n, 0, True)
-    assert entropy._sector_sums(model, 8, N, [V_A], True) == {
-        V_A: (*streamed, d_n)}
+    mean, numerator = streamed
+    assert entropy._exact_sums(model, [BipartitionSpec(8, N, V_A)],
+                               True) == {
+        (8, N, V_A): (mean, entropy._variance_estimate(numerator, d_n))}
 
 
 def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
