@@ -36,6 +36,8 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
 
     an exact division.
     """
+    if type(V) is not int or type(N_cap) is not int:
+        raise DomainError(f"need integer V and N_cap, got {V!r}, {N_cap!r}")
     if V < 0:
         raise DomainError(f"V must be nonnegative, got {V}")
     if N_cap < 0:
@@ -137,11 +139,4 @@ def extended_binomial_closed(V: int, N: int, n_max: int) -> int:
         term = comb(V, k) * comb(V + N - k * period - 1, V - 1)
         total += -term if k & 1 else term
     return total
-
-
-def distinguishable_dim(V: int, N: int) -> int:
-    """Sector dimension V**N for N labeled (distinguishable) particles."""
-    if V < 1 or N < 0:
-        raise DomainError("distinguishable_dim needs V >= 1 and N >= 0")
-    return V ** N
 

@@ -52,14 +52,13 @@ from math import erfc
 from typing import Optional
 
 from . import budget
-from .dimensions import (dim_table, distinguishable_dim, grow_table,
-                         shrink_table)
+from .dimensions import dim_table, grow_table, shrink_table
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
 # perfbench/spans.py patches digamma_of_dim and trigamma_of_dim here
 from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
                        polygamma_of_dim, trigamma_of_dim)
-from .saddle import beta_family, n_star
+from .saddle import beta_family, check_volume, n_star
 
 # |f - 1/2| or |n - n*| below this counts as exactly on the special point.
 KRONECKER_TOL = 1e-12
@@ -80,6 +79,9 @@ class BipartitionSpec:
     V_A: int
 
     def __post_init__(self):
+        if not (type(self.V) is type(self.N) is type(self.V_A) is int):
+            raise DomainError(f"need integer V, N and V_A, got {self.V!r}, "
+                              f"{self.N!r}, {self.V_A!r}")
         if self.V < 1:
             raise DomainError(f"V must be >= 1, got {self.V}")
         if not 0 <= self.V_A <= self.V:
@@ -142,20 +144,6 @@ class BipartitionSpec:
 
 
 @dataclass(frozen=True)
-class GaussianMoments:
-    """Moments and half-moments of the Gaussian block-weight profile."""
-    m0: float
-    m1: float
-    m2: float
-    m0_plus: float
-    m0_minus: float
-    m1_plus: float
-    m1_minus: float
-    m2_plus: float
-    m2_minus: float
-
-
-@dataclass(frozen=True)
 class AsymptoticTerms:
     """Large-V mean decomposition: value = a V + b sqrt(V) + c."""
     a: float
@@ -185,17 +173,6 @@ class AsymptoticVariance:
     prefactor: float
     exponent: float
     log_value: Optional[float]
-
-
-@dataclass(frozen=True)
-class KroneckerResolution:
-    """Finite-V crossover data at the canonical double scaling (s=1, t=1/2)."""
-    lambda_f: float
-    lambda_n: Optional[float]
-    s: float
-    t: float
-    x1: Optional[float]
-    x2: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -358,34 +335,6 @@ def _phi(d_a: int, d_b: int, psi_n: float,
     return phi, term1 - trigamma_n - term3
 
 
-# -- Gaussian block-weight profile -----------------------------------------
-
-def rho_weight(model: LocalModel, spec: BipartitionSpec, n_a: float) -> float:
-    """Continuous Gaussian weight density of n_A = N_A / V around f n."""
-    f = spec.f
-    if not 0.0 < f < 1.0:
-        raise DomainError("rho_weight needs 0 < f < 1")
-    sol = _Saddles(model).at(spec.n, "rho_weight")
-    var = f * (1.0 - f) / (abs(sol.beta2) * spec.V)
-    delta = n_a - f * spec.n
-    return math.exp(-0.5 * delta * delta / var) / math.sqrt(_TWO_PI * var)
-
-
-def gaussian_moments(model: LocalModel, spec: BipartitionSpec) -> GaussianMoments:
-    """Moments of the Gaussian weight and its half-line splits."""
-    f = spec.f
-    if not 0.0 < f < 1.0:
-        raise DomainError("gaussian_moments needs 0 < f < 1")
-    sol = _Saddles(model).at(spec.n, "gaussian_moments")
-    var = f * (1.0 - f) / (abs(sol.beta2) * spec.V)
-    sigma = math.sqrt(var)
-    m1_half = sigma / math.sqrt(_TWO_PI)
-    return GaussianMoments(m0=1.0, m1=0.0, m2=var,
-                           m0_plus=0.5, m0_minus=0.5,
-                           m1_plus=m1_half, m1_minus=-m1_half,
-                           m2_plus=0.5 * var, m2_minus=0.5 * var)
-
-
 # -- asymptotic mean --------------------------------------------------------
 
 def asymptotic_terms(model: LocalModel, V: float, f: float,
@@ -396,7 +345,7 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
     only at f = 1/2 exactly (tolerance 1e-12); the constant picks up an
     extra -1/2 only at f = 1/2 and n = n* simultaneously.
     """
-    _check_volume(V, "asymptotic_terms")
+    check_volume(V, "asymptotic_terms")
     return _asymptotic_terms(_Saddles(model), V, f, n)
 
 
@@ -428,7 +377,7 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     through f = 1/2 (sqrt(V) deficit) and n = n* (extra -1/2); valid for
     all 0 < f < 1 at moderate V.
     """
-    _check_volume(V, "resolved_average")
+    check_volume(V, "resolved_average")
     return _resolved_average(_Saddles(model), V, f, n)
 
 
@@ -479,7 +428,8 @@ def _x2_kernel(V: float, df: float, beta: float, ab1: float,
 
 def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
-    _check_volume(V, "resolve_x1")
+    check_volume(V, "resolve_x1")
+    _check_numbers("resolve_x1", f=f, n=n)
     return _resolve_x1(_Saddles(model), V, f, n)
 
 
@@ -495,7 +445,7 @@ def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     Undefined where beta'(n) = 0 (i.e. exactly at n*): the kernel divides
     by |beta'|; callers there are on the delta itself.
     """
-    _check_volume(V, "resolve_x2")
+    check_volume(V, "resolve_x2")
     return _resolve_x2(_Saddles(model), V, f, n)
 
 
@@ -515,6 +465,7 @@ def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
     the full erfc pair exactly at (1, 1/2), single-variable crossovers on
     the two edges, and 1 beyond both.
     """
+    _check_numbers("x1_powerlaw", s=s, t=t, lam_f=lam_f, lam_n=lam_n)
     _, sol_star = _Saddles(model).peak()
     if s < 1.0 - KRONECKER_TOL or t < 0.5 - KRONECKER_TOL:
         return 0.0
@@ -534,7 +485,8 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     0 for s < 1/2, the erfc crossover exactly at s = 1/2, a linear-plus-
     deficit form on 1/2 < s <= 1, and the pure sqrt(V) deficit beyond.
     """
-    _check_volume(V, "x2_powerlaw")
+    check_volume(V, "x2_powerlaw")
+    _check_numbers("x2_powerlaw", n=n, s=s, lam_f=lam_f)
     sol = _Saddles(model).at(n, "x2_powerlaw")
     beta, ab1, ab2 = sol.beta, abs(sol.beta1), abs(sol.beta2)
     if ab1 == 0.0:
@@ -549,60 +501,6 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     return -deficit
 
 
-def kronecker_resolution(model: LocalModel, V: float, f: float,
-                         n: float) -> KroneckerResolution:
-    """Crossover panel at the canonical double scaling (s=1, t=1/2)."""
-    _check_volume(V, "kronecker_resolution")
-    saddles = _Saddles(model)
-    star = saddles.star
-    lam_f = (f - 0.5) * V
-    lam_n = None if star is None else (n - star) * math.sqrt(V)
-    x1 = None if star is None else _resolve_x1(saddles, V, f, n)
-    sol = saddles.at(n, "kronecker_resolution")
-    x2 = None if sol.beta1 == 0.0 else _resolve_x2(saddles, V, f, n)
-    return KroneckerResolution(lambda_f=lam_f, lambda_n=lam_n, s=1.0, t=0.5,
-                               x1=x1, x2=x2)
-
-
-# -- exponent geometry -------------------------------------------------------
-
-def y_exponent(model: LocalModel, f: float, n: float, n_a: float) -> float:
-    """Exponential weight exponent of the block at subsystem filling n_a.
-
-    Y = f beta(n_a / f) - (1 - f) beta((n - n_a) / (1 - f)); the block
-    weight behaves like exp(-V (beta(n) - ... )) with sign changes of Y
-    marking where the dominant side of the cut flips.
-    """
-    if not 0.0 < f < 1.0:
-        raise DomainError("y_exponent needs 0 < f < 1")
-    n_sub_a = n_a / f
-    n_sub_b = (n - n_a) / (1.0 - f)
-    if n_sub_a < -1e-12 or n_sub_b < -1e-12:
-        raise DomainError("n_a outside the physical block range")
-    sol_a = beta_family(model, max(n_sub_a, 0.0))
-    sol_b = beta_family(model, max(n_sub_b, 0.0))
-    return f * sol_a.beta - (1.0 - f) * sol_b.beta
-
-
-def n_crit(model: LocalModel, f: float, n: float) -> float:
-    """Filling n_A where the dominant side of the cut flips (root of Y).
-
-    Linearized form f n - (f - 1/2) beta / beta'; exactly at f = 1/2 the
-    root is f n by symmetry.  Where |beta'(n)| <= 1e-9 (at the peak n*)
-    the form lands far outside [0, n_max], and NumericalError is raised.
-    """
-    if not 0.0 < f <= 0.5 + KRONECKER_TOL:
-        raise DomainError("n_crit is defined for 0 < f <= 1/2; "
-                          "use symmetry for the other half")
-    if abs(f - 0.5) < KRONECKER_TOL:
-        return f * n
-    sol = _Saddles(model).at(n, "n_crit")
-    if abs(sol.beta1) <= 1e-9:
-        raise NumericalError(f"n_crit is undefined where beta'(n) vanishes "
-                             f"at f != 1/2 (n={n})")
-    return f * n - (f - 0.5) * sol.beta / sol.beta1
-
-
 # -- variance ----------------------------------------------------------------
 
 def asymptotic_variance(model: LocalModel, V: float, f: float,
@@ -612,7 +510,7 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2.
     Returned with the log side channel since the value underflows quickly.
     """
-    _check_volume(V, "asymptotic_variance")
+    check_volume(V, "asymptotic_variance")
     return _asymptotic_variance(_Saddles(model), V, f, n)
 
 
@@ -652,7 +550,7 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     sides = ((V_A ** n_a, (V - V_A) ** (N - n_a)) for n_a in range(N + 1))
     blocks = ((math.comb(N, n_a) * d_a * d_b, d_a, d_b)
               for n_a, (d_a, d_b) in enumerate(sides))
-    return _block_sums(blocks, distinguishable_dim(V, N), 0, False)[0]
+    return _block_sums(blocks, V ** N, 0, False)[0]
 
 
 def distinguishable_asymptotic(V: float, N: float,
@@ -740,12 +638,13 @@ def report(model: LocalModel, specs,
 
 # -- helpers ------------------------------------------------------------------
 
-def _check_volume(V: float, where: str) -> None:
-    """Refuse (DomainError) a V that is not a number >= 1 within the float
-    range, in the public asymptotic functions; `report` checks its own."""
-    if not 1 <= V <= sys.float_info.max:  # NaN fails both comparisons
-        raise DomainError(f"{where} needs V >= 1 within the float range, "
-                          f"got {V!r}")
+def _check_numbers(where: str, **values) -> None:
+    """Refuse (DomainError) a NaN among the named `values` of the public
+    crossover functions, which every comparison would pass over."""
+    nan = [f"{key}={value!r}" for key, value in values.items()
+           if value != value]
+    if nan:
+        raise DomainError(f"{where} needs numbers, got {', '.join(nan)}")
 
 
 def _normalized_fraction(f: float) -> float:

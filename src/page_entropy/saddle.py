@@ -16,6 +16,7 @@ never from finite differences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,13 +126,21 @@ def n_star(model: LocalModel) -> Optional[float]:
 
 def ln_dim_asymptotic(model: LocalModel, V: int, n: float) -> float:
     """Leading asymptotics of ln d_N: V beta - (1/2) ln V + ln alpha."""
-    if V < 1:
-        raise DomainError(f"V must be >= 1, got {V}")
+    check_volume(V, "ln_dim_asymptotic")
     sol = beta_family(model, n)
     if sol.at_boundary:
         raise DomainError("dimension asymptotics are not defined at the "
                           "support boundary")
     return V * sol.beta - 0.5 * math.log(V) + math.log(sol.alpha)
+
+
+def check_volume(V: float, where: str) -> None:
+    """Refuse (DomainError) a V that is not a number >= 1 within the float
+    range, in the public asymptotic functions; `entropy.report` checks its
+    own."""
+    if not 1 <= V <= sys.float_info.max:  # NaN fails both comparisons
+        raise DomainError(f"{where} needs V >= 1 within the float range, "
+                          f"got {V!r}")
 
 
 def _z_of(model: LocalModel, z: float) -> float:

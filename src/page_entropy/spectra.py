@@ -295,16 +295,3 @@ def _cut_blocks(basis: np.ndarray, v_a: int):
     layout = np.column_stack((values, d_as, sizes // d_as, offsets))
     return tuple(SectorBlock(*map(int, row)) for row in layout), perm
 
-
-def beta_spin1(n: float) -> float:
-    """Closed-form growth rate beta(n) of the spin-1 sector dimensions.
-
-    Valid on 0 < n < 2 with beta(1) = ln 3 at the peak; agrees with the
-    numerical saddle family of the three-state local model.
-    """
-    n = float(n)
-    if not 0.0 < n < 2.0:
-        raise DomainError(f"spin-1 filling must lie in (0, 2), got {n}")
-    root = math.sqrt(1.0 - 3.0 * n * (n - 2.0))
-    return ((n - 2.0) * math.log(2.0 - n) + (n - 1.0) * math.log(2.0)
-            + math.log(7.0 - 3.0 * n + root) - n * math.log(n - 1.0 + root))

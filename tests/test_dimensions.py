@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import page_entropy.dimensions as dimensions
 from page_entropy.dimensions import (dim_fixed_n, dim_table,
-                                     distinguishable_dim,
                                      extended_binomial_closed, grow_table,
                                      shrink_table)
 from page_entropy.errors import DomainError
@@ -215,10 +214,15 @@ _REFUSALS = [
      "extended binomial needs V >= 0 and n_max >= 1"),
     (lambda: extended_binomial_closed(3, 2, 0),
      "extended binomial needs V >= 0 and n_max >= 1"),
-    (lambda: distinguishable_dim(0, 1),
-     "distinguishable_dim needs V >= 1 and N >= 0"),
-    (lambda: distinguishable_dim(4, -1),
-     "distinguishable_dim needs V >= 1 and N >= 0"),
+    # a float or bool size: its table would hold floats or be wrong
+    (lambda: dim_table(catalog("fermions"), 4.0, 2),
+     "need integer V and N_cap, got 4.0, 2"),
+    (lambda: dim_table(catalog("fermions"), True, 2),
+     "need integer V and N_cap, got True, 2"),
+    (lambda: dim_table(catalog("fermions"), 4, 2.0),
+     "need integer V and N_cap, got 4, 2.0"),
+    (lambda: dim_fixed_n(catalog("fermions"), 4.5, 2),
+     "need integer V and N_cap, got 4.5, 2"),
 ]
 
 
@@ -227,9 +231,3 @@ _REFUSALS = [
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
-
-
-def test_distinguishable_dim():
-    assert distinguishable_dim(4, 0) == 1
-    assert distinguishable_dim(4, 2) == 16
-    assert distinguishable_dim(10, 3) == 1000

@@ -3,23 +3,19 @@
 import math
 import random
 import re
-from collections import Counter
 
 import pytest
 
-import page_entropy.entropy as entropy
 from page_entropy.entropy import (BipartitionSpec, asymptotic_average,
                                   asymptotic_terms, asymptotic_variance,
                                   distinguishable_asymptotic,
                                   distinguishable_exact_average,
-                                  exact_average, kronecker_resolution,
-                                  n_crit, resolve_x1, resolve_x2,
-                                  resolved_average, x1_powerlaw, x2_powerlaw,
-                                  y_exponent)
+                                  exact_average, resolve_x1, resolve_x2,
+                                  resolved_average, x1_powerlaw, x2_powerlaw)
 from page_entropy.errors import DomainError, NumericalError
 from page_entropy.local_model import catalog
 from page_entropy.numerics import erfcx, exp_times_erfc
-from page_entropy.saddle import beta_family, n_star
+from page_entropy.saddle import beta_family
 
 TWO_PI = 2.0 * math.pi
 
@@ -256,63 +252,6 @@ def test_x2_powerlaw_half_case_at_zero_offset():
     assert abs(got - ref) < 1e-10 * abs(ref)
 
 
-def test_kronecker_resolution_panel():
-    m = catalog("fermions")
-    panel = kronecker_resolution(m, 400, 0.45, 0.4)
-    assert panel.s == 1.0 and panel.t == 0.5
-    assert abs(panel.lambda_f - (-0.05 * 400)) < 1e-12
-    assert abs(panel.lambda_n - (0.4 - 0.5) * 20) < 1e-12
-    assert 0.0 <= panel.x1 <= 1.0 + 1e-9
-    assert panel.x2 <= 0.0
-    nostar = kronecker_resolution(catalog("bosons"), 400, 0.45, 0.4)
-    assert nostar.x1 is None and nostar.lambda_n is None
-    at_peak = kronecker_resolution(m, 400, 0.45, 0.5)
-    assert at_peak.x2 is None  # beta' = 0 there
-
-
-def test_kronecker_resolution_solves_each_saddle_once(monkeypatch):
-    m = catalog("fermions")
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(entropy, "beta_family",
-                        counted("beta_family", beta_family))
-    monkeypatch.setattr(entropy, "n_star", counted("n_star", n_star))
-    panel = kronecker_resolution(m, 400, 0.45, 0.4)
-    # n* once, beta_family once at n* and once at n
-    assert calls == {"n_star": 1, "beta_family": 2}
-    assert panel.x1 == resolve_x1(m, 400, 0.45, 0.4)
-    assert panel.x2 == resolve_x2(m, 400, 0.45, 0.4)
-
-
-def test_y_exponent_and_n_crit():
-    m = catalog("fermions")
-    n = 1 / 3
-    assert abs(y_exponent(m, 0.5, n, 0.5 * n)) < 1e-14
-    assert abs(n_crit(m, 0.5, n) - n / 2) < 1e-15
-    # root-finding oracle on the exact Y at f = 0.48
-    f = 0.48
-    lo, hi = 0.3 * f * n, 1.7 * f * n
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if y_exponent(m, f, n, mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    approx = n_crit(m, f, n)
-    assert abs(root - approx) < 5e-4  # linearized vs exact crossing
-    with pytest.raises(DomainError):
-        n_crit(m, 0.7, n)
-    with pytest.raises(NumericalError):
-        n_crit(m, 0.3, 0.5)  # beta' and n - n* vanish together
-
-
 _FERMIONS = catalog("fermions")
 
 
@@ -322,10 +261,6 @@ _REFUSALS = [
      "resolve_x1 needs V >= 1"),
     (lambda: x2_powerlaw(_FERMIONS, 0.5, 0.5, 1.0, 100.0), NumericalError,
      "X2 is undefined at beta'(n) = 0 (n = n*)"),
-    (lambda: y_exponent(_FERMIONS, 1.0, 0.4, 0.2), DomainError,
-     "y_exponent needs 0 < f < 1"),
-    (lambda: y_exponent(_FERMIONS, 0.5, 0.2, 0.3), DomainError,
-     "n_a outside the physical block range"),
     (lambda: distinguishable_asymptotic(0.5, 1.0, 0.0), DomainError,
      "need V >= 1 and 0 <= V_A <= V"),
     (lambda: distinguishable_asymptotic(10.0, 5.0, 11.0), DomainError,
@@ -352,15 +287,30 @@ _REFUSALS = [
      "x2_powerlaw needs V >= 1 within the float range, got -4"),
     (lambda: x2_powerlaw(_FERMIONS, 0.4, 0.5, 1.0, math.nan), DomainError,
      "x2_powerlaw needs V >= 1 within the float range, got nan"),
-    (lambda: kronecker_resolution(_FERMIONS, -4, 0.3, 0.4), DomainError,
-     "kronecker_resolution needs V >= 1 within the float range, got -4"),
-    (lambda: kronecker_resolution(_FERMIONS, math.nan, 0.3, 0.4),
-     DomainError,
-     "kronecker_resolution needs V >= 1 within the float range, got nan"),
     (lambda: resolve_x1(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
      "resolve_x1 needs V >= 1 within the float range, got nan"),
     (lambda: resolved_average(_FERMIONS, math.nan, 0.3, 0.4), DomainError,
      "resolved_average needs V >= 1 within the float range, got nan"),
+    # a NaN exponent, offset, fraction or filling: every comparison with
+    # the critical exponents is False, so it would fall through to a branch
+    (lambda: x1_powerlaw(_FERMIONS, math.nan, 0.5, 1.0, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got s=nan"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, math.nan, 1.0, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got t=nan"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, math.nan, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got lam_f=nan"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 1.0, math.nan), DomainError,
+     "x1_powerlaw needs numbers, got lam_n=nan"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, math.nan, 1.0, 100.0), DomainError,
+     "x2_powerlaw needs numbers, got s=nan"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, 0.5, math.nan, 100.0), DomainError,
+     "x2_powerlaw needs numbers, got lam_f=nan"),
+    (lambda: x2_powerlaw(_FERMIONS, math.nan, 0.5, 1.0, 100.0), DomainError,
+     "x2_powerlaw needs numbers, got n=nan"),
+    (lambda: resolve_x1(_FERMIONS, 100, math.nan, 0.3), DomainError,
+     "resolve_x1 needs numbers, got f=nan"),
+    (lambda: resolve_x1(_FERMIONS, 100, 0.3, math.nan), DomainError,
+     "resolve_x1 needs numbers, got n=nan"),
     # labeled particles: a negative or non-finite N, a V or N past the
     # float range, a non-integer size
     (lambda: distinguishable_asymptotic(10, -5, 5), DomainError,

@@ -16,8 +16,7 @@ from page_entropy.budget import check_exact_work, exact_work_seconds
 from page_entropy.dimensions import dim_fixed_n, dim_table
 from page_entropy.entropy import (BipartitionSpec, VarianceEstimate,
                                   asymptotic_average, exact_average,
-                                  exact_variance, gaussian_moments, report,
-                                  rho_weight)
+                                  exact_variance, report)
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import build_sector_basis, mc_average
 from page_entropy.local_model import LocalModel, catalog, from_json
@@ -184,31 +183,6 @@ def test_mc_agreement_variance():
     assert abs(summary.variance - ref) < 3 * se
 
 
-def test_gaussian_moments_structure():
-    m = catalog("fermions")
-    spec = BipartitionSpec(100, 50, 50)
-    mom = gaussian_moments(m, spec)
-    assert mom.m0 == 1.0 and mom.m1 == 0.0
-    assert abs(mom.m2 - 6.25e-4) < 1e-18  # (1/4) / (4 * 100)
-    assert mom.m0_plus == mom.m0_minus == 0.5
-    assert abs(mom.m1_plus + mom.m1_minus) < 1e-18
-    assert abs(mom.m1_plus - 1.0 / math.sqrt(8 * math.pi * 4 * 100)) < 1e-15
-    assert abs(mom.m2_plus - 1.0 / (8 * 4 * 100)) < 1e-18
-    assert abs(mom.m2_plus + mom.m2_minus - mom.m2) < 1e-18
-
-
-def test_rho_weight_matches_discrete_profile():
-    # the continuous Gaussian (density in n_A) tracks V * discrete weights
-    m = catalog("fermions")
-    V, N, V_A = 400, 200, 200
-    spec = BipartitionSpec(V, N, V_A)
-    d_n = dim_fixed_n(m, V, N)
-    for N_A in (96, 100, 104):
-        discrete = (math.comb(V_A, N_A) * math.comb(V - V_A, N - N_A)) / d_n
-        continuous = rho_weight(m, spec, N_A / V) / V
-        assert abs(discrete - continuous) < 0.08 * discrete
-
-
 def test_distinguishable_exact_values():
     from page_entropy.entropy import distinguishable_exact_average
     assert abs(distinguishable_exact_average(2, 1, 1) - 0.5) < 1e-12
@@ -290,10 +264,17 @@ _GAP = LocalModel("gap", [1, 0, 1])  # a_1 = 0: N = 1 has no state
 _REFUSALS = [
     (lambda: BipartitionSpec(0, 0, 0), "V must be >= 1, got 0"),
     (lambda: BipartitionSpec(4, -1, 2), "N must be nonnegative, got -1"),
-    (lambda: rho_weight(_FERMIONS, BipartitionSpec(8, 4, 0), 0.1),
-     "rho_weight needs 0 < f < 1"),
-    (lambda: gaussian_moments(_FERMIONS, BipartitionSpec(8, 4, 8)),
-     "gaussian_moments needs 0 < f < 1"),
+    # a float or bool size, whose tables would hold floats or be wrong
+    (lambda: BipartitionSpec(4.0, 2, 1), "need integer V, N and V_A, got "
+                                         "4.0, 2, 1"),
+    (lambda: BipartitionSpec(4, 2.0, 1), "need integer V, N and V_A, got "
+                                         "4, 2.0, 1"),
+    (lambda: BipartitionSpec(4, 2, 1.5), "need integer V, N and V_A, got "
+                                         "4, 2, 1.5"),
+    (lambda: BipartitionSpec(4, True, 1), "need integer V, N and V_A, got "
+                                          "4, True, 1"),
+    (lambda: build_sector_basis(_FERMIONS, 6.0, 3, 3),
+     "need integer V, N and V_A, got 6.0, 3, 3"),
     (lambda: entropy.distinguishable_exact_average(0, 1, 0),
      "need V >= 1, 0 <= V_A <= V, N >= 0"),
     (lambda: entropy.distinguishable_exact_average(4, 2, 5),

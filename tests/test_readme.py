@@ -2,15 +2,18 @@
 
 Every `page-entropy` line of its `sh` blocks runs in-process through
 `cli.main` and must exit 0; where comment lines follow a command, they are
-its expected output.  The `## Library` block is executed as Python, and
-each `json` block, a model file, loads with `from_json` and runs `dims`.
+its expected output.  The `## Library` block is executed as Python, its
+module bullets list exactly the package's exports, and each `json` block,
+a model file, loads with `from_json` and runs `dims`.
 """
 
+import importlib
 import json
 import re
 import shlex
 from pathlib import Path
 
+import page_entropy
 import page_entropy.cli as cli
 from page_entropy.local_model import from_json
 
@@ -68,6 +71,18 @@ def test_readme_library_block_runs():
     [body] = [body for heading, body in _blocks("python")
               if heading == "## Library"]
     exec(compile(body, "README.md", "exec"), {})
+
+
+def test_readme_library_lists_every_export():
+    section = README.read_text().split("\n## Library\n")[1]
+    section = section.split("\n## ")[0]
+    listed = [(name, module) for module, names
+              in re.findall(r"^- `(\w+)`: (.*?)\.$", section, re.M | re.S)
+              for name in re.findall(r"`(\w+)`", names)]
+    assert sorted(name for name, _ in listed) == sorted(page_entropy.__all__)
+    for name, module in listed:
+        defined = importlib.import_module(f"page_entropy.{module}")
+        assert getattr(defined, name) is getattr(page_entropy, name), name
 
 
 def test_readme_model_files_load_and_run(capsys, tmp_path):

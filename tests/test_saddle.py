@@ -261,5 +261,8 @@ def test_ln_dim_asymptotic_converges():
     assert all(a > b for a, b in zip(errs, errs[1:]))
     with pytest.raises(DomainError):
         ln_dim_asymptotic(m, 100, 0.0)
-    with pytest.raises(DomainError, match="V must be >= 1, got 0"):
-        ln_dim_asymptotic(m, 0, 0.3)
+    for V, got in ((0, "0"), (math.nan, "nan"), (math.inf, "inf"),
+                   (10 ** 400, "1000")):
+        with pytest.raises(DomainError, match="ln_dim_asymptotic needs V >= 1 "
+                           f"within the float range, got {got}"):
+            ln_dim_asymptotic(m, V, 0.3)
