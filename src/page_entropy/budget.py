@@ -56,8 +56,8 @@ def check_table_work(model: LocalModel, tables, rows: int = 0,
 
 
 def check_run_work(basis, n_samples: int) -> None:
-    """Refuse (InfeasibleSizeError) a run of n_samples Haar samples of a
-    `haar_sampler.SectorBasis` above BUDGET_S at `sample_seconds` each."""
+    """Refuse (InfeasibleSizeError) a run of n_samples Haar samples of
+    `basis` above BUDGET_S at `sample_seconds` each."""
     _refuse_above_budget(f"{n_samples} samples",
                          lambda: n_samples * sample_seconds(basis))
 
@@ -114,12 +114,15 @@ def cut_seconds(columns: int, as_json: bool) -> float:
 
 
 def sample_seconds(basis) -> float:
-    """Estimated run time of one Haar sample: 1.4 us, plus 0.14 us per
-    unit of sum(min(d_A, d_B)) (its 2 sum(min) Gamma draws and per-value
-    array work), plus 23 ns per unit of sum(min(d_A, d_B)^2) (the
-    tridiagonal eigenvalues).  Fitted with `mc_average` on 25 sectors of
-    fermions (V = 4 to 28), bosons and spin-1, all within 1.5x."""
-    mins = [min(blk.d_a, blk.d_b) for blk in basis.blocks]
+    """Estimated run time of one Haar sample of a `haar_sampler.SectorBasis`
+    or of its cut's (N_A, d_A, d_B) blocks: 1.4 us, plus 0.14 us per unit
+    of sum(min(d_A, d_B)) (its 2 sum(min) Gamma draws and per-value array
+    work), plus 23 ns per unit of sum(min(d_A, d_B)^2) (the tridiagonal
+    eigenvalues).  Fitted with `mc_average` on 25 sectors of fermions
+    (V = 4 to 28), bosons and spin-1, all within 1.5x."""
+    if hasattr(basis, "blocks"):
+        basis = [(blk.n_a, blk.d_a, blk.d_b) for blk in basis.blocks]
+    mins = [min(d_a, d_b) for _, d_a, d_b in basis]
     return 1.4e-6 + 1.4e-7 * sum(mins) + 2.3e-8 * sum(m * m for m in mins)
 
 

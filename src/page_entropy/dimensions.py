@@ -21,6 +21,7 @@ from .local_model import LocalModel, _derivative, _poly_mul
 
 def dim_fixed_n(model: LocalModel, V: int, N: int) -> int:
     """Dimension of the N-particle sector of V sites; 0 for an empty sector."""
+    _check_sizes(V, N)
     if N < 0 or (model.n_max is not None and N > V * model.n_max):
         return 0
     return dim_table(model, V, N)[N]
@@ -36,10 +37,7 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
 
     an exact division.
     """
-    if type(V) is not int or type(N_cap) is not int:
-        raise DomainError(f"need integer V and N_cap, got {V!r}, {N_cap!r}")
-    if V < 0:
-        raise DomainError(f"V must be nonnegative, got {V}")
+    _check_sizes(V, N_cap)
     if N_cap < 0:
         raise DomainError(f"N_cap must be nonnegative, got {N_cap}")
     # beyond V * n_max every entry is 0
@@ -60,6 +58,14 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
         h.append(sum((u - m * a) * h[top - i] for i, u, a in steps)
                  // (m * a_0))
     return tuple(h[reach:]) + (0,) * (N_cap - N_eff)
+
+
+def _check_sizes(V: int, N_cap: int) -> None:
+    """Refuse (DomainError) a float or bool size, or a negative V."""
+    if type(V) is not int or type(N_cap) is not int:
+        raise DomainError(f"need integer V and N_cap, got {V!r}, {N_cap!r}")
+    if V < 0:
+        raise DomainError(f"V must be nonnegative, got {V}")
 
 
 def grow_table(model: LocalModel, table, N_cap: int) -> list[int]:

@@ -430,7 +430,7 @@ def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
     check_volume(V, "resolve_x1")
     _check_numbers("resolve_x1", f=f, n=n)
-    return _resolve_x1(_Saddles(model), V, f, n)
+    return _resolve_x1(_Saddles(model), V, _normalized_fraction(f), n)
 
 
 def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
@@ -539,11 +539,7 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     """Exact mean entropy for N labeled particles on V sites, V_A in A: 0 at
     V_A = 0 and V, else the block sum with d_A = V_A^N_A, weights C(N, N_A)
     d_A d_B and d_N = V^N, refused above `budget.check_labeled_work`."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (V, N, V_A)):
-        raise DomainError(f"need integer V, N and V_A, got {V!r}, {N!r}, "
-                          f"{V_A!r}")
-    if V < 1 or not 0 <= V_A <= V or N < 0:
-        raise DomainError("need V >= 1, 0 <= V_A <= V, N >= 0")
+    BipartitionSpec(V, N, V_A)  # refuses a float, bool or out-of-range size
     if V_A in (0, V):
         return 0.0
     budget.check_labeled_work(V, N)
@@ -556,9 +552,10 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
 def distinguishable_asymptotic(V: float, N: float,
                                V_A: float) -> DistinguishableTerms:
     """Labeled-particle mean decomposition c1 V lnV + c2 V + c3 sqrt(V) lnV."""
-    if V < 1 or not 0 <= V_A <= V:
-        raise DomainError("need V >= 1 and 0 <= V_A <= V")
-    if not (V <= sys.float_info.max and 0 <= N <= sys.float_info.max):
+    check_volume(V, "distinguishable_asymptotic")
+    if not 0 <= V_A <= V:
+        raise DomainError(f"V_A must lie in [0, V], got {V_A}")
+    if not 0 <= N <= sys.float_info.max:
         raise DomainError(f"need V and N >= 0 within the float range, got "
                           f"V={V!r}, N={N!r}")
     n = N / V
@@ -639,12 +636,13 @@ def report(model: LocalModel, specs,
 # -- helpers ------------------------------------------------------------------
 
 def _check_numbers(where: str, **values) -> None:
-    """Refuse (DomainError) a NaN among the named `values` of the public
-    crossover functions, which every comparison would pass over."""
-    nan = [f"{key}={value!r}" for key, value in values.items()
-           if value != value]
-    if nan:
-        raise DomainError(f"{where} needs numbers, got {', '.join(nan)}")
+    """Refuse (DomainError) a value among the named `values` of the public
+    crossover functions that is not a finite double: the kernels turn an
+    infinity into NaN or inf, and every comparison passes over a NaN."""
+    bad = [f"{key}={value!r}" for key, value in values.items()
+           if not abs(value) <= sys.float_info.max]
+    if bad:
+        raise DomainError(f"{where} needs numbers, got {', '.join(bad)}")
 
 
 def _normalized_fraction(f: float) -> float:

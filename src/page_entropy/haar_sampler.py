@@ -21,8 +21,8 @@ A run draws from one stream, `np.random.default_rng(seed)`: sample i is
 row i of the (samples x draws) Gamma array that stream yields, taken in
 chunks of about 2^14 draws.  A chunk's rows do not depend on where the
 chunk boundaries fall, so the summary depends only on the seed and the
-sample count.  A run is refused up front if `budget.check_run_work`
-estimates it above the one-minute budget.
+sample count.  `budget.check_run_work` refuses up front a sector whose
+one sample, or a run, it estimates above the one-minute budget.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from .dimensions import dim_table
 from .entropy import BipartitionSpec
 from .errors import DomainError, InfeasibleSizeError, NumericalError
 from .local_model import LocalModel
-
-# Largest per-sample work sum(min(d_A, d_B)^2) the sampler accepts.  It
-# keeps the sampler inside the range `budget.sample_seconds` was fitted
-# on (up to fermions V = 28, 4.0e7, where one sample took 0.66 s).
-MAX_SAMPLE_WORK = 5 * 10 ** 7
 
 # Gamma draws per chunk of samples; a chunk holds at least one sample.
 _CHUNK_DRAWS = 2 ** 14
@@ -106,24 +101,21 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
     laid end to end in N_A order.
 
     Refuses (InfeasibleSizeError) the cut's two tables estimated above the
-    budget before building them (`budget.check_table_work`), then a
-    per-sample work sum(min(d_A, d_B)^2) above 5e7 or a block side above
-    2^53; an empty sector (DomainError) builds no table.
+    budget before building them (`budget.check_table_work`), then one
+    sample so estimated (`budget.check_run_work`) before laying out any
+    block, then a block side above 2^53; an empty sector (DomainError)
+    builds no table.
     """
     spec = BipartitionSpec(V=V, N=N, V_A=V_A)
     budget.check_table_work(model, spec.tables(model.n_max))
+    cut = spec.blocks(model, dim_table)
+    budget.check_run_work(cut, 1)
     blocks = []
     offset = 0
-    work = 0
-    for n_a, d_a, d_b in spec.blocks(model, dim_table):
+    for n_a, d_a, d_b in cut:
         if max(d_a, d_b) > _MAX_BLOCK_SIDE:
             raise InfeasibleSizeError(
                 f"block side above 2^53 at N_A={n_a}; cannot sample")
-        work += min(d_a, d_b) ** 2
-        if work > MAX_SAMPLE_WORK:
-            raise InfeasibleSizeError(
-                f"sampling work sum(min(d_A, d_B)^2) above "
-                f"{MAX_SAMPLE_WORK:.0e}")
         blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
         offset += d_a * d_b
     return SectorBasis(blocks=tuple(blocks), dim=offset)

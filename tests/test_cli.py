@@ -829,7 +829,7 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "dims", "--model", "anyons", "--V", "4")
     assert code == 2 and "anyons" in err
     code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "30",
-                           "--N", "15", "--VA", "15", "--samples", "1")
+                           "--N", "15", "--VA", "15", "--samples", "100")
     assert code == 4 and "infeasible" in err
     code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "100",
                            "--N", "50", "--VA", "1", "--samples", "1")

@@ -223,6 +223,17 @@ _REFUSALS = [
      "need integer V and N_cap, got 4, 2.0"),
     (lambda: dim_fixed_n(catalog("fermions"), 4.5, 2),
      "need integer V and N_cap, got 4.5, 2"),
+    # checked before an empty range of N answers 0
+    (lambda: dim_fixed_n(catalog("fermions"), 4.5, 10),
+     "need integer V and N_cap, got 4.5, 10"),
+    (lambda: dim_fixed_n(catalog("fermions"), 4.0, -1),
+     "need integer V and N_cap, got 4.0, -1"),
+    (lambda: dim_fixed_n(catalog("fermions"), True, 3),
+     "need integer V and N_cap, got True, 3"),
+    (lambda: dim_fixed_n(catalog("fermions"), 4, 2.5),
+     "need integer V and N_cap, got 4, 2.5"),
+    (lambda: dim_fixed_n(catalog("fermions"), -1, 2),
+     "V must be nonnegative, got -1"),
 ]
 
 

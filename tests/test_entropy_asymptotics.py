@@ -262,9 +262,10 @@ _REFUSALS = [
     (lambda: x2_powerlaw(_FERMIONS, 0.5, 0.5, 1.0, 100.0), NumericalError,
      "X2 is undefined at beta'(n) = 0 (n = n*)"),
     (lambda: distinguishable_asymptotic(0.5, 1.0, 0.0), DomainError,
-     "need V >= 1 and 0 <= V_A <= V"),
+     "distinguishable_asymptotic needs V >= 1 within the float range, "
+     "got 0.5"),
     (lambda: distinguishable_asymptotic(10.0, 5.0, 11.0), DomainError,
-     "need V >= 1 and 0 <= V_A <= V"),
+     "V_A must lie in [0, V], got 11.0"),
     # a V that is not a number >= 1 within the float range, refused
     # before any math call
     (lambda: asymptotic_terms(_FERMIONS, -10, 0.5, 0.5), DomainError,
@@ -311,6 +312,33 @@ _REFUSALS = [
      "resolve_x1 needs numbers, got f=nan"),
     (lambda: resolve_x1(_FERMIONS, 100, 0.3, math.nan), DomainError,
      "resolve_x1 needs numbers, got n=nan"),
+    # an infinite argument or one beyond the float range, which the kernels
+    # would turn into nan or inf
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, math.inf, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got lam_f=inf"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, -math.inf, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got lam_f=-inf"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 1.0, math.inf), DomainError,
+     "x1_powerlaw needs numbers, got lam_n=inf"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, math.inf, 1.0, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got t=inf"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 10 ** 400, 1.0), DomainError,
+     "x1_powerlaw needs numbers, got lam_f=1000"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, 0.5, math.inf, 100.0), DomainError,
+     "x2_powerlaw needs numbers, got lam_f=inf"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, 0.7, math.inf, 100.0), DomainError,
+     "x2_powerlaw needs numbers, got lam_f=inf"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, -math.inf, 1.0, 100.0), DomainError,
+     "x2_powerlaw needs numbers, got s=-inf"),
+    (lambda: resolve_x1(_FERMIONS, 100, 0.3, math.inf), DomainError,
+     "resolve_x1 needs numbers, got n=inf"),
+    # a fraction outside (0, 1), refused as resolve_x2 refuses it
+    (lambda: resolve_x1(_FERMIONS, 100, 1.7, 0.3), DomainError,
+     "subsystem fraction must lie in (0, 1), got 1.7"),
+    (lambda: resolve_x1(_FERMIONS, 100, 0.0, 0.3), DomainError,
+     "subsystem fraction must lie in (0, 1), got 0.0"),
+    (lambda: resolve_x1(_FERMIONS, 100, 1, 0.3), DomainError,
+     "subsystem fraction must lie in (0, 1), got 1.0"),
     # labeled particles: a negative or non-finite N, a V or N past the
     # float range, a non-integer size
     (lambda: distinguishable_asymptotic(10, -5, 5), DomainError,
@@ -320,7 +348,8 @@ _REFUSALS = [
     (lambda: distinguishable_asymptotic(10, math.inf, 5), DomainError,
      "need V and N >= 0 within the float range, got V=10, N=inf"),
     (lambda: distinguishable_asymptotic(10 ** 400, 5, 3 * 10 ** 399),
-     DomainError, "need V and N >= 0 within the float range, got V=1000"),
+     DomainError, "distinguishable_asymptotic needs V >= 1 within the float "
+     "range, got 1000"),
     (lambda: distinguishable_exact_average(10, 5.5, 3), DomainError,
      "need integer V, N and V_A, got 10, 5.5, 3"),
     (lambda: distinguishable_exact_average(10, 5, 2.5), DomainError,

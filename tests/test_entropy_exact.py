@@ -276,11 +276,11 @@ _REFUSALS = [
     (lambda: build_sector_basis(_FERMIONS, 6.0, 3, 3),
      "need integer V, N and V_A, got 6.0, 3, 3"),
     (lambda: entropy.distinguishable_exact_average(0, 1, 0),
-     "need V >= 1, 0 <= V_A <= V, N >= 0"),
+     "V must be >= 1, got 0"),
     (lambda: entropy.distinguishable_exact_average(4, 2, 5),
-     "need V >= 1, 0 <= V_A <= V, N >= 0"),
+     "V_A must lie in [0, V], got 5"),
     (lambda: entropy.distinguishable_exact_average(4, -1, 2),
-     "need V >= 1, 0 <= V_A <= V, N >= 0"),
+     "N must be nonnegative, got -1"),
     # both tables built, but no block is nonempty
     (lambda: exact_average(_GAP, BipartitionSpec(3, 1, 1)),
      "empty sector: V=3, N=1 for gap"),

@@ -84,8 +84,11 @@ def test_basis_errors():
         build_sector_basis(m, 8, 4, 9)
     with pytest.raises(DomainError):
         build_sector_basis(m, 4, 9, 2)  # no states above full filling
-    with pytest.raises(InfeasibleSizeError):
-        build_sector_basis(m, 30, 15, 15)  # C(30,15) ~ 1.55e8
+    # sum(min(d_A, d_B)^2) = C(36,18) ~ 9.1e9: one sample is estimated
+    # above the budget, refused before any block is laid out
+    with pytest.raises(InfeasibleSizeError,
+                       match="1 samples estimated at 209 s"):
+        build_sector_basis(m, 36, 18, 18)
     # d_B = C(99, 50) ~ 5e28 at N_A = 0: no longer an exact Gamma shape
     with pytest.raises(InfeasibleSizeError,
                        match=r"block side above 2\^53 at N_A=0"):
@@ -221,10 +224,15 @@ def test_sampler_reaches_sectors_above_old_dimension_cap():
     assert abs(out.mean - ref) <= 5 * out.sem
 
 
-def test_sampler_refuses_work_above_cap():
-    # sum over N_A of min(d_A, d_B)^2 ~ 7.2e7 > 5e7
-    with pytest.raises(InfeasibleSizeError):
-        build_sector_basis(catalog("bosons"), 16, 16, 8)
+def test_sampler_refuses_runs_above_the_budget():
+    # sum over N_A of min(d_A, d_B)^2 ~ 7.2e7: one sample is estimated at
+    # 1.7 s, so the sector is laid out, and 100 samples are refused
+    # before any draw
+    basis = build_sector_basis(catalog("bosons"), 16, 16, 8)
+    with pytest.raises(InfeasibleSizeError,
+                       match="100 samples estimated at 167 s, above the 60 s "
+                             "budget"):
+        mc_average(basis, 100, seed=1)
 
 
 def test_single_rank_one_block_is_product_state():
@@ -315,10 +323,13 @@ def test_run_estimate_tracks_measured_sample_times():
     # seconds a sample, measured with mc_average on fermions at
     # N = V_A = V / 2 (2-vCPU x86 host, Python 3.11)
     measured = {4: 2.0e-6, 8: 7.0e-6, 14: 110e-6, 16: 364e-6,
-                20: 3988e-6, 24: 51137e-6}
+                20: 3988e-6, 24: 51137e-6, 30: 2.65, 32: 10.2}
     for V, seconds in measured.items():
         basis = build_sector_basis(catalog("fermions"), V, V // 2, V // 2)
         assert 0.5 < sample_seconds(basis) / seconds < 2.0, V
+    # bosons V = N = 16, V_A = 8: one sample took 1.28-1.32 s
+    basis = build_sector_basis(catalog("bosons"), 16, 16, 8)
+    assert 0.5 < sample_seconds(basis) / 1.30 < 2.0
     with pytest.raises(InfeasibleSizeError, match="estimated at inf s"):
         check_run_work(basis, 10 ** 400)  # beyond the float range
 
