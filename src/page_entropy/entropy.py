@@ -378,7 +378,8 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     all 0 < f < 1 at moderate V.
     """
     check_volume(V, "resolved_average")
-    return _resolved_average(_Saddles(model), V, f, n)
+    return _in_float_range(
+        lambda: _resolved_average(_Saddles(model), V, f, n), V=V)
 
 
 def _resolved_average(saddles: _Saddles, V: float, f: float,
@@ -430,7 +431,9 @@ def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
     check_volume(V, "resolve_x1")
     _check_numbers("resolve_x1", f=f, n=n)
-    return _resolve_x1(_Saddles(model), V, _normalized_fraction(f), n)
+    f = _normalized_fraction(f)
+    return _in_float_range(lambda: _resolve_x1(_Saddles(model), V, f, n),
+                           V=V)
 
 
 def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
@@ -446,7 +449,8 @@ def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     by |beta'|; callers there are on the delta itself.
     """
     check_volume(V, "resolve_x2")
-    return _resolve_x2(_Saddles(model), V, f, n)
+    return _in_float_range(lambda: _resolve_x2(_Saddles(model), V, f, n),
+                           V=V)
 
 
 def _resolve_x2(saddles: _Saddles, V: float, f: float, n: float) -> float:
@@ -474,8 +478,10 @@ def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
     if not (s_edge or t_edge):
         return 1.0
     # beyond an edge (s > 1 or t > 1/2) that delta has already sharpened
-    return _x1_kernel(lam_f if s_edge else 0.0, lam_n if t_edge else 0.0,
-                      sol_star.beta, abs(sol_star.beta2))
+    return _in_float_range(
+        lambda: _x1_kernel(lam_f if s_edge else 0.0, lam_n if t_edge else 0.0,
+                           sol_star.beta, abs(sol_star.beta2)),
+        lam_f=lam_f, lam_n=lam_n)
 
 
 def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
@@ -494,7 +500,9 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     if s < 0.5 - KRONECKER_TOL:
         return 0.0
     if abs(s - 0.5) <= KRONECKER_TOL:
-        return _x2_kernel(V, abs(lam_f) / math.sqrt(V), beta, ab1, ab2)
+        return _in_float_range(
+            lambda: _x2_kernel(V, abs(lam_f) / math.sqrt(V), beta, ab1, ab2),
+            V=V, lam_f=lam_f)
     deficit = ab1 * math.sqrt(V / (_TWO_PI * ab2))
     if s <= 1.0 + KRONECKER_TOL:
         return abs(lam_f) * V ** (1.0 - s) * beta - deficit
@@ -511,7 +519,8 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     Returned with the log side channel since the value underflows quickly.
     """
     check_volume(V, "asymptotic_variance")
-    return _asymptotic_variance(_Saddles(model), V, f, n)
+    return _in_float_range(
+        lambda: _asymptotic_variance(_Saddles(model), V, f, n), V=V)
 
 
 def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
@@ -558,6 +567,8 @@ def distinguishable_asymptotic(V: float, N: float,
     if not 0 <= N <= sys.float_info.max:
         raise DomainError(f"need V and N >= 0 within the float range, got "
                           f"V={V!r}, N={N!r}")
+    if V_A in (0, V):  # one side is empty
+        return DistinguishableTerms(0.0, 0.0, 0.0, 0.0)
     n = N / V
     f = _normalized_fraction(V_A / V)
     c1 = n * f
@@ -580,8 +591,8 @@ def report(model: LocalModel, specs,
            methods: tuple[str, ...] = METHODS) -> list[EntropyReport]:
     """The requested mean/variance panel of every cut in `specs`, the
     bipartitions of one request, in their order; a method key outside
-    METHODS is refused (DomainError), and so is an asymptotic method where
-    V (or V^1.5, for the variance) overflows a double.
+    METHODS is refused (DomainError), and so is an asymptotic method whose
+    value leaves the float range (`_in_float_range`).
 
     Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
     or its complement is trivial.
@@ -609,21 +620,20 @@ def report(model: LocalModel, specs,
         boundary = spec.V_A in (0, V)
         asym = resolved = asym_var = None
         exact_mean, exact_var = sums.get(spec.mirrored_cut, no_sums)
-        try:  # float(V) first: past the float range, V_A / V underflows
-            if "asymptotic" in methods:
-                asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
-                        if boundary
-                        else _asymptotic_terms(saddles, float(V), f, n))
-            if "resolved" in methods:
-                resolved = (0.0 if boundary
-                            else _resolved_average(saddles, float(V), f, n))
-            if "asymptotic_variance" in methods:
-                asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None)
-                            if boundary
-                            else _asymptotic_variance(saddles, float(V), f, n))
-        except OverflowError:
-            raise DomainError(f"the asymptotic forms overflow the float range "
-                              f"at V={V}") from None
+        # float(V) before f: past the float range, V_A / V underflows
+        if "asymptotic" in methods:
+            asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
+                    if boundary else _in_float_range(
+                        lambda: _asymptotic_terms(saddles, float(V), f, n),
+                        V=V))
+        if "resolved" in methods:
+            resolved = (0.0 if boundary else _in_float_range(
+                lambda: _resolved_average(saddles, float(V), f, n), V=V))
+        if "asymptotic_variance" in methods:
+            asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None)
+                        if boundary else _in_float_range(
+                            lambda: _asymptotic_variance(saddles, float(V),
+                                                         f, n), V=V))
         reports.append(EntropyReport(
             V=V, N=spec.N, V_A=spec.V_A, f=f, n=n,
             exact_mean=exact_mean if "exact" in methods else None,
@@ -643,6 +653,23 @@ def _check_numbers(where: str, **values) -> None:
            if not abs(value) <= sys.float_info.max]
     if bad:
         raise DomainError(f"{where} needs numbers, got {', '.join(bad)}")
+
+
+def _in_float_range(compute, **at):
+    """compute(), refused (DomainError) where the asymptotic forms leave the
+    float range at the named values `at`: float(V) or a math call raises
+    OverflowError, or an inf - inf or 0 * inf makes the value NaN.  A
+    record passes the NaN test, since it equals itself; its fields come
+    out finite or infinite, never NaN."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.nan
+    if value != value:  # NaN is the only float unequal to itself
+        where = ", ".join(f"{key}={x!r}" for key, x in at.items())
+        raise DomainError(f"the asymptotic forms overflow the float range "
+                          f"at {where}")
+    return value
 
 
 def _normalized_fraction(f: float) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,20 +49,17 @@ _MAX_BLOCK_SIDE = 2 ** 53
 _EIGENVALUE_FLOOR = 1e-18
 
 
-@dataclass(frozen=True)
-class SectorBlock:
-    """One N_A block of the cut sector inside the flat amplitude vector."""
+class SectorBlock(NamedTuple):
+    """One N_A block of the cut sector: d_A x d_B amplitudes."""
     n_a: int
     d_a: int
     d_b: int
-    offset: int
 
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Block decomposition of a bipartite fixed-N sector."""
+    """Block decomposition of a bipartite fixed-N sector, in N_A order."""
     blocks: tuple[SectorBlock, ...]
-    dim: int
 
     @cached_property
     def gamma_shapes(self) -> np.ndarray:
@@ -97,28 +95,23 @@ class McSummary:
 
 def build_sector_basis(model: LocalModel, V: int, N: int,
                        V_A: int) -> SectorBasis:
-    """Block decomposition for sampling: the cut's `BipartitionSpec.blocks`,
-    laid end to end in N_A order.
+    """Block decomposition for sampling: the cut's `BipartitionSpec.blocks`
+    in N_A order.
 
     Refuses (InfeasibleSizeError) the cut's two tables estimated above the
     budget before building them (`budget.check_table_work`), then one
-    sample so estimated (`budget.check_run_work`) before laying out any
-    block, then a block side above 2^53; an empty sector (DomainError)
-    builds no table.
+    sample so estimated (`budget.check_run_work`), then a block side above
+    2^53; an empty sector (DomainError) builds no table.
     """
     spec = BipartitionSpec(V=V, N=N, V_A=V_A)
     budget.check_table_work(model, spec.tables(model.n_max))
     cut = spec.blocks(model, dim_table)
     budget.check_run_work(cut, 1)
-    blocks = []
-    offset = 0
     for n_a, d_a, d_b in cut:
         if max(d_a, d_b) > _MAX_BLOCK_SIDE:
             raise InfeasibleSizeError(
                 f"block side above 2^53 at N_A={n_a}; cannot sample")
-        blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
-        offset += d_a * d_b
-    return SectorBasis(blocks=tuple(blocks), dim=offset)
+    return SectorBasis(tuple(map(SectorBlock._make, cut)))
 
 
 def sample_entropies(basis: SectorBasis, rng, count: int) -> np.ndarray:
@@ -167,21 +160,28 @@ def entropy_of_block_vector(blocks, psi):
     """-sum(lam ln lam) over the Schmidt spectrum of block-layout vectors.
 
     `psi` is one vector of shape (dim,), which gives a float, or K vectors
-    as the columns of a (dim, K) array, which give K entropies.  Each block
-    takes one batched SVD of its (K, d_A, d_B) stack; Schmidt coefficients
-    below 1e-18 are dropped.  A column's entropy is bit for bit that of the
-    column passed alone: LAPACK sees the same matrix either way, and the
-    kept coefficients (a prefix of the descending spectrum) are summed
-    with `np.sum` over rows of exactly the kept length, the length that
-    numpy's pairwise summation depends on.
+    as the columns of a (dim, K) array, which give K entropies: the blocks
+    end to end, each d_A x d_B row-major, dim = sum(d_A d_B) (any other dim
+    is refused, DomainError).  Each block takes one batched SVD of its
+    (K, d_A, d_B) stack; Schmidt coefficients below 1e-18 are dropped.  A
+    column's entropy is bit for bit that of the column passed alone:
+    LAPACK sees the same matrix either way, and the kept coefficients (a
+    prefix of the descending spectrum) are summed with `np.sum` over rows
+    of exactly the kept length, the length that numpy's pairwise summation
+    depends on.
     """
     psi = np.asarray(psi)
-    columns = psi.reshape(psi.shape[0], -1)
+    dim = sum(blk.d_a * blk.d_b for blk in blocks)
+    if psi.shape[:1] != (dim,):
+        raise DomainError(f"psi of shape {psi.shape} does not hold the "
+                          f"{dim} amplitudes of the blocks")
+    columns = psi.reshape(dim, -1)
     K = columns.shape[1]
     total = np.zeros(K)
+    stop = 0
     for blk in blocks:
-        part = columns[blk.offset:blk.offset + blk.d_a * blk.d_b]
-        stack = part.T.reshape(K, blk.d_a, blk.d_b)
+        start, stop = stop, stop + blk.d_a * blk.d_b
+        stack = columns[start:stop].T.reshape(K, blk.d_a, blk.d_b)
         sv = np.linalg.svd(stack, compute_uv=False)
         lam = sv * sv
         kept = np.count_nonzero(lam > _EIGENVALUE_FLOOR, axis=1)
@@ -204,7 +204,7 @@ def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    budget.check_run_work(basis, n_samples)
+    budget.check_run_work(basis.blocks, n_samples)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_DRAWS // basis.gamma_shapes.size)
     mean, m2 = 0.0, 0.0

@@ -279,19 +279,19 @@ def _cut_blocks(basis: np.ndarray, v_a: int):
     """Block layout of a basis cut at site v_a, plus the index permutation.
 
     Returns (blocks, perm) such that reordering an eigenvector by `perm`
-    makes it a flat block vector: entry offset + row * d_b + col is the
-    amplitude of (A-state row, B-state col) inside the N_A block.  `perm`
-    lexsorts the (dim, V) occupation rows by (N_A, occupations).  `basis`
-    must be one whole sector, in any row order: then each N_A block holds
-    every (A state, B state) pair, its sorted rows in row-major order.
+    lays its N_A blocks end to end: entry row * d_b + col of a block is the
+    amplitude of (A-state row, B-state col).  `perm` lexsorts the (dim, V)
+    occupation rows by (N_A, occupations).  `basis` must be one whole
+    sector, in any row order: then each N_A block holds every (A state,
+    B state) pair, its sorted rows in row-major order.
     """
     n_a = basis[:, :v_a].sum(axis=1)
     perm = np.lexsort((*basis.T[::-1], n_a))
-    values, offsets, sizes = np.unique(n_a[perm], return_index=True,
-                                       return_counts=True)
+    values, starts, sizes = np.unique(n_a[perm], return_index=True,
+                                      return_counts=True)
     prefix = basis[perm, :v_a]
     new_a = np.r_[1, np.any(prefix[1:] != prefix[:-1], axis=1)]
-    d_as = np.add.reduceat(new_a, offsets)
-    layout = np.column_stack((values, d_as, sizes // d_as, offsets))
+    d_as = np.add.reduceat(new_a, starts)
+    layout = np.column_stack((values, d_as, sizes // d_as))
     return tuple(SectorBlock(*map(int, row)) for row in layout), perm
 

@@ -1082,6 +1082,10 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
              f"V={10 ** 206}"),
             (("scaling", "--model", "fermions", "--f", "0.5", "--n", "0.5",
               "--V-list", str(10 ** 309)), 2, f"V={10 ** 309}"),
+            # a resolved column whose kernel takes inf * 0, a NaN
+            (("page", "--model", "fermions", "--V", str(10 ** 307), "--N",
+              str(10 ** 306), "--VA", str(5 * 10 ** 306), "--methods",
+              "resolved"), 2, f"V={10 ** 307}"),
             (("page", "--model", "fermions", "--V", beyond_float, "--N",
               str(10 ** 400 // 2), "--VA", "5", "--methods", "asymptotic"),
              2, f"V={beyond_float}")):

@@ -1,13 +1,17 @@
 """Large-V mean/variance formulas and the Kronecker-delta resolutions."""
 
+import dataclasses
 import math
 import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from page_entropy.entropy import (BipartitionSpec, asymptotic_average,
-                                  asymptotic_terms, asymptotic_variance,
+from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
+                                  asymptotic_average, asymptotic_terms,
+                                  asymptotic_variance,
                                   distinguishable_asymptotic,
                                   distinguishable_exact_average,
                                   exact_average, resolve_x1, resolve_x2,
@@ -16,6 +20,7 @@ from page_entropy.errors import DomainError, NumericalError
 from page_entropy.local_model import catalog
 from page_entropy.numerics import erfcx, exp_times_erfc
 from page_entropy.saddle import beta_family
+from test_local_model_properties import SETTINGS
 
 TWO_PI = 2.0 * math.pi
 
@@ -358,6 +363,25 @@ _REFUSALS = [
      "need integer V, N and V_A, got 10.0, 5, 3"),
     (lambda: distinguishable_exact_average(10, True, 1), DomainError,
      "need integer V, N and V_A, got 10, True, 1"),
+    # a value past the float range: a math call overflows, or inf - inf
+    # or 0 * inf in a kernel would make it NaN
+    (lambda: asymptotic_variance(_FERMIONS, 1e206, 0.1, 0.1), DomainError,
+     "the asymptotic forms overflow the float range at V=1e+206"),
+    (lambda: resolved_average(_FERMIONS, 1e154, 0.5, 0.1), DomainError,
+     "the asymptotic forms overflow the float range at V=1e+154"),
+    (lambda: resolve_x1(_FERMIONS, 1e154, 0.5, 0.1), DomainError,
+     "the asymptotic forms overflow the float range at V=1e+154"),
+    (lambda: resolve_x2(_FERMIONS, 1e308, 0.5, 0.1), DomainError,
+     "the asymptotic forms overflow the float range at V=1e+308"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 1e153, 1e153), DomainError,
+     "the asymptotic forms overflow the float range at lam_f=1e+153, "
+     "lam_n=1e+153"),
+    (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 1e154, 1e154), DomainError,
+     "the asymptotic forms overflow the float range at lam_f=1e+154, "
+     "lam_n=1e+154"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, 0.5, 1e200, 1e300), DomainError,
+     "the asymptotic forms overflow the float range at V=1e+300, "
+     "lam_f=1e+200"),
 ]
 
 
@@ -395,7 +419,43 @@ def test_distinguishable_asymptotic_terms():
     assert t.c3 == 0.0
     t2 = distinguishable_asymptotic(100, 100, 50)
     assert abs(t2.c3 - math.sqrt(1.0 / TWO_PI) * math.log(2)) < 1e-15
+    # the trivial cuts, where one side is empty, as the exact sum gives them
+    for V_A in (0, 10):
+        assert distinguishable_asymptotic(10, 5, V_A) == \
+            DistinguishableTerms(0.0, 0.0, 0.0, 0.0)
+        assert distinguishable_exact_average(10, 5, V_A) == 0.0
     # super-extensive: the mean outgrows any volume law
     small = distinguishable_exact_average(50, 50, 25) / 50
     large = distinguishable_exact_average(400, 400, 200) / 400
     assert large > small + 0.5
+
+
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_FRACTIONS = st.one_of(st.just(0.5), _OPEN_UNIT)
+_OFFSETS = st.floats(-1e300, 1e300)
+_EXPONENTS = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.0, 2.0))
+
+
+@SETTINGS
+@given(st.sampled_from([_FERMIONS, catalog("spin_j", 1)]),
+       st.floats(0.0, 709.78), _FRACTIONS, _OPEN_UNIT, _OFFSETS, _OFFSETS,
+       _EXPONENTS, _EXPONENTS)
+def test_asymptotic_forms_give_numbers_or_refuse(model, log_v, f, u, lam_f,
+                                                 lam_n, s, t):
+    # V log-uniform in [1, 1.79e308], an interior filling
+    V, n = math.exp(log_v), u * model.n_max
+    calls = (lambda: asymptotic_terms(model, V, f, n),
+             lambda: resolved_average(model, V, f, n),
+             lambda: resolve_x1(model, V, f, n),
+             lambda: resolve_x2(model, V, f, n),
+             lambda: x1_powerlaw(model, s, t, lam_f, lam_n),
+             lambda: x2_powerlaw(model, n, s, lam_f, V),
+             lambda: asymptotic_variance(model, V, f, n))
+    for call in calls:
+        try:
+            value = call()
+        except (DomainError, NumericalError):
+            continue
+        fields = (dataclasses.astuple(value)
+                  if dataclasses.is_dataclass(value) else (value,))
+        assert not any(x != x for x in fields), value

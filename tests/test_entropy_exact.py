@@ -5,11 +5,11 @@ import random
 import re
 import time
 import tracemalloc
-from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import oracle
 import page_entropy.budget as budget
 import page_entropy.entropy as entropy
 from page_entropy.budget import check_exact_work, exact_work_seconds
@@ -27,26 +27,6 @@ FIVE = ("fermions", "hardcore_bosons_2species", "bosons",
         "bosons_2species_unordered", "bosons_2species_ordered")
 
 
-def rational_mean_oracle(model, V, N, V_A):
-    """Independent sum: exact-rational weights, mpmath digamma."""
-    cap = N if model.n_max is None else min(N, V_A * model.n_max)
-    ta = dim_table(model, V_A, cap)
-    tb = dim_table(model, V - V_A, N)
-    d_n = dim_fixed_n(model, V, N)
-    total = mp.mpf(0)
-    for n_a in range(0, cap + 1):
-        da = ta[n_a] if n_a < len(ta) else 0
-        db = tb[N - n_a] if 0 <= N - n_a < len(tb) else 0
-        if da == 0 or db == 0:
-            continue
-        rho = Fraction(da * db, d_n)
-        small, big = min(da, db), max(da, db)
-        phi = (mp.digamma(d_n + 1) - mp.digamma(big + 1)
-               - mp.mpf(small - 1) / (2 * big))
-        total += mp.mpf(rho.numerator) / rho.denominator * phi
-    return float(total)
-
-
 def test_two_site_fermion_hand_values():
     m = catalog("fermions")
     spec = BipartitionSpec(V=2, N=1, V_A=1)
@@ -62,6 +42,8 @@ def test_exact_mean_against_rational_oracle():
     m = catalog("fermions")
     got = exact_average(m, BipartitionSpec(8, 4, 4))
     assert abs(got - 2.2061700909714051) < 1e-12
+    # within 4 ulp of Psi(d_N + 1), the bound of test_exact_oracle
+    cuts = [(m, 8, 4, 4)]
     rng = random.Random(12)
     for _ in range(12):
         name = rng.choice(FIVE)
@@ -70,11 +52,11 @@ def test_exact_mean_against_rational_oracle():
         top = V * model.n_max if model.n_max is not None else V + 3
         N = rng.randrange(0, top + 1)
         V_A = rng.randrange(0, V + 1)
-        if dim_fixed_n(model, V_A, 0) == 0:
-            continue
+        cuts.append((model, V, N, V_A))
+    for model, V, N, V_A in cuts:
         got = exact_average(model, BipartitionSpec(V, N, V_A))
-        ref = rational_mean_oracle(model, V, N, V_A)
-        assert abs(got - ref) < 1e-11
+        ref, psi_n = oracle.mean_entropy(model.P, model.Q, V, N, V_A)
+        assert abs(mp.mpf(got) - ref) <= 4 * math.ulp(float(psi_n))
 
 
 def test_boundary_cuts_are_zero():

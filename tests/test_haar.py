@@ -1,6 +1,5 @@
 """Haar Monte Carlo sampler: layout, hand-checked entropies, determinism."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -21,8 +20,9 @@ from page_entropy.local_model import CATALOG, catalog
 def dense_sample_entropy(basis, rng) -> float:
     """Oracle sampler: a normalized complex Gaussian vector over the whole
     sector, then the Schmidt spectrum (SVD) of every block."""
-    amps = rng.standard_normal(2 * basis.dim)
-    psi = amps[:basis.dim] + 1j * amps[basis.dim:]
+    dim = sum(blk.d_a * blk.d_b for blk in basis.blocks)
+    amps = rng.standard_normal(2 * dim)
+    psi = amps[:dim] + 1j * amps[dim:]
     psi /= np.linalg.norm(psi)
     return entropy_of_block_vector(basis.blocks, psi)
 
@@ -58,15 +58,12 @@ def iter_sector_states(model, V: int, N: int):
 def test_basis_layout_matches_sector_dimension():
     m = catalog("fermions")
     basis = build_sector_basis(m, 8, 4, 3)
-    assert basis.dim == dim_fixed_n(m, 8, 4)  # C(8,4) = 70
-    # blocks tile the flat vector contiguously
-    expect_offset = 0
+    # the blocks, end to end, tile the sector: C(8,4) = 70 amplitudes
+    assert sum(blk.d_a * blk.d_b
+               for blk in basis.blocks) == dim_fixed_n(m, 8, 4)
     for blk in basis.blocks:
-        assert blk.offset == expect_offset
         assert blk.d_a == dim_fixed_n(m, 3, blk.n_a)
         assert blk.d_b == dim_fixed_n(m, 5, 4 - blk.n_a)
-        expect_offset += blk.d_a * blk.d_b
-    assert expect_offset == basis.dim
     # empty blocks (n_a > V_A for fermions) are dropped
     assert [blk.n_a for blk in basis.blocks] == [0, 1, 2, 3]
 
@@ -75,7 +72,7 @@ def test_basis_layout_with_local_multiplicity():
     m = catalog("hardcore_bosons_2species")
     basis = build_sector_basis(m, 5, 3, 2)
     total = sum(blk.d_a * blk.d_b for blk in basis.blocks)
-    assert total == basis.dim == dim_fixed_n(m, 5, 3)
+    assert total == dim_fixed_n(m, 5, 3)
 
 
 def test_basis_errors():
@@ -108,13 +105,13 @@ def test_iter_sector_states_counts():
 
 
 def test_bell_state_entropy():
-    blocks = (SectorBlock(n_a=0, d_a=2, d_b=2, offset=0),)
+    blocks = (SectorBlock(n_a=0, d_a=2, d_b=2),)
     psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
     assert abs(entropy_of_block_vector(blocks, psi) - math.log(2)) < 1e-14
 
 
 def test_product_state_entropy_is_zero():
-    blocks = (SectorBlock(n_a=0, d_a=3, d_b=4, offset=0),)
+    blocks = (SectorBlock(n_a=0, d_a=3, d_b=4),)
     rng = np.random.default_rng(7)
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -125,12 +122,24 @@ def test_product_state_entropy_is_zero():
 
 def test_two_block_binary_entropy():
     # two 1x1 blocks carry classical weights (p, 1-p)
-    blocks = (SectorBlock(n_a=0, d_a=1, d_b=1, offset=0),
-              SectorBlock(n_a=1, d_a=1, d_b=1, offset=1))
+    blocks = (SectorBlock(n_a=0, d_a=1, d_b=1),
+              SectorBlock(n_a=1, d_a=1, d_b=1))
     p = 0.3
     psi = np.array([math.sqrt(p), math.sqrt(1 - p)])
     ref = -p * math.log(p) - (1 - p) * math.log(1 - p)
     assert abs(entropy_of_block_vector(blocks, psi) - ref) < 1e-14
+
+
+def test_block_vector_of_another_length_is_refused():
+    blocks = (SectorBlock(n_a=0, d_a=1, d_b=1),)
+    for psi in (np.array([0.6, 0.8]), np.array([]), np.ones((3, 2))):
+        with pytest.raises(DomainError, match="hold the 1 amplitudes"):
+            entropy_of_block_vector(blocks, psi)
+    blocks = (SectorBlock(n_a=0, d_a=1, d_b=2),
+              SectorBlock(n_a=1, d_a=2, d_b=2))
+    with pytest.raises(DomainError, match="hold the 6 amplitudes"):
+        entropy_of_block_vector(blocks, np.ones(5))
+    assert entropy_of_block_vector(blocks, np.ones(6) / math.sqrt(6)) > 0.0
 
 
 def test_entropy_bounds_and_schmidt_rank():
@@ -186,7 +195,7 @@ def test_big_block_gram_route_consistency():
     mat = rng.standard_normal((d_a, d_b)) + 1j * rng.standard_normal((d_a, d_b))
     psi = mat.ravel()
     psi /= np.linalg.norm(psi)
-    blocks = (SectorBlock(n_a=0, d_a=d_a, d_b=d_b, offset=0),)
+    blocks = (SectorBlock(n_a=0, d_a=d_a, d_b=d_b),)
     got = entropy_of_block_vector(blocks, psi)
     rho = (mat @ mat.conj().T) / np.vdot(mat, mat).real
     lam = np.linalg.eigvalsh(rho)
@@ -218,7 +227,8 @@ def test_sampler_reaches_sectors_above_old_dimension_cap():
     # the per-sample work sum(min^2) is the same 2.7e6
     m = catalog("fermions")
     basis = build_sector_basis(m, 24, 12, 12)
-    assert basis.dim == dim_fixed_n(m, 24, 12) > 2 * 10 ** 6
+    dim = sum(blk.d_a * blk.d_b for blk in basis.blocks)
+    assert dim == dim_fixed_n(m, 24, 12) > 2 * 10 ** 6
     out = mc_average(basis, 8, seed=4)
     ref = exact_average(m, BipartitionSpec(24, 12, 12))
     assert abs(out.mean - ref) <= 5 * out.sem
@@ -314,9 +324,9 @@ def test_mc_memory_does_not_grow_with_samples():
 
 def test_run_budget_accepts_seconds_and_refuses_years():
     basis = build_sector_basis(catalog("fermions"), 4, 2, 2)
-    check_run_work(basis, 10 ** 6)  # about 2 s of sampling
+    check_run_work(basis.blocks, 10 ** 6)  # about 2 s of sampling
     with pytest.raises(InfeasibleSizeError, match="1000000000000000 samples"):
-        check_run_work(basis, 10 ** 15)
+        check_run_work(basis.blocks, 10 ** 15)
 
 
 def test_run_estimate_tracks_measured_sample_times():
@@ -326,12 +336,12 @@ def test_run_estimate_tracks_measured_sample_times():
                 20: 3988e-6, 24: 51137e-6, 30: 2.65, 32: 10.2}
     for V, seconds in measured.items():
         basis = build_sector_basis(catalog("fermions"), V, V // 2, V // 2)
-        assert 0.5 < sample_seconds(basis) / seconds < 2.0, V
+        assert 0.5 < sample_seconds(basis.blocks) / seconds < 2.0, V
     # bosons V = N = 16, V_A = 8: one sample took 1.28-1.32 s
     basis = build_sector_basis(catalog("bosons"), 16, 16, 8)
-    assert 0.5 < sample_seconds(basis) / 1.30 < 2.0
+    assert 0.5 < sample_seconds(basis.blocks) / 1.30 < 2.0
     with pytest.raises(InfeasibleSizeError, match="estimated at inf s"):
-        check_run_work(basis, 10 ** 400)  # beyond the float range
+        check_run_work(basis.blocks, 10 ** 400)  # beyond the float range
 
 
 _BLOCK_MODELS = [catalog(name) for name in CATALOG] + [
@@ -362,10 +372,10 @@ def test_sector_basis_blocks_follow_the_cut_decomposition(model,
                 basis = build_sector_basis(model, V, N, V_A)
                 assert [(blk.n_a, blk.d_a, blk.d_b)
                         for blk in basis.blocks] == old
-                offsets = list(itertools.accumulate(
-                    [0] + [d_a * d_b for _, d_a, d_b in old]))
-                assert [blk.offset for blk in basis.blocks] == offsets[:-1]
-                assert basis.dim == offsets[-1] == dim_fixed_n(model, V, N)
+                assert list(basis.blocks) == BipartitionSpec(
+                    V, N, V_A).blocks(model, dim_table)
+                assert sum(d_a * d_b for _, d_a, d_b in old) == \
+                    dim_fixed_n(model, V, N)
     # no table runs past the entries its sites can fill
     if model.n_max is not None:
         assert all(cap <= sites * model.n_max for sites, cap in built)

@@ -3,12 +3,16 @@
 Every `page-entropy` line of its `sh` blocks runs in-process through
 `cli.main` and must exit 0; where comment lines follow a command, they are
 its expected output.  The `## Library` block is executed as Python, its
-module bullets list exactly the package's exports, and each `json` block,
-a model file, loads with `from_json` and runs `dims`.
+module bullets list exactly the package's exports, its backticked
+signatures `name(a, b, ...)` name the fields of a record or the parameters
+of a function, and each `json` block, a model file, loads with `from_json`
+and runs `dims`.
 """
 
 import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -83,6 +87,29 @@ def test_readme_library_lists_every_export():
     for name, module in listed:
         defined = importlib.import_module(f"page_entropy.{module}")
         assert getattr(defined, name) is getattr(page_entropy, name), name
+
+
+def test_readme_library_signatures_match_the_code():
+    section = README.read_text().split("\n## Library\n")[1]
+    section = re.sub(r"^```.*?^```$", "", section.split("\n## ")[0],
+                     flags=re.M | re.S)
+    modules = [importlib.import_module(f"page_entropy.{info.name}")
+               for info in pkgutil.iter_modules(page_entropy.__path__)]
+    checked = 0
+    for span in re.findall(r"`([^`]+)`", section):
+        match = re.fullmatch(r"(?:(\w+)\.)?(\w+)\((\w+(?:, \w+)*)\)",
+                             " ".join(span.split()))
+        if not match:
+            continue
+        module, name, params = match.groups()
+        owners = ([importlib.import_module(f"page_entropy.{module}")]
+                  if module else modules)
+        [obj] = {getattr(owner, name) for owner in owners
+                 if hasattr(owner, name)}
+        assert params.split(", ") == list(inspect.signature(obj).parameters), \
+            span
+        checked += 1
+    assert checked >= 4
 
 
 def test_readme_model_files_load_and_run(capsys, tmp_path):

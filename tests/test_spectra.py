@@ -296,22 +296,24 @@ def loop_cut_blocks(basis, v_a):
 
     blocks = []
     perm = np.empty(len(basis), dtype=np.intp)
-    offset = 0
+    start = 0
     for n_a in sorted(groups):
         rows, cols, members = groups[n_a]
         d_a, d_b = len(rows), len(cols)
         for idx, a, b in members:
-            perm[offset + rows[a] * d_b + cols[b]] = idx
-        blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b, offset=offset))
-        offset += d_a * d_b
+            perm[start + rows[a] * d_b + cols[b]] = idx
+        blocks.append(SectorBlock(n_a=n_a, d_a=d_a, d_b=d_b))
+        start += d_a * d_b
     return tuple(blocks), perm
 
 
 def loop_entropy(blocks, psi):
     """Entropy of one block-layout vector, block by block."""
     total = 0.0
+    start = 0
     for blk in blocks:
-        mat = psi[blk.offset:blk.offset + blk.d_a * blk.d_b]
+        mat = psi[start:start + blk.d_a * blk.d_b]
+        start += blk.d_a * blk.d_b
         sv = np.linalg.svd(mat.reshape(blk.d_a, blk.d_b), compute_uv=False)
         lam = sv * sv
         lam = lam[lam > 1e-18]
@@ -434,13 +436,15 @@ def test_batched_entropies_equal_per_column_calls(dtype):
     # long kept prefixes of different lengths (pairwise sums from 8 terms)
     ham = build_spin1_xxz(8, 0, 1.0, 0.55)
     blocks, _ = _cut_blocks(ham.basis, 4)
-    big = max(blocks, key=lambda blk: min(blk.d_a, blk.d_b))
+    # the block of the largest Schmidt rank and the row it starts at
+    k = max(range(len(blocks)), key=lambda k: min(blocks[k][1:]))
+    big, start = blocks[k], sum(blk.d_a * blk.d_b for blk in blocks[:k])
     side = min(big.d_a, big.d_b)
     assert side > 16
     Y = rng.standard_normal((len(ham.basis), 3)).astype(dtype)
     for rank in (9, 12, 15, 16, side - 1):
         col = np.zeros((len(ham.basis), 1), dtype=dtype)
-        diag = big.offset + np.arange(rank) * (big.d_b + 1)
+        diag = start + np.arange(rank) * (big.d_b + 1)
         col[diag, 0] = rng.uniform(0.5, 1.5, rank)
         Y = np.hstack([Y, col / np.linalg.norm(col)])
     got = entropy_of_block_vector(blocks, Y)
