@@ -45,7 +45,6 @@ the Haar sampler and the run-time estimate.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import erfc
@@ -58,7 +57,7 @@ from .local_model import LocalModel
 # perfbench/spans.py patches digamma_of_dim and trigamma_of_dim here
 from .numerics import (digamma_of_dim, exp_times_erfc, ln_big,
                        polygamma_of_dim, trigamma_of_dim)
-from .saddle import beta_family, check_volume, n_star
+from .saddle import asymptotic_form, beta_family, in_float_range, n_star
 
 # |f - 1/2| or |n - n*| below this counts as exactly on the special point.
 KRONECKER_TOL = 1e-12
@@ -337,6 +336,7 @@ def _phi(d_a: int, d_b: int, psi_n: float,
 
 # -- asymptotic mean --------------------------------------------------------
 
+@asymptotic_form
 def asymptotic_terms(model: LocalModel, V: float, f: float,
                      n: float) -> AsymptoticTerms:
     """Large-V mean decomposition a V + b sqrt(V) + c at fraction f, filling n.
@@ -345,7 +345,6 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
     only at f = 1/2 exactly (tolerance 1e-12); the constant picks up an
     extra -1/2 only at f = 1/2 and n = n* simultaneously.
     """
-    check_volume(V, "asymptotic_terms")
     return _asymptotic_terms(_Saddles(model), V, f, n)
 
 
@@ -370,6 +369,7 @@ def asymptotic_average(model: LocalModel, spec: BipartitionSpec) -> float:
     return report(model, (spec,), ("asymptotic",))[0].asymptotic.value
 
 
+@asymptotic_form
 def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     """Finite-V page curve with the Kronecker deltas resolved by erfc kernels.
 
@@ -377,9 +377,7 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     through f = 1/2 (sqrt(V) deficit) and n = n* (extra -1/2); valid for
     all 0 < f < 1 at moderate V.
     """
-    check_volume(V, "resolved_average")
-    return _in_float_range(
-        lambda: _resolved_average(_Saddles(model), V, f, n), V=V)
+    return _resolved_average(_Saddles(model), V, f, n)
 
 
 def _resolved_average(saddles: _Saddles, V: float, f: float,
@@ -427,13 +425,10 @@ def _x2_kernel(V: float, df: float, beta: float, ab1: float,
             - ab1 * math.sqrt(V / (_TWO_PI * ab2)) * gauss)
 
 
+@asymptotic_form
 def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
-    check_volume(V, "resolve_x1")
-    _check_numbers("resolve_x1", f=f, n=n)
-    f = _normalized_fraction(f)
-    return _in_float_range(lambda: _resolve_x1(_Saddles(model), V, f, n),
-                           V=V)
+    return _resolve_x1(_Saddles(model), V, _normalized_fraction(f), n)
 
 
 def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
@@ -442,15 +437,14 @@ def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
                       sol_star.beta, abs(sol_star.beta2))
 
 
+@asymptotic_form
 def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     """sqrt(V)-deficit crossover X2 at the physical scaling.
 
     Undefined where beta'(n) = 0 (i.e. exactly at n*): the kernel divides
     by |beta'|; callers there are on the delta itself.
     """
-    check_volume(V, "resolve_x2")
-    return _in_float_range(lambda: _resolve_x2(_Saddles(model), V, f, n),
-                           V=V)
+    return _resolve_x2(_Saddles(model), V, f, n)
 
 
 def _resolve_x2(saddles: _Saddles, V: float, f: float, n: float) -> float:
@@ -461,6 +455,7 @@ def _resolve_x2(saddles: _Saddles, V: float, f: float, n: float) -> float:
                       abs(sol.beta1), abs(sol.beta2))
 
 
+@asymptotic_form
 def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
                 lam_n: float) -> float:
     """Limit of X1 under f - 1/2 = lam_f V^-s, n - n* = lam_n V^-t.
@@ -469,7 +464,6 @@ def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
     the full erfc pair exactly at (1, 1/2), single-variable crossovers on
     the two edges, and 1 beyond both.
     """
-    _check_numbers("x1_powerlaw", s=s, t=t, lam_f=lam_f, lam_n=lam_n)
     _, sol_star = _Saddles(model).peak()
     if s < 1.0 - KRONECKER_TOL or t < 0.5 - KRONECKER_TOL:
         return 0.0
@@ -478,12 +472,11 @@ def x1_powerlaw(model: LocalModel, s: float, t: float, lam_f: float,
     if not (s_edge or t_edge):
         return 1.0
     # beyond an edge (s > 1 or t > 1/2) that delta has already sharpened
-    return _in_float_range(
-        lambda: _x1_kernel(lam_f if s_edge else 0.0, lam_n if t_edge else 0.0,
-                           sol_star.beta, abs(sol_star.beta2)),
-        lam_f=lam_f, lam_n=lam_n)
+    return _x1_kernel(lam_f if s_edge else 0.0, lam_n if t_edge else 0.0,
+                      sol_star.beta, abs(sol_star.beta2))
 
 
+@asymptotic_form
 def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
                 V: float) -> float:
     """Limit of X2 under f - 1/2 = lam_f V^-s at filling n.
@@ -491,8 +484,6 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     0 for s < 1/2, the erfc crossover exactly at s = 1/2, a linear-plus-
     deficit form on 1/2 < s <= 1, and the pure sqrt(V) deficit beyond.
     """
-    check_volume(V, "x2_powerlaw")
-    _check_numbers("x2_powerlaw", n=n, s=s, lam_f=lam_f)
     sol = _Saddles(model).at(n, "x2_powerlaw")
     beta, ab1, ab2 = sol.beta, abs(sol.beta1), abs(sol.beta2)
     if ab1 == 0.0:
@@ -500,9 +491,7 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
     if s < 0.5 - KRONECKER_TOL:
         return 0.0
     if abs(s - 0.5) <= KRONECKER_TOL:
-        return _in_float_range(
-            lambda: _x2_kernel(V, abs(lam_f) / math.sqrt(V), beta, ab1, ab2),
-            V=V, lam_f=lam_f)
+        return _x2_kernel(V, abs(lam_f) / math.sqrt(V), beta, ab1, ab2)
     deficit = ab1 * math.sqrt(V / (_TWO_PI * ab2))
     if s <= 1.0 + KRONECKER_TOL:
         return abs(lam_f) * V ** (1.0 - s) * beta - deficit
@@ -511,6 +500,7 @@ def x2_powerlaw(model: LocalModel, n: float, s: float, lam_f: float,
 
 # -- variance ----------------------------------------------------------------
 
+@asymptotic_form
 def asymptotic_variance(model: LocalModel, V: float, f: float,
                         n: float) -> AsymptoticVariance:
     """Leading-order variance: prefactor * V^(3/2) * exp(-beta V).
@@ -518,9 +508,7 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2.
     Returned with the log side channel since the value underflows quickly.
     """
-    check_volume(V, "asymptotic_variance")
-    return _in_float_range(
-        lambda: _asymptotic_variance(_Saddles(model), V, f, n), V=V)
+    return _asymptotic_variance(_Saddles(model), V, f, n)
 
 
 def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
@@ -558,13 +546,13 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     return _block_sums(blocks, V ** N, 0, False)[0]
 
 
+@asymptotic_form
 def distinguishable_asymptotic(V: float, N: float,
                                V_A: float) -> DistinguishableTerms:
     """Labeled-particle mean decomposition c1 V lnV + c2 V + c3 sqrt(V) lnV."""
-    check_volume(V, "distinguishable_asymptotic")
     if not 0 <= V_A <= V:
         raise DomainError(f"V_A must lie in [0, V], got {V_A}")
-    if not 0 <= N <= sys.float_info.max:
+    if N < 0:
         raise DomainError(f"need V and N >= 0 within the float range, got "
                           f"V={V!r}, N={N!r}")
     if V_A in (0, V):  # one side is empty
@@ -592,7 +580,7 @@ def report(model: LocalModel, specs,
     """The requested mean/variance panel of every cut in `specs`, the
     bipartitions of one request, in their order; a method key outside
     METHODS is refused (DomainError), and so is an asymptotic method whose
-    value leaves the float range (`_in_float_range`).
+    value leaves the float range (`saddle.in_float_range`).
 
     Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
     or its complement is trivial.
@@ -623,15 +611,15 @@ def report(model: LocalModel, specs,
         # float(V) before f: past the float range, V_A / V underflows
         if "asymptotic" in methods:
             asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
-                    if boundary else _in_float_range(
+                    if boundary else in_float_range(
                         lambda: _asymptotic_terms(saddles, float(V), f, n),
                         V=V))
         if "resolved" in methods:
-            resolved = (0.0 if boundary else _in_float_range(
+            resolved = (0.0 if boundary else in_float_range(
                 lambda: _resolved_average(saddles, float(V), f, n), V=V))
         if "asymptotic_variance" in methods:
             asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None)
-                        if boundary else _in_float_range(
+                        if boundary else in_float_range(
                             lambda: _asymptotic_variance(saddles, float(V),
                                                          f, n), V=V))
         reports.append(EntropyReport(
@@ -644,33 +632,6 @@ def report(model: LocalModel, specs,
 
 
 # -- helpers ------------------------------------------------------------------
-
-def _check_numbers(where: str, **values) -> None:
-    """Refuse (DomainError) a value among the named `values` of the public
-    crossover functions that is not a finite double: the kernels turn an
-    infinity into NaN or inf, and every comparison passes over a NaN."""
-    bad = [f"{key}={value!r}" for key, value in values.items()
-           if not abs(value) <= sys.float_info.max]
-    if bad:
-        raise DomainError(f"{where} needs numbers, got {', '.join(bad)}")
-
-
-def _in_float_range(compute, **at):
-    """compute(), refused (DomainError) where the asymptotic forms leave the
-    float range at the named values `at`: float(V) or a math call raises
-    OverflowError, or an inf - inf or 0 * inf makes the value NaN.  A
-    record passes the NaN test, since it equals itself; its fields come
-    out finite or infinite, never NaN."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.nan
-    if value != value:  # NaN is the only float unequal to itself
-        where = ", ".join(f"{key}={x!r}" for key, x in at.items())
-        raise DomainError(f"the asymptotic forms overflow the float range "
-                          f"at {where}")
-    return value
-
 
 def _normalized_fraction(f: float) -> float:
     f = float(f)

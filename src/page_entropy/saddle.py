@@ -15,8 +15,8 @@ never from finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,9 +50,11 @@ class SaddleSolution:
 def solve_z0(model: LocalModel, n: float) -> float:
     """Root of Z(z) = n, relative error < 1e-13.
 
-    Requires 0 < n, and n < n_max for finite support.  For unbounded
-    models the root always lies inside the convergence disk.
+    Requires a finite real 0 < n, and n < n_max for finite support.  For
+    unbounded models the root always lies inside the convergence disk.
     """
+    if not _finite_real(n):
+        raise DomainError(f"filling must be a finite number, got n={n!r}")
     n = float(n)
     if not n > 0.0:
         raise DomainError(f"filling must be positive, got n={n}")
@@ -87,9 +89,9 @@ def beta_family(model: LocalModel, n: float) -> SaddleSolution:
 
     Within 1e-9 of n = 0 the exact limits are beta = ln a_0, beta' = +inf;
     within 1e-9 of a finite n_max they are beta = ln a_{n_max},
-    beta' = -inf.  Both carry beta2 = -inf and at_boundary=True.
+    beta' = -inf.  Both carry beta2 = -inf and at_boundary=True.  Any
+    other n goes to `solve_z0`, which refuses it unless it is interior.
     """
-    n = float(n)
     if abs(n) <= _BOUNDARY_SNAP:
         return SaddleSolution(n=0.0, z0=0.0, beta=math.log(model.coefficient(0)),
                               beta1=math.inf, beta2=-math.inf, alpha=math.inf,
@@ -102,6 +104,7 @@ def beta_family(model: LocalModel, n: float) -> SaddleSolution:
                               at_boundary=True)
 
     z0 = solve_z0(model, n)
+    n = float(n)
     f, f1, f2 = eval_zeta(model, z0)
     beta = math.log(f) - n * math.log(z0)
     beta1 = -math.log(z0)
@@ -124,9 +127,45 @@ def n_star(model: LocalModel) -> Optional[float]:
     return f1 / f
 
 
-def ln_dim_asymptotic(model: LocalModel, V: int, n: float) -> float:
+def asymptotic_form(kernel):
+    """The guard of every public asymptotic function: DomainError unless V
+    is a number >= 1 within the float range and every other argument but
+    `model` a finite real, not a bool, then runs it in `in_float_range`."""
+    names = kernel.__code__.co_varnames[:kernel.__code__.co_argcount]
+
+    @functools.wraps(kernel)
+    def guarded(*args, **kwargs):
+        named = dict(zip(names, args), **kwargs)
+        named.pop("model", None)
+        V = named.get("V", 1)
+        if not (_finite_real(V) and V >= 1):
+            raise DomainError(f"{kernel.__name__} needs V >= 1 within the "
+                              f"float range, got {V!r}")
+        bad = [f"{k}={x!r}" for k, x in named.items() if not _finite_real(x)]
+        if bad:
+            raise DomainError(f"{kernel.__name__} needs numbers, got "
+                              f"{', '.join(bad)}")
+        return in_float_range(lambda: kernel(*args, **kwargs), **named)
+    return guarded
+
+
+def in_float_range(compute, **at):
+    """compute(), refused (DomainError) where the asymptotic forms leave the
+    float range at the named values `at`: a math call or float(V) raises
+    OverflowError, or the value (a record's `value`) is inf or NaN."""
+    try:
+        value = compute()
+        if math.isfinite(value if isinstance(value, float) else value.value):
+            return value
+    except OverflowError:
+        pass
+    raise DomainError("the asymptotic forms overflow the float range at "
+                      + ", ".join(f"{key}={x!r}" for key, x in at.items()))
+
+
+@asymptotic_form
+def ln_dim_asymptotic(model: LocalModel, V: float, n: float) -> float:
     """Leading asymptotics of ln d_N: V beta - (1/2) ln V + ln alpha."""
-    check_volume(V, "ln_dim_asymptotic")
     sol = beta_family(model, n)
     if sol.at_boundary:
         raise DomainError("dimension asymptotics are not defined at the "
@@ -134,13 +173,12 @@ def ln_dim_asymptotic(model: LocalModel, V: int, n: float) -> float:
     return V * sol.beta - 0.5 * math.log(V) + math.log(sol.alpha)
 
 
-def check_volume(V: float, where: str) -> None:
-    """Refuse (DomainError) a V that is not a number >= 1 within the float
-    range, in the public asymptotic functions; `entropy.report` checks its
-    own."""
-    if not 1 <= V <= sys.float_info.max:  # NaN fails both comparisons
-        raise DomainError(f"{where} needs V >= 1 within the float range, "
-                          f"got {V!r}")
+def _finite_real(x) -> bool:
+    """x is a real number, not a bool, whose magnitude a double holds."""
+    try:
+        return type(x) is not bool and math.isfinite(x)
+    except (TypeError, OverflowError):  # not a number, or an int > 2^1024
+        return False
 
 
 def _z_of(model: LocalModel, z: float) -> float:

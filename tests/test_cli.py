@@ -1088,7 +1088,11 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
               "resolved"), 2, f"V={10 ** 307}"),
             (("page", "--model", "fermions", "--V", beyond_float, "--N",
               str(10 ** 400 // 2), "--VA", "5", "--methods", "asymptotic"),
-             2, f"V={beyond_float}")):
+             2, f"V={beyond_float}"),
+            # an asymptotic column whose a V overflows to inf
+            (("page", "--model", "bosons", "--V", str(17 * 10 ** 307),
+              "--N", str(17 * 10 ** 308), "--VA", str(85 * 10 ** 306),
+              "--methods", "asymptotic"), 2, f"V={17 * 10 ** 307}")):
         start = time.perf_counter()
         got, out, err = run_cli(capsys, *argv)
         assert (got, out) == (code, "") and text in err, (argv, err)

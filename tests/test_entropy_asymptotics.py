@@ -1,14 +1,16 @@
 """Large-V mean/variance formulas and the Kronecker-delta resolutions."""
 
 import dataclasses
+import inspect
 import math
 import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import page_entropy
 from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
                                   asymptotic_average, asymptotic_terms,
                                   asymptotic_variance,
@@ -19,7 +21,7 @@ from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
 from page_entropy.errors import DomainError, NumericalError
 from page_entropy.local_model import catalog
 from page_entropy.numerics import erfcx, exp_times_erfc
-from page_entropy.saddle import beta_family
+from page_entropy.saddle import asymptotic_form, beta_family, ln_dim_asymptotic
 from test_local_model_properties import SETTINGS
 
 TWO_PI = 2.0 * math.pi
@@ -258,6 +260,7 @@ def test_x2_powerlaw_half_case_at_zero_offset():
 
 
 _FERMIONS = catalog("fermions")
+_BOSONS = catalog("bosons")
 
 
 # (call, error type, message)
@@ -349,9 +352,9 @@ _REFUSALS = [
     (lambda: distinguishable_asymptotic(10, -5, 5), DomainError,
      "need V and N >= 0 within the float range, got V=10, N=-5"),
     (lambda: distinguishable_asymptotic(10, math.nan, 5), DomainError,
-     "need V and N >= 0 within the float range, got V=10, N=nan"),
+     "distinguishable_asymptotic needs numbers, got N=nan"),
     (lambda: distinguishable_asymptotic(10, math.inf, 5), DomainError,
-     "need V and N >= 0 within the float range, got V=10, N=inf"),
+     "distinguishable_asymptotic needs numbers, got N=inf"),
     (lambda: distinguishable_asymptotic(10 ** 400, 5, 3 * 10 ** 399),
      DomainError, "distinguishable_asymptotic needs V >= 1 within the float "
      "range, got 1000"),
@@ -374,14 +377,45 @@ _REFUSALS = [
     (lambda: resolve_x2(_FERMIONS, 1e308, 0.5, 0.1), DomainError,
      "the asymptotic forms overflow the float range at V=1e+308"),
     (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 1e153, 1e153), DomainError,
-     "the asymptotic forms overflow the float range at lam_f=1e+153, "
-     "lam_n=1e+153"),
+     "the asymptotic forms overflow the float range at s=1.0, t=0.5, "
+     "lam_f=1e+153, lam_n=1e+153"),
     (lambda: x1_powerlaw(_FERMIONS, 1.0, 0.5, 1e154, 1e154), DomainError,
-     "the asymptotic forms overflow the float range at lam_f=1e+154, "
-     "lam_n=1e+154"),
+     "the asymptotic forms overflow the float range at s=1.0, t=0.5, "
+     "lam_f=1e+154, lam_n=1e+154"),
     (lambda: x2_powerlaw(_FERMIONS, 0.3, 0.5, 1e200, 1e300), DomainError,
-     "the asymptotic forms overflow the float range at V=1e+300, "
-     "lam_f=1e+200"),
+     "the asymptotic forms overflow the float range at n=0.3, s=0.5, "
+     "lam_f=1e+200, V=1e+300"),
+    # a finite input whose product overflows to inf
+    (lambda: asymptotic_terms(_BOSONS, 1.7e308, 0.5, 10.0), DomainError,
+     "the asymptotic forms overflow the float range at V=1.7e+308, f=0.5, "
+     "n=10.0"),
+    (lambda: distinguishable_asymptotic(1.7e308, 1.7e308, 0.85e308),
+     DomainError, "the asymptotic forms overflow the float range at "
+     "V=1.7e+308, N=1.7e+308, V_A=8.5e+307"),
+    (lambda: x2_powerlaw(_FERMIONS, 0.3, 0.7, 1e308, 1e308), DomainError,
+     "the asymptotic forms overflow the float range at n=0.3, s=0.7, "
+     "lam_f=1e+308, V=1e+308"),
+    (lambda: ln_dim_asymptotic(_BOSONS, 1.7e308, 10.0), DomainError,
+     "the asymptotic forms overflow the float range at V=1.7e+308, "
+     "n=10.0"),
+    # an infinite filling, which no bracket toward the radius holds, and
+    # one past the float range
+    (lambda: asymptotic_terms(_BOSONS, 100, 0.3, math.inf), DomainError,
+     "asymptotic_terms needs numbers, got n=inf"),
+    (lambda: resolved_average(_BOSONS, 100, 0.3, math.inf), DomainError,
+     "resolved_average needs numbers, got n=inf"),
+    (lambda: resolve_x2(_BOSONS, 100, 0.3, math.inf), DomainError,
+     "resolve_x2 needs numbers, got n=inf"),
+    (lambda: asymptotic_variance(_BOSONS, 100, 0.3, math.inf), DomainError,
+     "asymptotic_variance needs numbers, got n=inf"),
+    (lambda: ln_dim_asymptotic(_BOSONS, 100, math.inf), DomainError,
+     "ln_dim_asymptotic needs numbers, got n=inf"),
+    (lambda: asymptotic_terms(_FERMIONS, 100, 0.3, 10 ** 400), DomainError,
+     "asymptotic_terms needs numbers, got n=1000"),
+    (lambda: ln_dim_asymptotic(_FERMIONS, 100, 10 ** 400), DomainError,
+     "ln_dim_asymptotic needs numbers, got n=1000"),
+    (lambda: resolve_x2(_FERMIONS, 100, 0.3, 10 ** 400), DomainError,
+     "resolve_x2 needs numbers, got n=1000"),
 ]
 
 
@@ -434,23 +468,33 @@ _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _FRACTIONS = st.one_of(st.just(0.5), _OPEN_UNIT)
 _OFFSETS = st.floats(-1e300, 1e300)
 _EXPONENTS = st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.0, 2.0))
+# ln V, with the top of the float range drawn as often as the rest
+_LOG_VOLUMES = st.one_of(st.just(709.78), st.floats(0.0, 709.78))
 
 
+# the top of the float range: bosons at n = 10, where a V and V beta
+# overflow; fermions at s = 0.7, where lam_f V^(1 - s) and c1 V ln V do
+@example(_BOSONS, 709.78, 0.5, 0.525, 1.0, 1.0, 1.0, 0.5)
+@example(_FERMIONS, 709.78, 0.3, 0.3, 1e300, 1.0, 0.7, 0.5)
 @SETTINGS
-@given(st.sampled_from([_FERMIONS, catalog("spin_j", 1)]),
-       st.floats(0.0, 709.78), _FRACTIONS, _OPEN_UNIT, _OFFSETS, _OFFSETS,
+@given(st.sampled_from([_FERMIONS, catalog("spin_j", 1), _BOSONS]),
+       _LOG_VOLUMES, _FRACTIONS, _OPEN_UNIT, _OFFSETS, _OFFSETS,
        _EXPONENTS, _EXPONENTS)
 def test_asymptotic_forms_give_numbers_or_refuse(model, log_v, f, u, lam_f,
                                                  lam_n, s, t):
-    # V log-uniform in [1, 1.79e308], an interior filling
-    V, n = math.exp(log_v), u * model.n_max
+    # V log-uniform in [1, 1.79e308]; an interior filling, log-uniform in
+    # [1e-20, 1e20] for bosons, which have no n_max
+    V = math.exp(log_v)
+    n = u * model.n_max if model.n_max else 10.0 ** (40.0 * u - 20.0)
     calls = (lambda: asymptotic_terms(model, V, f, n),
              lambda: resolved_average(model, V, f, n),
              lambda: resolve_x1(model, V, f, n),
              lambda: resolve_x2(model, V, f, n),
              lambda: x1_powerlaw(model, s, t, lam_f, lam_n),
              lambda: x2_powerlaw(model, n, s, lam_f, V),
-             lambda: asymptotic_variance(model, V, f, n))
+             lambda: asymptotic_variance(model, V, f, n),
+             lambda: distinguishable_asymptotic(V, n * V, f * V),
+             lambda: ln_dim_asymptotic(model, V, n))
     for call in calls:
         try:
             value = call()
@@ -459,3 +503,31 @@ def test_asymptotic_forms_give_numbers_or_refuse(model, log_v, f, u, lam_f,
         fields = (dataclasses.astuple(value)
                   if dataclasses.is_dataclass(value) else (value,))
         assert not any(x != x for x in fields), value
+        assert math.isfinite(value if isinstance(value, float)
+                             else value.value), value
+
+
+# the public asymptotic functions: each value a paper's large-V form
+_ASYMPTOTIC_FORMS = {
+    "asymptotic_terms", "resolved_average", "resolve_x1", "resolve_x2",
+    "x1_powerlaw", "x2_powerlaw", "asymptotic_variance",
+    "distinguishable_asymptotic", "ln_dim_asymptotic"}
+
+
+def test_every_public_asymptotic_form_carries_the_one_guard():
+    guard = asymptotic_form(lambda V: V).__code__
+    exports = {name: getattr(page_entropy, name)
+               for name in page_entropy.__all__}
+    guarded = {name for name, obj in exports.items()
+               if getattr(obj, "__code__", None) is guard}
+    assert guarded == _ASYMPTOTIC_FORMS
+    for name in guarded:
+        assert exports[name].__wrapped__.__name__ == name
+    # a later export of entropy or saddle that takes a float is guarded too;
+    # the saddle solve, whose filling check is its own, is the one exception
+    takes_floats = {
+        name for name, obj in exports.items() if inspect.isfunction(obj)
+        and obj.__module__ in ("page_entropy.entropy", "page_entropy.saddle")
+        and any(p.annotation == "float"
+                for p in inspect.signature(obj).parameters.values())}
+    assert takes_floats - guarded == {"beta_family"}

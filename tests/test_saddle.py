@@ -164,6 +164,29 @@ def test_boundary_snap():
         beta_family(m, -0.2)
 
 
+@pytest.mark.parametrize("solve, name, n, message", [
+    # the texts below and above the support stay
+    (beta_family, "fermions", -0.2, "filling must be positive, got n=-0.2"),
+    (beta_family, "fermions", 1.5, "filling n=1.5 is not below n_max=1"),
+    (solve_z0, "fermions", 0.0, "filling must be positive, got n=0.0"),
+    # no bracket toward the radius holds an infinite filling, and float()
+    # overflows on an int past the float range
+    (beta_family, "bosons", math.inf, "filling must be a finite number, "
+     "got n=inf"),
+    (solve_z0, "bosons", math.inf, "filling must be a finite number, "
+     "got n=inf"),
+    (beta_family, "fermions", 10 ** 400, "filling must be a finite number, "
+     "got n=1000"),
+    (solve_z0, "bosons", 10 ** 400, "filling must be a finite number, "
+     "got n=1000"),
+    (beta_family, "bosons", math.nan, "filling must be a finite number, "
+     "got n=nan"),
+])
+def test_fillings_off_the_support_are_refused(solve, name, n, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        solve(catalog(name), n)
+
+
 @pytest.mark.parametrize("name, n, probes, message", [
     # a failing walk probes k = 0 .. limit (here 3), after the lower
     # walk's successful probes: z(1) = n* for spin-1, z(r / 2) = 1 for bosons
