@@ -15,18 +15,19 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 
-from .errors import DomainError
+from .errors import DomainError, checked
 from .local_model import LocalModel, _derivative, _poly_mul
 
 
+@checked
 def dim_fixed_n(model: LocalModel, V: int, N: int) -> int:
     """Dimension of the N-particle sector of V sites; 0 for an empty sector."""
-    _check_sizes(V, N)
-    if N < 0 or (model.n_max is not None and N > V * model.n_max):
+    if V >= 0 and (N < 0 or model.n_max is not None and N > V * model.n_max):
         return 0
     return dim_table(model, V, N)[N]
 
 
+@checked
 def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
     """All sector dimensions d_0 .. d_{N_cap} for V sites, exact.
 
@@ -37,7 +38,8 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
 
     an exact division.
     """
-    _check_sizes(V, N_cap)
+    if V < 0:
+        raise DomainError(f"V must be nonnegative, got {V}")
     if N_cap < 0:
         raise DomainError(f"N_cap must be nonnegative, got {N_cap}")
     # beyond V * n_max every entry is 0
@@ -58,14 +60,6 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
         h.append(sum((u - m * a) * h[top - i] for i, u, a in steps)
                  // (m * a_0))
     return tuple(h[reach:]) + (0,) * (N_cap - N_eff)
-
-
-def _check_sizes(V: int, N_cap: int) -> None:
-    """Refuse (DomainError) a float or bool size, or a negative V."""
-    if type(V) is not int or type(N_cap) is not int:
-        raise DomainError(f"need integer V and N_cap, got {V!r}, {N_cap!r}")
-    if V < 0:
-        raise DomainError(f"V must be nonnegative, got {V}")
 
 
 def grow_table(model: LocalModel, table, N_cap: int) -> list[int]:
@@ -127,6 +121,7 @@ def _over(series: list[int], poly: list[int]) -> list[int]:
     return out[deg:]
 
 
+@checked
 def extended_binomial_closed(V: int, N: int, n_max: int) -> int:
     """Closed form for [z^N] (1 + z + ... + z^n_max)^V.
 
@@ -137,8 +132,8 @@ def extended_binomial_closed(V: int, N: int, n_max: int) -> int:
         raise DomainError("extended binomial needs V >= 0 and n_max >= 1")
     if N < 0 or N > V * n_max:
         return 0
-    if V == 0:
-        return 1 if N == 0 else 0
+    if V == 0:  # only N = 0 is left
+        return 1
     total = 0
     period = n_max + 1
     for k in range(min(V, N // period) + 1):

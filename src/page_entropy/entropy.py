@@ -36,10 +36,8 @@ d_N the block kernel is given, and Psi, Psi' of d_N + 1 and of a block's
 larger side come from one evaluation each.  The saddle solutions at n
 and n* depend on the filling alone and are solved once.
 
-`_exact_sums` owns a request's exact sums: it refuses them above the
-budget (`budget.check_exact_work`) or at V above 4000 before any table is
-built.  A cut's blocks and tables come from its `BipartitionSpec`, as in
-the Haar sampler and the run-time estimate.
+A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
+sampler and the run-time estimate.
 """
 
 from __future__ import annotations
@@ -237,21 +235,12 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
 
 def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
     """{mirrored cut: (mean, VarianceEstimate or None)} of the cuts
-    0 < V_A < V in `specs`, one request's, after one `check_exact_work`
-    and the V <= 4000 limit.  Each sector's distinct cuts are swept in
-    ascending order: a cut one site past the previous one steps that cut's
-    two tables (`grow_table`, `shrink_table`), any other builds them with
-    `dim_table`, and an empty sector is refused before its first table.
-    Each evaluated block's product d_A d_B is formed once, as its weight."""
-    budget.check_exact_work(model, specs, want_variance)
+    0 < V_A < V in `specs`, one request's, each sector's swept as above."""
     sectors = {}  # (V, N) -> its distinct cuts min(V_A, V - V_A) > 0
     for spec in specs:
         V, N, cut = spec.mirrored_cut
         if cut:
             sectors.setdefault((V, N), set()).add(cut)
-    if any(V > _EXACT_V_LIMIT for V, _ in sectors):
-        raise InfeasibleSizeError(
-            f"exact sum limited to V <= {_EXACT_V_LIMIT}")
 
     def table(model, sites, N_cap):
         if sites not in tables:
@@ -288,9 +277,8 @@ def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
 def _block_sums(blocks, d_n: int, twice: int, want_variance: bool):
     """(mean, variance numerator) of the `blocks`, (weight, d_A, d_B), read
     once in order (a generator will do), the first `twice` of them counted
-    twice; d_n is the caller's sum of all their weights, so a block's rho =
-    weight / d_n.  `math.fsum` is correctly rounded, so a repeated term
-    gives the sum of the full list bit for bit."""
+    twice (fsum's correct rounding makes that the full list's sum bit for
+    bit); d_n is the caller's sum of all weights, so rho = weight / d_n."""
     psi_n, trigamma = polygamma_of_dim(d_n)
     trigamma_n = None
     if want_variance:  # (d_N + 1) Psi'(d_N + 1), whose limit is 1
@@ -578,36 +566,40 @@ METHODS = ("exact", "asymptotic", "resolved", "exact_variance",
 def report(model: LocalModel, specs,
            methods: tuple[str, ...] = METHODS) -> list[EntropyReport]:
     """The requested mean/variance panel of every cut in `specs`, the
-    bipartitions of one request, in their order; a method key outside
-    METHODS is refused (DomainError), and so is an asymptotic method whose
-    value leaves the float range (`saddle.in_float_range`).
+    bipartitions of one request, in their order; 0 for every method at the
+    boundary cuts V_A = 0 and V, where one side is trivial.
 
-    Boundary cuts (V_A = 0 or V) report 0 for every method: the subsystem
-    or its complement is trivial.
-
-    With an exact method, `_exact_sums` refuses or computes the exact sums
-    of all cuts first, those of the mirrored cuts V_A and V - V_A once.
-    The saddle solutions at each filling and at n* are solved once per
-    call too.  So a page curve is one call, and each panel equals that of
-    a call with its cut alone.
-    """
+    It refuses (DomainError or InfeasibleSizeError), in this order and
+    before any table: `methods` that is a string or holds a key outside
+    METHODS; with an exact method, sums above the budget, at V above 4000
+    or at N above V n_max; then the asymptotic columns of every cut, also
+    outside the float range.  Only then does `_exact_sums` build tables.
+    Each panel of a page curve, one call, equals that of its cut alone."""
+    if isinstance(methods, str):
+        raise DomainError(f"report methods must be a sequence of method "
+                          f"keys, got the string {methods!r}")
     unknown = [key for key in methods if key not in METHODS]
     if unknown:
         raise DomainError(f"unknown report method(s) {', '.join(unknown)}; "
                           f"choose from {', '.join(METHODS)}")
     specs = list(specs)
     want_variance = "exact_variance" in methods
-    sums = (_exact_sums(model, specs, want_variance)
-            if want_variance or "exact" in methods else {})
-    # a cut without sums is a boundary cut, or no exact method was asked
-    no_sums = (0.0, VarianceEstimate(0.0, None, 0.0))
+    want_exact = want_variance or "exact" in methods
+    if want_exact:
+        budget.check_exact_work(model, specs, want_variance)
+        cuts = [spec for spec in specs if spec.mirrored_cut[2]]
+        if any(spec.V > _EXACT_V_LIMIT for spec in cuts):
+            raise InfeasibleSizeError(
+                f"exact sum limited to V <= {_EXACT_V_LIMIT}")
+        for spec in cuts:
+            if not spec.n_a_range(model.n_max):
+                spec.blocks(model, dim_table)  # refused with no table built
     saddles = _Saddles(model)
-    reports = []
+    columns = []
     for spec in specs:
         f, V, n = spec.f, spec.V, spec.n
         boundary = spec.V_A in (0, V)
         asym = resolved = asym_var = None
-        exact_mean, exact_var = sums.get(spec.mirrored_cut, no_sums)
         # float(V) before f: past the float range, V_A / V underflows
         if "asymptotic" in methods:
             asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
@@ -622,12 +614,17 @@ def report(model: LocalModel, specs,
                         if boundary else in_float_range(
                             lambda: _asymptotic_variance(saddles, float(V),
                                                          f, n), V=V))
+        columns.append((f, n, asym, resolved, asym_var))
+    sums = _exact_sums(model, specs, want_variance) if want_exact else {}
+    # a cut without sums is a boundary cut, or no exact method was asked
+    no_sums = (0.0, VarianceEstimate(0.0, None, 0.0))
+    reports = []
+    for spec, (f, n, asym, resolved, asym_var) in zip(specs, columns):
+        mean, var = sums.get(spec.mirrored_cut, no_sums)
         reports.append(EntropyReport(
-            V=V, N=spec.N, V_A=spec.V_A, f=f, n=n,
-            exact_mean=exact_mean if "exact" in methods else None,
-            asymptotic=asym, resolved=resolved,
-            exact_variance=exact_var if want_variance else None,
-            asymptotic_variance=asym_var))
+            spec.V, spec.N, spec.V_A, f, n,
+            mean if "exact" in methods else None, asym, resolved,
+            var if want_variance else None, asym_var))
     return reports
 
 

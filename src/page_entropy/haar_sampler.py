@@ -21,8 +21,7 @@ A run draws from one stream, `np.random.default_rng(seed)`: sample i is
 row i of the (samples x draws) Gamma array that stream yields, taken in
 chunks of about 2^14 draws.  A chunk's rows do not depend on where the
 chunk boundaries fall, so the summary depends only on the seed and the
-sample count.  `budget.check_run_work` refuses up front a sector whose
-one sample, or a run, it estimates above the one-minute budget.
+sample count.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 from . import budget
 from .dimensions import dim_table
 from .entropy import BipartitionSpec
-from .errors import DomainError, InfeasibleSizeError, NumericalError
+from .errors import DomainError, InfeasibleSizeError, NumericalError, checked
 from .local_model import LocalModel
 
 # Gamma draws per chunk of samples; a chunk holds at least one sample.
@@ -114,6 +113,7 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
     return SectorBasis(tuple(map(SectorBlock._make, cut)))
 
 
+@checked
 def sample_entropies(basis: SectorBasis, rng, count: int) -> np.ndarray:
     """Entanglement entropies of `count` Haar-random sector states.
 
@@ -122,6 +122,8 @@ def sample_entropies(basis: SectorBasis, rng, count: int) -> np.ndarray:
     call of size a + b.  `rng` is a numpy Generator or an integer seed.
     Schmidt coefficients below 1e-18 are dropped from the -sum(lam ln lam).
     """
+    if count < 0:
+        raise DomainError(f"count must be nonnegative, got {count}")
     # scipy costs ~0.3 s to import and only sampling needs it, so no other
     # subcommand loads it
     from scipy.linalg.lapack import dsterf
@@ -192,6 +194,7 @@ def entropy_of_block_vector(blocks, psi):
     return float(total[0]) if psi.ndim == 1 else total
 
 
+@checked
 def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
     """Mean/variance of the sampled entropy over n_samples Haar states.
 
@@ -204,6 +207,8 @@ def mc_average(basis: SectorBasis, n_samples: int, seed: int) -> McSummary:
     """
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     budget.check_run_work(basis.blocks, n_samples)
     rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_DRAWS // basis.gamma_shapes.size)

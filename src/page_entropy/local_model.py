@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, checked
 
 _SIGN_PROBE = 64  # a_k of unbounded models checked when built; later lazily
 _ROOT_TOL = 1e-9  # relative imaginary part up to which a root of Q is real
@@ -222,9 +222,10 @@ def product(models: Sequence[LocalModel]) -> LocalModel:
     return result
 
 
+@checked
 def power(model: LocalModel, m: int) -> LocalModel:
     """m identical species on one site: P^m / Q^m."""
-    if not isinstance(m, int) or m < 1:
+    if m < 1:
         raise DomainError(f"power exponent must be an integer >= 1, got {m}")
     if m == 1:
         return model

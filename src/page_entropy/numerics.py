@@ -108,9 +108,8 @@ def polygamma_of_dim(d: int) -> tuple[float, float]:
     """(Psi(d + 1), Psi'(d + 1)) for a nonnegative int d of any size, as
     `digamma_of_dim` and `trigamma_of_dim` give them, from one pass: the
     exact recurrences for d < 16, else one ln_big and one 1/(d + 1) shared
-    by the two asymptotic series.  Once x = d + 1 has more than 64 bits
-    the series stop at (ln x, 1/x), which equal the full sums bit for bit
-    (see `_SHORT_SERIES_BITS`).  d is not type-checked."""
+    by the two asymptotic series (cut short past 64 bits, see
+    `_SHORT_SERIES_BITS`).  d is not type-checked."""
     if d < _SERIES_THRESHOLD:
         # Psi(d+1) = -gamma + H_d, summed smallest-first; likewise Psi'
         psi = 0.0
@@ -155,9 +154,7 @@ def erfcx(x: float) -> float:
       (x below about -26.6), as for scipy.special.erfcx; nan gives nan.
 
     Relative error against 40-digit mpmath is 5.6e-16 at most on 32k grid
-    points over [-5, 1e8], where scipy.special.erfcx reaches 1.9e-15.  It is
-    not scipy's kernel because importing scipy.special would cost every
-    subcommand a quarter second of start-up.
+    points over [-5, 1e8], where scipy.special.erfcx reaches 1.9e-15.
     """
     x = float(x)
     if x >= _ERFCX_CF_START:

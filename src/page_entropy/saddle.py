@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, checked, finite_real
 from .local_model import LocalModel, eval_zeta
 
 # n this close to a support edge snaps to the analytic boundary values.
@@ -47,14 +47,10 @@ class SaddleSolution:
     at_boundary: bool = False
 
 
+@checked
 def solve_z0(model: LocalModel, n: float) -> float:
-    """Root of Z(z) = n, relative error < 1e-13.
-
-    Requires a finite real 0 < n, and n < n_max for finite support.  For
-    unbounded models the root always lies inside the convergence disk.
-    """
-    if not _finite_real(n):
-        raise DomainError(f"filling must be a finite number, got n={n!r}")
+    """Root of Z(z) = n, relative error < 1e-13, for 0 < n (< n_max with
+    finite support); for unbounded models it lies in the convergence disk."""
     n = float(n)
     if not n > 0.0:
         raise DomainError(f"filling must be positive, got n={n}")
@@ -84,6 +80,7 @@ def solve_z0(model: LocalModel, n: float) -> float:
                          f"for {model.label}")
 
 
+@checked
 def beta_family(model: LocalModel, n: float) -> SaddleSolution:
     """SaddleSolution at filling n, snapping to analytic boundary values.
 
@@ -97,11 +94,10 @@ def beta_family(model: LocalModel, n: float) -> SaddleSolution:
                               beta1=math.inf, beta2=-math.inf, alpha=math.inf,
                               at_boundary=True)
     if model.n_max is not None and abs(n - model.n_max) <= _BOUNDARY_SNAP:
-        top = model.coefficient(model.n_max)
         return SaddleSolution(n=float(model.n_max), z0=math.inf,
-                              beta=math.log(top), beta1=-math.inf,
-                              beta2=-math.inf, alpha=math.inf,
-                              at_boundary=True)
+                              beta=math.log(model.coefficient(model.n_max)),
+                              beta1=-math.inf, beta2=-math.inf,
+                              alpha=math.inf, at_boundary=True)
 
     z0 = solve_z0(model, n)
     n = float(n)
@@ -129,23 +125,20 @@ def n_star(model: LocalModel) -> Optional[float]:
 
 def asymptotic_form(kernel):
     """The guard of every public asymptotic function: DomainError unless V
-    is a number >= 1 within the float range and every other argument but
-    `model` a finite real, not a bool, then runs it in `in_float_range`."""
+    is a number >= 1 within the float range, then the package's argument
+    check (`errors.checked`), then the body in `in_float_range`."""
     names = kernel.__code__.co_varnames[:kernel.__code__.co_argcount]
+    body = checked(kernel)
 
     @functools.wraps(kernel)
     def guarded(*args, **kwargs):
         named = dict(zip(names, args), **kwargs)
         named.pop("model", None)
         V = named.get("V", 1)
-        if not (_finite_real(V) and V >= 1):
+        if not (finite_real(V) and V >= 1):
             raise DomainError(f"{kernel.__name__} needs V >= 1 within the "
                               f"float range, got {V!r}")
-        bad = [f"{k}={x!r}" for k, x in named.items() if not _finite_real(x)]
-        if bad:
-            raise DomainError(f"{kernel.__name__} needs numbers, got "
-                              f"{', '.join(bad)}")
-        return in_float_range(lambda: kernel(*args, **kwargs), **named)
+        return in_float_range(lambda: body(*args, **kwargs), **named)
     return guarded
 
 
@@ -171,14 +164,6 @@ def ln_dim_asymptotic(model: LocalModel, V: float, n: float) -> float:
         raise DomainError("dimension asymptotics are not defined at the "
                           "support boundary")
     return V * sol.beta - 0.5 * math.log(V) + math.log(sol.alpha)
-
-
-def _finite_real(x) -> bool:
-    """x is a real number, not a bool, whose magnitude a double holds."""
-    try:
-        return type(x) is not bool and math.isfinite(x)
-    except (TypeError, OverflowError):  # not a number, or an int > 2^1024
-        return False
 
 
 def _z_of(model: LocalModel, z: float) -> float:

@@ -13,31 +13,27 @@ of the spectrum (window centered on the median index, never splitting a
 degenerate multiplet) and returns mean/std of their entanglement entropies
 per cut position.
 
-Everything around the dense `np.linalg.eigh` works on arrays:
-
-* The basis is a (dim, V) int array in lexicographic order, so base-(cap+1)
-  state keys ascend and `np.searchsorted` finds the row a move leads to.
-  The Hamiltonian is assembled by one Python loop over bonds, with one
-  vectorized `matrix[rows, cols] += amp` per bond and move (spin-1: each
-  nonzero entry of the 9x9 bond operator; Bose-Hubbard: each hop
-  direction).  Every entry receives its terms one bond at a time in site
-  order, so the matrix is fixed bit for bit by the couplings, and so are
-  the eigenvectors LAPACK returns for a given thread count.
-* A cut's block layout is one lexsort of the basis rows by (N_A,
-  occupations), which needs the basis to be one whole sector.
-* Each cut takes the whole window at once, `states[perm, lo:hi]`, and
-  `entropy_of_block_vector` runs one batched SVD per block over it; each
-  state's entropy is bit-identical to passing that state alone.
+Everything around the dense `np.linalg.eigh` works on arrays.  The basis
+is a (dim, V) int array in lexicographic order, so base-(cap+1) state keys
+ascend and `np.searchsorted` finds the row a move leads to.  The
+Hamiltonian is assembled by one Python loop over bonds, with one
+vectorized `matrix[rows, cols] += amp` per bond and move (spin-1: each
+nonzero entry of the 9x9 bond operator; Bose-Hubbard: each hop
+direction).  Every entry receives its terms one bond at a time in site
+order, so the matrix is fixed bit for bit by the couplings, and so are the
+eigenvectors LAPACK returns for a given thread count.  Each cut takes the
+whole window at once (`_cut_blocks`, `entropy_of_block_vector`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSizeError
+from .errors import DomainError, InfeasibleSizeError, checked
 from .haar_sampler import SectorBlock, entropy_of_block_vector
 
 # Dense diagonalization bound on the sector dimension: it bounds the
@@ -170,6 +166,7 @@ def _spin1_bond_matrix(lam: float, delta: float) -> np.ndarray:
     return h0 + lam * h1
 
 
+@checked
 def build_spin1_xxz(V: int, M: int, lam: float, delta: float) -> SectorHamiltonian:
     """Extended spin-1 XXZ chain in the magnetization-M sector, periodic.
 
@@ -208,17 +205,17 @@ def build_spin1_xxz(V: int, M: int, lam: float, delta: float) -> SectorHamiltoni
                              basis=occ, matrix=matrix)
 
 
+@checked
 def build_bose_hubbard(V: int, N: int, U: float,
-                       n_max=None) -> SectorHamiltonian:
+                       n_max: Optional[int] = None) -> SectorHamiltonian:
     """Bose-Hubbard chain at fixed N, periodic, optional occupation cap."""
     if V < 2:
         raise DomainError("need at least 2 sites for a periodic chain")
     if N < 0:
         raise DomainError(f"N must be nonnegative, got {N}")
-    cap = N if n_max is None else min(int(n_max), N)
+    cap = N if n_max is None else max(0, min(n_max, N))
     if N > 0 and cap < 1:
         raise DomainError("occupation cap leaves no room for any particle")
-    cap = max(cap, 0)
     occ = _occupation_basis(V, N, cap)
     keys, weight = _state_keys(occ, cap)
 
@@ -237,6 +234,7 @@ def build_bose_hubbard(V: int, N: int, U: float,
                              basis=occ, matrix=matrix)
 
 
+@checked
 def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
                            v_a_list) -> MidSpectrumReport:
     """Entanglement statistics of the mid-spectrum eigenstate window.
@@ -250,8 +248,9 @@ def mid_spectrum_entropies(ham: SectorHamiltonian, window: int,
         raise DomainError("window must be >= 1")
     cuts = tuple(v_a_list)
     for v_a in cuts:
-        if not 0 <= v_a <= ham.V:
-            raise DomainError(f"cut position {v_a} outside [0, {ham.V}]")
+        if type(v_a) is not int or not 0 <= v_a <= ham.V:
+            raise DomainError(f"cut position {v_a!r} is not an integer in "
+                              f"[0, {ham.V}]")
     energies, states = np.linalg.eigh(ham.matrix)
     dim = len(energies)
     lo = max(0, dim // 2 - window // 2)

@@ -1067,6 +1067,18 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
             (("ed", "--model", "bose_hubbard", "--V", "2", "--N", "5",
               "--U", "1", "--nmax", "2"), 2,
              "empty sector: V=2, N=5, cap=2"),
+            # an asymptotic column's refusal comes before the exact sums,
+            # and an empty sector's before the saddle
+            (("page", "--model", "fermions", "--V", "6", "--N", "6",
+              "--methods", "exact,asymptotic"), 2, "filling boundary"),
+            (("variance", "--model", "fermions", "--V", "6", "--N", "6"), 2,
+             "filling boundary"),
+            (("scaling", "--model", "fermions", "--f", "0.5", "--n", "1",
+              "--V-list", "10"), 2, "filling boundary"),
+            (("page", "--model", "fermions", "--V", "6", "--N", "0",
+              "--methods", "exact,resolved"), 2, "filling boundary"),
+            (("page", "--model", "fermions", "--V", "6", "--N", "100"), 2,
+             "empty sector"),
             # a filling beyond the float range, in N / V or in n V
             (("page", "--model", "fermions", "--V", "6", "--N", beyond_float,
               "--methods", "asymptotic"), 2, "float range"),

@@ -155,8 +155,9 @@ def test_stepped_tables_equal_dim_table(model):
 def test_extended_binomial_matches_powering():
     for n_max in (1, 2, 3, 4):
         m = catalog("capped_bosons", n_max)
-        for V in range(1, 31):
-            for N in range(0, V * n_max + 1):
+        # with N = -1 and N = V n_max + 1 outside the support, and V = 0
+        for V in range(0, 31):
+            for N in range(-1, V * n_max + 2):
                 assert extended_binomial_closed(V, N, n_max) == \
                     dim_fixed_n(m, V, N)
     assert extended_binomial_closed(3, 3, 2) == 7
@@ -216,22 +217,22 @@ _REFUSALS = [
      "extended binomial needs V >= 0 and n_max >= 1"),
     # a float or bool size: its table would hold floats or be wrong
     (lambda: dim_table(catalog("fermions"), 4.0, 2),
-     "need integer V and N_cap, got 4.0, 2"),
+     "dim_table needs integers, got V=4.0"),
     (lambda: dim_table(catalog("fermions"), True, 2),
-     "need integer V and N_cap, got True, 2"),
+     "dim_table needs integers, got V=True"),
     (lambda: dim_table(catalog("fermions"), 4, 2.0),
-     "need integer V and N_cap, got 4, 2.0"),
+     "dim_table needs integers, got N_cap=2.0"),
     (lambda: dim_fixed_n(catalog("fermions"), 4.5, 2),
-     "need integer V and N_cap, got 4.5, 2"),
+     "dim_fixed_n needs integers, got V=4.5"),
     # checked before an empty range of N answers 0
     (lambda: dim_fixed_n(catalog("fermions"), 4.5, 10),
-     "need integer V and N_cap, got 4.5, 10"),
+     "dim_fixed_n needs integers, got V=4.5"),
     (lambda: dim_fixed_n(catalog("fermions"), 4.0, -1),
-     "need integer V and N_cap, got 4.0, -1"),
+     "dim_fixed_n needs integers, got V=4.0"),
     (lambda: dim_fixed_n(catalog("fermions"), True, 3),
-     "need integer V and N_cap, got True, 3"),
+     "dim_fixed_n needs integers, got V=True"),
     (lambda: dim_fixed_n(catalog("fermions"), 4, 2.5),
-     "need integer V and N_cap, got 4, 2.5"),
+     "dim_fixed_n needs integers, got N=2.5"),
     (lambda: dim_fixed_n(catalog("fermions"), -1, 2),
      "V must be nonnegative, got -1"),
 ]

@@ -18,7 +18,7 @@ from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
                                   distinguishable_exact_average,
                                   exact_average, resolve_x1, resolve_x2,
                                   resolved_average, x1_powerlaw, x2_powerlaw)
-from page_entropy.errors import DomainError, NumericalError
+from page_entropy.errors import DomainError, NumericalError, checked
 from page_entropy.local_model import catalog
 from page_entropy.numerics import erfcx, exp_times_erfc
 from page_entropy.saddle import asymptotic_form, beta_family, ln_dim_asymptotic
@@ -523,11 +523,14 @@ def test_every_public_asymptotic_form_carries_the_one_guard():
     assert guarded == _ASYMPTOTIC_FORMS
     for name in guarded:
         assert exports[name].__wrapped__.__name__ == name
-    # a later export of entropy or saddle that takes a float is guarded too;
-    # the saddle solve, whose filling check is its own, is the one exception
-    takes_floats = {
+    # every other export that takes an int or a float carries the package's
+    # argument check, but the two whose sizes go to BipartitionSpec
+    check = checked(lambda: None).__code__
+    takes_numbers = {
         name for name, obj in exports.items() if inspect.isfunction(obj)
-        and obj.__module__ in ("page_entropy.entropy", "page_entropy.saddle")
-        and any(p.annotation == "float"
+        and any(str(p.annotation).removeprefix("Optional[").removesuffix("]")
+                in ("int", "float")
                 for p in inspect.signature(obj).parameters.values())}
-    assert takes_floats - guarded == {"beta_family"}
+    assert {name for name in takes_numbers - guarded
+            if exports[name].__code__ is not check} == {
+        "build_sector_basis", "distinguishable_exact_average"}

@@ -17,7 +17,7 @@ import page_entropy
 ALLOWED = {
     ("budget", "_refuse_above_budget"): [
         "run time: every estimate against the 60 s budget"],
-    ("entropy", "_exact_sums"): [
+    ("entropy", "report"): [
         "table memory: exact sums only up to V = 4000"],
     ("haar_sampler", "build_sector_basis"): [
         "exact Gamma shapes: block sides up to 2^53"],

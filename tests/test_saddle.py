@@ -171,16 +171,12 @@ def test_boundary_snap():
     (solve_z0, "fermions", 0.0, "filling must be positive, got n=0.0"),
     # no bracket toward the radius holds an infinite filling, and float()
     # overflows on an int past the float range
-    (beta_family, "bosons", math.inf, "filling must be a finite number, "
-     "got n=inf"),
-    (solve_z0, "bosons", math.inf, "filling must be a finite number, "
-     "got n=inf"),
-    (beta_family, "fermions", 10 ** 400, "filling must be a finite number, "
+    (beta_family, "bosons", math.inf, "beta_family needs numbers, got n=inf"),
+    (solve_z0, "bosons", math.inf, "solve_z0 needs numbers, got n=inf"),
+    (beta_family, "fermions", 10 ** 400, "beta_family needs numbers, "
      "got n=1000"),
-    (solve_z0, "bosons", 10 ** 400, "filling must be a finite number, "
-     "got n=1000"),
-    (beta_family, "bosons", math.nan, "filling must be a finite number, "
-     "got n=nan"),
+    (solve_z0, "bosons", 10 ** 400, "solve_z0 needs numbers, got n=1000"),
+    (beta_family, "bosons", math.nan, "beta_family needs numbers, got n=nan"),
 ])
 def test_fillings_off_the_support_are_refused(solve, name, n, message):
     with pytest.raises(DomainError, match=re.escape(message)):
