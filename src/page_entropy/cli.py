@@ -92,11 +92,12 @@ def _grid(text):
         lo, hi, count = text.split(":")
         lo, hi = _number(float)(lo), _number(float)(hi)
         count = _number(int, 1)(count)
-        if hi < lo:
+        if hi < lo or count == 1 and hi != lo:
             raise ValueError
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            "must look like lo:hi:count with finite lo <= hi and count >= 1")
+            "must look like lo:hi:count with finite lo <= hi and count >= 2, "
+            "or lo:lo:1 for one filling")
     return lo, hi, count
 
 
@@ -115,7 +116,7 @@ _FLAGS = {
     "lambda": {"type": _number(float)},
     "Delta": {"type": _number(float)},
     "U": {"type": _number(float)},
-    "nmax": {"type": int},
+    "nmax": {"type": _number(int, 0)},
     "f": {"type": _number(float), "help": "subsystem fraction"},
     "V-list": {"type": _CommaList(_number(int, 1), "system sizes"),
                "help": "comma-separated system sizes"},

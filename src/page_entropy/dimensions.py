@@ -11,12 +11,10 @@ Floats never appear, so dimensions with thousands of digits are fine.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import comb
-from operator import add, mul
 
 from .errors import DomainError, checked
-from .local_model import LocalModel, _derivative, _poly_mul
+from .local_model import LocalModel, _derivative, _over, _times
 
 
 @checked
@@ -46,9 +44,10 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
     N_eff = N_cap if model.n_max is None else min(N_cap, V * model.n_max)
     model.coefficient(N_eff)  # refuses a negative a_k up to the cap
     P, Q = model.P, model.Q
-    A = _poly_mul(P, Q)
-    R = [x - y for x, y in zip(_poly_mul(_derivative(P), Q),
-                               _poly_mul(P, _derivative(Q)))]
+    size = len(P) + len(Q) - 1  # coefficients of A = P Q; R has fewer
+    A = _times(P, Q, size)
+    R = [x - y for x, y in zip(_times(_derivative(P), Q, size),
+                               _times(P, _derivative(Q), size))]
     # terms with i > N_eff only ever meet d_{m-i} with m - i < 0
     reach = min(len(A) - 1, N_eff)
     # (i, V R_{i-1} + i A_i, A_i): the multiplier of d_{m-i} is u - m a
@@ -74,51 +73,6 @@ def shrink_table(model: LocalModel, table, N_cap: int) -> list[int]:
     sites, which must hold every nonzero d_m with m <= N_cap: times Q,
     then divided exactly by P (a_0 = P(0) >= 1)."""
     return _over(_times(table, model.Q, N_cap + 1), model.P)
-
-
-def _times(series, poly: list[int], length: int) -> list[int]:
-    """The first `length` coefficients of series * poly, entries past the
-    end of `series` counting as 0; one pass per nonzero poly[i], with no
-    big-int product where poly[i] is 1."""
-    series = list(series[:length])
-    series += [0] * (length - len(series))
-    a_0 = poly[0]
-    out = series[:] if a_0 == 1 else [a_0 * x for x in series]
-    for i in range(1, min(len(poly), length)):
-        c = poly[i]
-        if c == 1:
-            out[i:] = map(add, out[i:], series)
-        elif c:
-            out[i:] = [x + c * y for x, y in zip(out[i:], series)]
-    return out
-
-
-def _over(series: list[int], poly: list[int]) -> list[int]:
-    """series / poly as a power series whose coefficients are integers, so
-    that each step's division by poly[0] is exact; one sequential pass."""
-    a_0, deg = poly[0], len(poly) - 1
-    if deg == 0:
-        return series if a_0 == 1 else [x // a_0 for x in series]
-    if a_0 == 1 and deg == 1:  # e.g. Q = 1 - z, P = 1 + z
-        c = poly[1]
-        if c == -1:
-            return list(accumulate(series))
-        out = []
-        prev = 0
-        if c == 1:  # spares a big-int product per entry
-            for x in series:
-                prev = x - prev
-                out.append(prev)
-            return out
-        for x in series:
-            prev = x - c * prev
-            out.append(prev)
-        return out
-    back = poly[:0:-1]  # poly[deg], ..., poly[1]
-    out = [0] * deg
-    for x in series:
-        out.append((x - sum(map(mul, back, out[-deg:]))) // a_0)
-    return out[deg:]
 
 
 @checked

@@ -135,9 +135,12 @@ class BipartitionSpec:
             blocks = [(n_a, table_a[n_a], table_b[self.N - n_a]) for n_a in
                       n_a_values if table_a[n_a] and table_b[self.N - n_a]]
         if not blocks:
-            raise DomainError(f"empty sector: V={self.V}, N={self.N} "
-                              f"for {model.label}")
+            raise _empty_sector(self.V, self.N, model)
         return blocks
+
+
+def _empty_sector(V: int, N: int, model: LocalModel) -> DomainError:
+    return DomainError(f"empty sector: V={V}, N={N} for {model.label}")
 
 
 @dataclass(frozen=True)
@@ -541,8 +544,7 @@ def distinguishable_asymptotic(V: float, N: float,
     if not 0 <= V_A <= V:
         raise DomainError(f"V_A must lie in [0, V], got {V_A}")
     if N < 0:
-        raise DomainError(f"need V and N >= 0 within the float range, got "
-                          f"V={V!r}, N={N!r}")
+        raise DomainError(f"N must be nonnegative, got {N}")
     if V_A in (0, V):  # one side is empty
         return DistinguishableTerms(0.0, 0.0, 0.0, 0.0)
     n = N / V
@@ -571,10 +573,10 @@ def report(model: LocalModel, specs,
 
     It refuses (DomainError or InfeasibleSizeError), in this order and
     before any table: `methods` that is a string or holds a key outside
-    METHODS; with an exact method, sums above the budget, at V above 4000
-    or at N above V n_max; then the asymptotic columns of every cut, also
-    outside the float range.  Only then does `_exact_sums` build tables.
-    Each panel of a page curve, one call, equals that of its cut alone."""
+    METHODS; N above V n_max, at every cut; with an exact method, sums
+    above the budget or at V above 4000; then the asymptotic columns of
+    every cut, also outside the float range.  Then `_exact_sums` builds
+    tables.  Each panel of a page curve equals that of its cut alone."""
     if isinstance(methods, str):
         raise DomainError(f"report methods must be a sequence of method "
                           f"keys, got the string {methods!r}")
@@ -583,17 +585,18 @@ def report(model: LocalModel, specs,
         raise DomainError(f"unknown report method(s) {', '.join(unknown)}; "
                           f"choose from {', '.join(METHODS)}")
     specs = list(specs)
+    if model.n_max is not None:  # counted, so no table is built
+        for V, N in dict.fromkeys((spec.V, spec.N) for spec in specs):
+            if N > V * model.n_max:
+                raise _empty_sector(V, N, model)
     want_variance = "exact_variance" in methods
     want_exact = want_variance or "exact" in methods
     if want_exact:
         budget.check_exact_work(model, specs, want_variance)
-        cuts = [spec for spec in specs if spec.mirrored_cut[2]]
-        if any(spec.V > _EXACT_V_LIMIT for spec in cuts):
+        if any(spec.V > _EXACT_V_LIMIT for spec in specs
+               if spec.mirrored_cut[2]):
             raise InfeasibleSizeError(
                 f"exact sum limited to V <= {_EXACT_V_LIMIT}")
-        for spec in cuts:
-            if not spec.n_a_range(model.n_max):
-                spec.blocks(model, dim_table)  # refused with no table built
     saddles = _Saddles(model)
     columns = []
     for spec in specs:

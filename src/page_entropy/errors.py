@@ -37,8 +37,7 @@ def checked(function):
     string annotations: an `int` parameter takes an int, not a bool, a
     `float` one a `finite_real`, and `Optional[...]` admits None too; the
     first other value raises DomainError (`dim_table needs integers, got
-    V=4.0`, or `numbers`).  `entropy.BipartitionSpec.__post_init__` and
-    `numerics._as_dim_int` test ints inline instead, on hot paths."""
+    V=4.0`, or `numbers`).  Hot paths test `type(x) is int` inline."""
     names = function.__code__.co_varnames[:function.__code__.co_argcount]
     rules = {}  # parameter -> (what it needs, whether it admits None)
     for name, note in function.__annotations__.items():

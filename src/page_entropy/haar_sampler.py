@@ -119,17 +119,19 @@ def sample_entropies(basis: SectorBasis, rng, count: int) -> np.ndarray:
 
     Sample k is row k of `rng.standard_gamma(shapes, size=(count, n))`, so
     calls of sizes a and b on one generator give the same values as one
-    call of size a + b.  `rng` is a numpy Generator or an integer seed.
+    call of size a + b.  `rng` is a numpy Generator or an int seed >= 0.
     Schmidt coefficients below 1e-18 are dropped from the -sum(lam ln lam).
     """
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
+    if type(rng) is int and rng >= 0:
+        rng = np.random.default_rng(rng)
+    elif not hasattr(rng, "standard_gamma"):
+        raise DomainError(f"rng must be a Generator or int >= 0, got {rng!r}")
     # scipy costs ~0.3 s to import and only sampling needs it, so no other
     # subcommand loads it
     from scipy.linalg.lapack import dsterf
 
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     shapes = basis.gamma_shapes
     rank = shapes.size // 2
     if rank == 1:

@@ -20,7 +20,9 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from operator import add, mul
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ class LocalModel:
     def __init__(self, label: str, P: Sequence[int], Q: Sequence[int] = (1,)):
         self.label = str(label)
         for c in [*P, *Q]:
-            if isinstance(c, bool) or not isinstance(c, int):
+            if type(c) is not int:
                 raise DomainError(f"{self.label}: P and Q must be integers, "
                                   f"got {c!r}")
         self.P, self.Q = _trim(list(P)), _trim(list(Q))
@@ -188,7 +190,8 @@ CATALOG = {
 }
 
 
-def catalog(name: str, param=None) -> LocalModel:
+@checked
+def catalog(name: str, param: Optional[float] = None) -> LocalModel:
     """Named catalog model.  ``spin_j`` (param j, a positive half-integer)
     and ``capped_bosons`` (param n_max >= 1) are 1 + z + ... + z^n_max,
     with n_max = 2j for spin_j."""
@@ -215,10 +218,11 @@ def product(models: Sequence[LocalModel]) -> LocalModel:
         raise DomainError("product needs at least one model")
     result = models[0]
     for other in models[1:]:
-        P, Q = _poly_mul(result.P, other.P), _poly_mul(result.Q, other.Q)
+        P = _times(result.P, other.P, len(result.P) + len(other.P) - 1)
+        Q = _times(result.Q, other.Q, len(result.Q) + len(other.Q) - 1)
         g = _poly_gcd(P, Q)
         result = LocalModel(f"product({result.label},{other.label})",
-                            _poly_div(P, g), _poly_div(Q, g))
+                            _over(P, g), _over(Q, g))
     return result
 
 
@@ -241,42 +245,80 @@ def _trim(p: list) -> list:
     return p
 
 
-def _poly_mul(p: Sequence, q: Sequence) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] += pi * qj
+def _times(series, poly: list[int], length: int) -> list[int]:
+    """The first `length` coefficients of series * poly, entries past the
+    end of `series` counting as 0; one pass per nonzero poly[i], with no
+    big-int product where poly[i] is 1; all 0 for poly = [] (the zero
+    polynomial, e.g. Q' for Q = 1)."""
+    if not poly:
+        return [0] * length
+    series = list(series[:length])
+    series += [0] * (length - len(series))
+    a_0 = poly[0]
+    out = series[:] if a_0 == 1 else [a_0 * x for x in series]
+    for i in range(1, min(len(poly), length)):
+        c = poly[i]
+        if c == 1:
+            out[i:] = map(add, out[i:], series)
+        elif c:
+            out[i:] = [x + c * y for x, y in zip(out[i:], series)]
     return out
+
+
+def _over(series: list[int], poly: list[int]) -> list[int]:
+    """series / poly as a power series whose coefficients are integers, so
+    that each step's division by poly[0] is exact; one sequential pass.
+    Where poly divides the polynomial `series`, that is their quotient
+    followed by zeros."""
+    a_0, deg = poly[0], len(poly) - 1
+    if deg == 0:
+        return series if a_0 == 1 else [x // a_0 for x in series]
+    if a_0 == 1 and deg == 1:  # e.g. Q = 1 - z, P = 1 + z
+        c = poly[1]
+        if c == -1:
+            return list(accumulate(series))
+        out = []
+        prev = 0
+        if c == 1:  # spares a big-int product per entry
+            for x in series:
+                prev = x - prev
+                out.append(prev)
+            return out
+        for x in series:
+            prev = x - c * prev
+            out.append(prev)
+        return out
+    back = poly[:0:-1]  # poly[deg], ..., poly[1]
+    out = [0] * deg
+    for x in series:
+        out.append((x - sum(map(mul, back, out[-deg:]))) // a_0)
+    return out[deg:]
 
 
 def _derivative(p: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _poly_divmod(p: Sequence, d: Sequence):
-    """Quotient and remainder over the rationals (d trimmed, nonzero)."""
+def _poly_rem(p: Sequence, d: Sequence) -> list:
+    """Remainder of p / d over the rationals (d trimmed, nonzero)."""
     rem = [Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
     while len(rem) >= len(d):
         shift = len(rem) - len(d)
-        quot[shift] = factor = rem[-1] / d[-1]
+        factor = rem[-1] / d[-1]
         for i, c in enumerate(d):
             rem[shift + i] -= factor * c
         _trim(rem)
-    return quot, rem
+    return rem
 
 
-def _poly_div(p: Sequence[int], d: Sequence) -> list[int]:
-    """Exact quotient of integer polynomials, d(0) = 1 (Gauss's lemma)."""
-    return [int(c) for c in _poly_divmod(p, d)[0]]
-
-
-def _poly_gcd(p: Sequence, q: Sequence) -> list:
-    """Greatest common divisor, scaled to constant term 1 (q(0) != 0)."""
+def _poly_gcd(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """Greatest common divisor, scaled to constant term 1.  In every use it
+    divides an integer polynomial with constant term 1, so by Gauss's
+    lemma its coefficients are integers."""
     a, b = _trim(list(p)), _trim(list(q))
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [Fraction(c) / a[0] for c in a]
+        a, b = b, _poly_rem(a, b)
+    return [int(Fraction(c) / a[0]) for c in a]
 
 
 def _square_free_factors(Q: Sequence[int]) -> list[list[int]]:
@@ -284,8 +326,8 @@ def _square_free_factors(Q: Sequence[int]) -> list[list[int]]:
     irreducible factors of multiplicity >= j; S_1 is the square-free part."""
     factors, rest = [], list(Q)
     while len(rest) > 1:
-        factors.append(_poly_div(rest, _poly_gcd(rest, _derivative(rest))))
-        rest = _poly_div(rest, factors[-1])
+        factors.append(_trim(_over(rest, _poly_gcd(rest, _derivative(rest)))))
+        rest = _trim(_over(rest, factors[-1]))
     return factors
 
 

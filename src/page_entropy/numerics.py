@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, checked
 
 _LN2 = math.log(2.0)
 _EULER_GAMMA = 0.5772156649015328606
@@ -64,16 +64,15 @@ _TRIGAMMA_TAIL = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
                   5.0 / 66.0)
 
 
-def ln_big(d) -> float:
+@checked
+def ln_big(d: int) -> float:
     """Natural log of a positive integer of any size.
 
     Uses the bit length and the leading 96 bits only, so the value never
     goes through a lossy full-integer float conversion.  Relative error
-    is a few ulp (< 1e-14) regardless of magnitude.
-    """
-    d = _as_dim_int(d, "ln_big")
-    if d == 0:
-        raise DomainError("ln_big: log of zero dimension")
+    is a few ulp (< 1e-14) regardless of magnitude."""
+    if d < 1:
+        raise DomainError(f"ln_big needs a positive dimension, got {d}")
     return _ln_positive(d)
 
 
@@ -86,22 +85,22 @@ def _ln_positive(d: int) -> float:
     return math.log(d >> shift) + shift * _LN2
 
 
-def digamma_of_dim(d) -> float:
+@checked
+def digamma_of_dim(d: int) -> float:
     """Psi(d + 1) for a nonnegative integer dimension d of any size.
 
     Exact harmonic recurrence for d < 16, asymptotic series at x = d + 1
-    otherwise; absolute error < 1e-12 everywhere (far smaller in practice).
-    """
-    return polygamma_of_dim(_as_dim_int(d, "digamma_of_dim"))[0]
+    otherwise; absolute error < 1e-12 everywhere (far smaller in practice)."""
+    return polygamma_of_dim(d)[0]
 
 
-def trigamma_of_dim(d) -> float:
+@checked
+def trigamma_of_dim(d: int) -> float:
     """Psi'(d + 1) for a nonnegative integer dimension d of any size.
 
     Exact recurrence for d < 16, asymptotic series otherwise; absolute
-    error < 1e-12.  Underflows smoothly to 0 for astronomically large d.
-    """
-    return polygamma_of_dim(_as_dim_int(d, "trigamma_of_dim"))[1]
+    error < 1e-12.  Underflows smoothly to 0 for astronomically large d."""
+    return polygamma_of_dim(d)[1]
 
 
 def polygamma_of_dim(d: int) -> tuple[float, float]:
@@ -109,8 +108,11 @@ def polygamma_of_dim(d: int) -> tuple[float, float]:
     `digamma_of_dim` and `trigamma_of_dim` give them, from one pass: the
     exact recurrences for d < 16, else one ln_big and one 1/(d + 1) shared
     by the two asymptotic series (cut short past 64 bits, see
-    `_SHORT_SERIES_BITS`).  d is not type-checked."""
+    `_SHORT_SERIES_BITS`).  A negative d is refused (DomainError); its type
+    is not checked."""
     if d < _SERIES_THRESHOLD:
+        if d < 0:
+            raise DomainError(f"Psi(d + 1) needs a dimension d >= 0, got {d}")
         # Psi(d+1) = -gamma + H_d, summed smallest-first; likewise Psi'
         psi = 0.0
         trigamma = 0.0
@@ -199,12 +201,3 @@ def exp_times_erfc(a: float, b: float) -> float:
         return math.inf
     return 2.0 * math.exp(a) - erfcx(-b) * math.exp(a - b * b)
 
-
-def _as_dim_int(d, where: str) -> int:
-    if type(d) is int and d >= 0:  # the common case, checked cheaply
-        return d
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise DomainError(f"{where}: expected an integer dimension, got {d!r}")
-    if d < 0:
-        raise DomainError(f"{where}: dimension must be nonnegative, got {d}")
-    return d

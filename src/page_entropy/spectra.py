@@ -213,7 +213,9 @@ def build_bose_hubbard(V: int, N: int, U: float,
         raise DomainError("need at least 2 sites for a periodic chain")
     if N < 0:
         raise DomainError(f"N must be nonnegative, got {N}")
-    cap = N if n_max is None else max(0, min(n_max, N))
+    if n_max is not None and n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    cap = N if n_max is None else min(n_max, N)
     if N > 0 and cap < 1:
         raise DomainError("occupation cap leaves no room for any particle")
     occ = _occupation_basis(V, N, cap)

@@ -6,21 +6,30 @@ only that argument replaced; each of those calls must raise DomainError.
 The cases are an explicit table, so they do not move when this file does.
 """
 
+import ast
 import inspect
 import math
+import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import page_entropy
-from page_entropy import (BipartitionSpec, build_bose_hubbard,
+from page_entropy import (BipartitionSpec, LocalModel, build_bose_hubbard,
                           build_sector_basis, build_spin1_xxz, catalog,
                           report)
 from page_entropy.errors import DomainError
+from page_entropy.numerics import digamma_of_dim, ln_big, trigamma_of_dim
 
 _FERMIONS = catalog("fermions")
 _BASIS = build_sector_basis(_FERMIONS, 6, 3, 3)
 _HAM = build_spin1_xxz(4, 0, 0.0, 1.0)
+
+
+class _Dim(int):
+    """An int subclass: refused wherever an int is asked for."""
+
 
 # export -> arguments of one valid call
 _VALID = {
@@ -45,6 +54,7 @@ _VALID = {
     "build_spin1_xxz": (4, 0, 0.0, 1.0),
     "build_bose_hubbard": (4, 2, 1.0, 2),
     "mid_spectrum_entropies": (_HAM, 2, [1]),
+    "catalog": ("spin_j", 1.0),
 }
 
 # parameter kind -> values it refuses; None is admitted where Optional
@@ -137,6 +147,26 @@ _REFUSALS = [
     (lambda: report(_FERMIONS, [BipartitionSpec(6, 3, 2)], "exact"),
      "report methods must be a sequence of method keys, got the string "
      "'exact'"),
+    (lambda: build_bose_hubbard(4, 0, 1.0, -3),
+     "n_max must be nonnegative, got -3"),
+    # one integer rule (`type(x) is int`) for every int the package takes
+    (lambda: catalog("capped_bosons", True),
+     "catalog needs numbers, got param=True"),
+    (lambda: catalog("spin_j", "1"), "catalog needs numbers, got param='1'"),
+    (lambda: catalog("spin_j", "x"), "catalog needs numbers, got param='x'"),
+    (lambda: ln_big(_Dim(5)), "ln_big needs integers, got d=5"),
+    (lambda: digamma_of_dim(_Dim(5)),
+     "digamma_of_dim needs integers, got d=5"),
+    (lambda: trigamma_of_dim(_Dim(5)),
+     "trigamma_of_dim needs integers, got d=5"),
+    (lambda: LocalModel("x", [1, _Dim(1)]),
+     "x: P and Q must be integers, got 1"),
+    (lambda: page_entropy.sample_entropies(_BASIS, True, 2),
+     "rng must be a Generator or int >= 0, got True"),
+    (lambda: page_entropy.sample_entropies(_BASIS, -1, 2),
+     "rng must be a Generator or int >= 0, got -1"),
+    (lambda: page_entropy.sample_entropies(_BASIS, np.int64(1), 2),
+     "rng must be a Generator or int >= 0, got np.int64(1)"),
 ]
 
 
@@ -145,3 +175,25 @@ _REFUSALS = [
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+def _int_isinstance_calls(tree):
+    """Line numbers of `isinstance(x, int)` and `isinstance(x, (.., int,
+    ..))` calls in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(n, ast.Name) and n.id == "int" for n in names):
+                yield node.lineno
+
+
+def test_no_module_tests_ints_with_isinstance():
+    """`isinstance(x, int)` takes bools and int subclasses, which
+    `errors.checked` refuses: every int test is `type(x) is int`."""
+    package = pathlib.Path(page_entropy.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := list(_int_isinstance_calls(
+                 ast.parse(path.read_text()))))}
+    assert found == {}

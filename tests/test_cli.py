@@ -22,7 +22,7 @@ import page_entropy.entropy as entropy
 import page_entropy.haar_sampler as haar_sampler
 import page_entropy.numerics as numerics
 import page_entropy.spectra as spectra
-from page_entropy.errors import NumericalError
+from page_entropy.errors import DomainError, NumericalError
 from page_entropy.local_model import catalog, parse_model, product
 
 
@@ -834,6 +834,10 @@ def test_error_exit_codes(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "mc", "--model", "fermions", "--V", "100",
                            "--N", "50", "--VA", "1", "--samples", "1")
     assert code == 4 and "block side above 2^53 at N_A=0; cannot sample" in err
+    # a negative occupation cap, which used to be clamped to 0
+    code, out, err = run_cli(capsys, "ed", "--model", "bose_hubbard", "--V",
+                             "4", "--N", "0", "--U", "1", "--nmax", "-3")
+    assert (code, out) == (2, "") and "--nmax: must be >= 0" in err
     # fillings whose saddle lies closer to the radius than a double resolves
     for argv in (("beta", "--model", "bosons", "--grid", "1e16:1e16:1"),
                  ("page", "--model", "bosons", "--V", "10", "--N",
@@ -898,6 +902,13 @@ def test_grid_validation(capsys):
     code, _, err = run_cli(capsys, "beta", "--model", "fermions",
                            "--grid", "0.9:0.1:5")
     assert code == 2
+    # one filling needs lo = hi: 0.1:0.9:1 would drop hi without a word
+    code, out, err = run_cli(capsys, "beta", "--model", "fermions",
+                             "--grid", "0.1:0.9:1")
+    assert (code, out) == (2, "") and "lo:lo:1 for one filling" in err
+    code, out, _ = run_cli(capsys, "beta", "--model", "fermions",
+                           "--grid", "0.3:0.3:1")
+    assert code == 0 and len(parse_csv(out)[1]) == 3  # 0.3, nstar, nmax
 
 
 _NO_SCIPY_SCRIPT = """
@@ -1079,9 +1090,10 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
               "--methods", "exact,resolved"), 2, "filling boundary"),
             (("page", "--model", "fermions", "--V", "6", "--N", "100"), 2,
              "empty sector"),
-            # a filling beyond the float range, in N / V or in n V
+            # an empty sector whose filling is also beyond the float range
             (("page", "--model", "fermions", "--V", "6", "--N", beyond_float,
-              "--methods", "asymptotic"), 2, "float range"),
+              "--methods", "asymptotic"), 2, "empty sector"),
+            # a filling beyond the float range, in N / V or in n V
             (("page", "--model", "bosons", "--V", "6", "--N", beyond_float,
               "--methods", "resolved"), 2, "float range"),
             (("page", "--model", "bosons", "--V", "10", "--n", "1e308",
@@ -1109,6 +1121,28 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
         got, out, err = run_cli(capsys, *argv)
         assert (got, out) == (code, "") and text in err, (argv, err)
         assert time.perf_counter() - start < 2.0
+
+    # an empty sector is refused at every cut, the trivial ones too, and
+    # before the budget and any saddle solve
+    def no_work(*args):
+        raise AssertionError("work began on an empty sector")
+
+    monkeypatch.setattr(budget, "check_exact_work", no_work)
+    monkeypatch.setattr(entropy, "beta_family", no_work)
+    for argv, text in (
+            (("page", "--model", "fermions", "--V", "4", "--N", "9", "--VA",
+              "0,4"), "empty sector: V=4, N=9 for fermions"),
+            (("page", "--model", "fermions", "--V", "4", "--N", "9", "--VA",
+              "0,4", "--methods", "asymptotic"),
+             "empty sector: V=4, N=9 for fermions"),
+            (("variance", "--model", "spin_j:1", "--V", "3", "--N", "7",
+              "--VA", "0,3"), "empty sector: V=3, N=7 for spin_1")):
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (2, "") and text in err, (argv, err)
+    with pytest.raises(DomainError,
+                       match="empty sector: V=4, N=9 for fermions"):
+        entropy.exact_average(catalog("fermions"),
+                              entropy.BipartitionSpec(4, 9, 0))
 
 
 def test_dims_prints_entries_beyond_the_int_digit_limit(capsys, tmp_path):

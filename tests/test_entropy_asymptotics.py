@@ -350,7 +350,7 @@ _REFUSALS = [
     # labeled particles: a negative or non-finite N, a V or N past the
     # float range, a non-integer size
     (lambda: distinguishable_asymptotic(10, -5, 5), DomainError,
-     "need V and N >= 0 within the float range, got V=10, N=-5"),
+     "N must be nonnegative, got -5"),
     (lambda: distinguishable_asymptotic(10, math.nan, 5), DomainError,
      "distinguishable_asymptotic needs numbers, got N=nan"),
     (lambda: distinguishable_asymptotic(10, math.inf, 5), DomainError,

@@ -221,4 +221,6 @@ def test_dimension_checks_refuse_what_they_refused_before():
         for bad in (True, False, -1, -(2 ** 70), 3.0, "3", None, Dim(-2)):
             with pytest.raises(DomainError):
                 kernel(bad)
-        assert kernel(Dim(5)) == kernel(5)  # int subclasses still accepted
+        # an int subclass is refused, as `errors.checked` refuses it
+        with pytest.raises(DomainError, match="needs integers, got d=5"):
+            kernel(Dim(5))
