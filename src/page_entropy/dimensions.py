@@ -43,7 +43,8 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
     # beyond V * n_max every entry is 0
     N_eff = N_cap if model.n_max is None else min(N_cap, V * model.n_max)
     model.coefficient(N_eff)  # refuses a negative a_k up to the cap
-    P, Q = model.P, model.Q
+    # A_i and R_{i-1} with i <= N_eff read P and Q only up to z^N_eff
+    P, Q = model.P[:N_eff + 1], model.Q[:N_eff + 1]
     size = len(P) + len(Q) - 1  # coefficients of A = P Q; R has fewer
     A = _times(P, Q, size)
     R = [x - y for x, y in zip(_times(_derivative(P), Q, size),

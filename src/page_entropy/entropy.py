@@ -34,10 +34,14 @@ summed twice, which fsum's correct rounding leaves bit-identical.  Within
 a cut each product d_A d_B is formed once, as a weight summed into the
 d_N the block kernel is given, and Psi, Psi' of d_N + 1 and of a block's
 larger side come from one evaluation each.  The saddle solutions at n
-and n* depend on the filling alone and are solved once.
+and n* depend on the filling alone and are solved once.  The asymptotic
+columns are evaluated once per mirrored cut too, at the correctly
+rounded fraction min(V_A, V - V_A) / V (one int / int true division),
+which the two cuts share; 1 - fl(V_A / V) would cancel as V_A nears V.
 
 A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
-sampler and the run-time estimate.
+sampler and the run-time estimate.  The per-cut value records are named
+tuples, cheap to build once per cut of a long page curve.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from math import erfc
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import budget
 from .dimensions import dim_table, grow_table, shrink_table
@@ -143,8 +147,7 @@ def _empty_sector(V: int, N: int, model: LocalModel) -> DomainError:
     return DomainError(f"empty sector: V={V}, N={N} for {model.label}")
 
 
-@dataclass(frozen=True)
-class AsymptoticTerms:
+class AsymptoticTerms(NamedTuple):
     """Large-V mean decomposition: value = a V + b sqrt(V) + c."""
     a: float
     b: float
@@ -154,8 +157,7 @@ class AsymptoticTerms:
     at_n_star: bool
 
 
-@dataclass(frozen=True)
-class VarianceEstimate:
+class VarianceEstimate(NamedTuple):
     """Exact sector variance with its underflow-proof side channel.
 
     `numerator` is the (d_N + 1)-scaled sum (never underflows);
@@ -166,8 +168,7 @@ class VarianceEstimate:
     numerator: float
 
 
-@dataclass(frozen=True)
-class AsymptoticVariance:
+class AsymptoticVariance(NamedTuple):
     """Leading-order variance prefactor * exp(-beta V), with log side channel."""
     value: float
     prefactor: float
@@ -175,8 +176,7 @@ class AsymptoticVariance:
     log_value: Optional[float]
 
 
-@dataclass(frozen=True)
-class DistinguishableTerms:
+class DistinguishableTerms(NamedTuple):
     """Labeled-particle mean: value = c1 V lnV + c2 V + c3 sqrt(V) lnV."""
     c1: float
     c2: float
@@ -184,8 +184,7 @@ class DistinguishableTerms:
     value: float
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """One bipartition's full mean/variance panel."""
     V: int
     N: int
@@ -332,9 +331,11 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
                      n: float) -> AsymptoticTerms:
     """Large-V mean decomposition a V + b sqrt(V) + c at fraction f, filling n.
 
-    f > 1/2 is mapped to 1 - f first (subsystem symmetry).  b is nonzero
-    only at f = 1/2 exactly (tolerance 1e-12); the constant picks up an
-    extra -1/2 only at f = 1/2 and n = n* simultaneously.
+    f > 1/2 is mapped to 1 - f first (subsystem symmetry), which cancels
+    near f = 1: pass the smaller side's fraction there, as `report` does
+    with min(V_A, V - V_A) / V.  b is nonzero only at f = 1/2 exactly
+    (tolerance 1e-12); the constant picks up an extra -1/2 only at f = 1/2
+    and n = n* simultaneously.
     """
     return _asymptotic_terms(_Saddles(model), V, f, n)
 
@@ -574,9 +575,11 @@ def report(model: LocalModel, specs,
     It refuses (DomainError or InfeasibleSizeError), in this order and
     before any table: `methods` that is a string or holds a key outside
     METHODS; N above V n_max, at every cut; with an exact method, sums
-    above the budget or at V above 4000; then the asymptotic columns of
-    every cut, also outside the float range.  Then `_exact_sums` builds
-    tables.  Each panel of a page curve equals that of its cut alone."""
+    above the budget or at V above 4000; then the asymptotic columns,
+    evaluated once per mirrored cut where it first appears, also outside
+    the float range.  Then `_exact_sums` builds tables.  Each panel of a
+    page curve equals that of its cut alone, and the mirrored cuts V_A
+    and V - V_A differ in V_A and f alone."""
     if isinstance(methods, str):
         raise DomainError(f"report methods must be a sequence of method "
                           f"keys, got the string {methods!r}")
@@ -598,37 +601,50 @@ def report(model: LocalModel, specs,
             raise InfeasibleSizeError(
                 f"exact sum limited to V <= {_EXACT_V_LIMIT}")
     saddles = _Saddles(model)
-    columns = []
+    columns = {}  # mirrored cut -> its (asym, resolved, asym_var)
+    cuts = []  # (f, n, mirrored cut) of each spec
     for spec in specs:
-        f, V, n = spec.f, spec.V, spec.n
-        boundary = spec.V_A in (0, V)
-        asym = resolved = asym_var = None
-        # float(V) before f: past the float range, V_A / V underflows
-        if "asymptotic" in methods:
-            asym = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False)
-                    if boundary else in_float_range(
-                        lambda: _asymptotic_terms(saddles, float(V), f, n),
-                        V=V))
-        if "resolved" in methods:
-            resolved = (0.0 if boundary else in_float_range(
-                lambda: _resolved_average(saddles, float(V), f, n), V=V))
-        if "asymptotic_variance" in methods:
-            asym_var = (AsymptoticVariance(0.0, 0.0, 0.0, None)
-                        if boundary else in_float_range(
-                            lambda: _asymptotic_variance(saddles, float(V),
-                                                         f, n), V=V))
-        columns.append((f, n, asym, resolved, asym_var))
+        f, n, cut = spec.f, spec.n, spec.mirrored_cut
+        cuts.append((f, n, cut))
+        if cut not in columns:
+            columns[cut] = in_float_range(lambda: _asymptotic_columns(
+                saddles, cut, n, methods), V=spec.V)
     sums = _exact_sums(model, specs, want_variance) if want_exact else {}
     # a cut without sums is a boundary cut, or no exact method was asked
     no_sums = (0.0, VarianceEstimate(0.0, None, 0.0))
     reports = []
-    for spec, (f, n, asym, resolved, asym_var) in zip(specs, columns):
-        mean, var = sums.get(spec.mirrored_cut, no_sums)
+    for spec, (f, n, cut) in zip(specs, cuts):
+        mean, var = sums.get(cut, no_sums)
+        asym, resolved, asym_var = columns[cut]
         reports.append(EntropyReport(
             spec.V, spec.N, spec.V_A, f, n,
             mean if "exact" in methods else None, asym, resolved,
             var if want_variance else None, asym_var))
     return reports
+
+
+def _asymptotic_columns(saddles: _Saddles, cut: tuple[int, int, int],
+                        n: float, methods) -> list:
+    """The asymptotic, resolved and asymptotic_variance columns of `report`
+    (None where not in `methods`) of a mirrored cut (V, N, min(V_A, V -
+    V_A)) at filling n, evaluated at the correctly rounded fraction
+    min(V_A, V - V_A) / V, which the cuts V_A and V - V_A share."""
+    V, _, smaller = cut
+    kernels = {"asymptotic": _asymptotic_terms,
+               "resolved": _resolved_average,
+               "asymptotic_variance": _asymptotic_variance}
+    if not smaller:  # one side is trivial
+        zeros = {"asymptotic": AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False,
+                                               False),
+                 "resolved": 0.0,
+                 "asymptotic_variance": AsymptoticVariance(0.0, 0.0, 0.0,
+                                                           None)}
+        return [zeros[key] if key in methods else None for key in kernels]
+    # float(V) before f: past the float range, smaller / V underflows
+    v = float(V)
+    f = smaller / V
+    return [kernel(saddles, v, f, n) if key in methods else None
+            for key, kernel in kernels.items()]
 
 
 # -- helpers ------------------------------------------------------------------

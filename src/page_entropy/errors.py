@@ -32,12 +32,22 @@ def finite_real(x) -> bool:
         return False
 
 
+def shown(x) -> str:
+    """repr(x), followed by its type's name where that subclasses int or
+    float (but is not bool), whose repr can read like an accepted value."""
+    kind = type(x)
+    if kind not in (int, float, bool) and issubclass(kind, (int, float)):
+        return f"{x!r} of type {kind.__name__}"
+    return repr(x)
+
+
 def checked(function):
     """`function` behind the package's one argument check, read from its
     string annotations: an `int` parameter takes an int, not a bool, a
     `float` one a `finite_real`, and `Optional[...]` admits None too; the
     first other value raises DomainError (`dim_table needs integers, got
-    V=4.0`, or `numbers`).  Hot paths test `type(x) is int` inline."""
+    V=4.0`, or `numbers`), which names the type of an int or float
+    subclass (`shown`).  Hot paths test `type(x) is int` inline."""
     names = function.__code__.co_varnames[:function.__code__.co_argcount]
     rules = {}  # parameter -> (what it needs, whether it admits None)
     for name, note in function.__annotations__.items():
@@ -56,6 +66,7 @@ def checked(function):
         for name, x in dict(zip(names, args), **kwargs).items():
             if name in rules and not passes(x, *rules[name]):
                 raise DomainError(f"{function.__name__} needs "
-                                  f"{rules[name][0]}, got {name}={x!r}")
+                                  f"{rules[name][0]}, got {name}="
+                                  f"{shown(x)}")
         return function(*args, **kwargs)
     return guarded

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, checked
+from .errors import ConfigError, DomainError, checked, shown
 
 _SIGN_PROBE = 64  # a_k of unbounded models checked when built; later lazily
 _ROOT_TOL = 1e-9  # relative imaginary part up to which a root of Q is real
@@ -43,7 +43,7 @@ class LocalModel:
         for c in [*P, *Q]:
             if type(c) is not int:
                 raise DomainError(f"{self.label}: P and Q must be integers, "
-                                  f"got {c!r}")
+                                  f"got {shown(c)}")
         self.P, self.Q = _trim(list(P)), _trim(list(Q))
         if not self.Q or self.Q[0] != 1:
             raise DomainError(f"{self.label}: Q(0) must be 1")

@@ -145,11 +145,14 @@ def asymptotic_form(kernel):
 def in_float_range(compute, **at):
     """compute(), refused (DomainError) where the asymptotic forms leave the
     float range at the named values `at`: a math call or float(V) raises
-    OverflowError, or the value (a record's `value`) is inf or NaN."""
+    OverflowError, or a value is inf or NaN.  compute() gives one value, a
+    float or a record with a `value`, or a list of those and None."""
     try:
-        value = compute()
-        if math.isfinite(value if isinstance(value, float) else value.value):
-            return value
+        result = compute()
+        values = result if isinstance(result, list) else (result,)
+        if all(math.isfinite(x if isinstance(x, float) else x.value)
+               for x in values if x is not None):
+            return result
     except OverflowError:
         pass
     raise DomainError("the asymptotic forms overflow the float range at "

@@ -31,6 +31,10 @@ class _Dim(int):
     """An int subclass: refused wherever an int is asked for."""
 
 
+class _Real(float):
+    """A float subclass, whose repr reads like a plain float's."""
+
+
 # export -> arguments of one valid call
 _VALID = {
     "dim_fixed_n": (_FERMIONS, 4, 2),
@@ -154,13 +158,20 @@ _REFUSALS = [
      "catalog needs numbers, got param=True"),
     (lambda: catalog("spin_j", "1"), "catalog needs numbers, got param='1'"),
     (lambda: catalog("spin_j", "x"), "catalog needs numbers, got param='x'"),
-    (lambda: ln_big(_Dim(5)), "ln_big needs integers, got d=5"),
+    (lambda: ln_big(_Dim(5)), "ln_big needs integers, got d=5 of type _Dim"),
     (lambda: digamma_of_dim(_Dim(5)),
-     "digamma_of_dim needs integers, got d=5"),
+     "digamma_of_dim needs integers, got d=5 of type _Dim"),
     (lambda: trigamma_of_dim(_Dim(5)),
-     "trigamma_of_dim needs integers, got d=5"),
+     "trigamma_of_dim needs integers, got d=5 of type _Dim"),
     (lambda: LocalModel("x", [1, _Dim(1)]),
-     "x: P and Q must be integers, got 1"),
+     "x: P and Q must be integers, got 1 of type _Dim"),
+    # a float subclass too, but float, bool, str and None values as repr
+    (lambda: page_entropy.beta_family(_FERMIONS, _Real("nan")),
+     "beta_family needs numbers, got n=nan of type _Real"),
+    (lambda: LocalModel("x", [1, _Real(1.0)]),
+     "x: P and Q must be integers, got 1.0 of type _Real"),
+    (lambda: LocalModel("x", [1, 1.0]),
+     "x: P and Q must be integers, got 1.0"),
     (lambda: page_entropy.sample_entropies(_BASIS, True, 2),
      "rng must be a Generator or int >= 0, got True"),
     (lambda: page_entropy.sample_entropies(_BASIS, -1, 2),

@@ -95,6 +95,38 @@ def test_page_curve_output(capsys):
     assert abs(exact[4] - 2.2061700909714051) < 1e-13  # V=8 N=4 half cut
 
 
+@pytest.mark.parametrize("V", [10 ** 6, 10 ** 17])
+def test_mirrored_page_rows_share_every_value_cell(capsys, V):
+    # the cut V - 1 is evaluated at the fraction 1 / V, as the cut 1 is, not
+    # at 1 - fl((V - 1) / V), which cancels: 2.9e-11 relative off at 10^6,
+    # and 1 - 1.0 = 0, a refused fraction, at 10^17
+    code, out, err = run_cli(capsys, "page", "--model", "fermions",
+                             "--V", str(V), "--n", "0.5",
+                             "--VA", f"1,{V - 1}",
+                             "--methods", "asymptotic,resolved,asym_var")
+    assert code == 0 and err == ""
+    _, (first, last) = parse_csv(out)
+    assert first[2:] == last[2:]
+
+
+def test_page_evaluates_each_asymptotic_column_once_per_mirrored_cut(
+        capsys, monkeypatch):
+    # the 3999 nontrivial cuts of V = 4000 are 2000 mirrored cuts
+    kernels = ("_asymptotic_terms", "_resolved_average",
+               "_asymptotic_variance")
+    calls = dict.fromkeys(kernels, 0)
+    for key in kernels:
+        def counted(*args, key=key, fn=getattr(entropy, key)):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(entropy, key, counted)
+    code, out, _ = run_cli(capsys, "page", "--model", "spin_j:1",
+                           "--V", "4000", "--n", "1", "--methods",
+                           "asymptotic,resolved,asym_var")
+    assert code == 0 and len(parse_csv(out)[1]) == 4001
+    assert calls == dict.fromkeys(kernels, 2000)
+
+
 def test_page_method_selection_and_aliases(capsys):
     code, out, _ = run_cli(capsys, "page", "--model", "fermions", "--V", "6",
                            "--N", "3", "--VA", "3",

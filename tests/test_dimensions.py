@@ -103,6 +103,30 @@ def test_dim_table_recurrence_matches_naive_power(model, V, cap):
     assert list(dim_table(model, V, cap)) == (ref + [0] * cap)[:cap + 1]
 
 
+@pytest.mark.parametrize("model,V,N_cap", [
+    (catalog("capped_bosons", 1000), 1, 2),
+    (catalog("capped_bosons", 1000), 3, 0),
+    (from_json('{"P": [2, 1, 0, 3, 1, 1], "Q": [1, -1, -1]}'), 2, 1),
+    (from_json('{"P": [1, 1, 1, 1], "Q": [1, -2, 1]}'), 4, 2),
+    (catalog("fermions"), 2, 9)])
+def test_dim_table_reads_p_and_q_up_to_its_cap(monkeypatch, model, V,
+                                               N_cap):
+    # entries up to N_eff = min(N_cap, V n_max) read P and Q only up to
+    # z^N_eff, so a short table of a high-degree P costs no more than that
+    N_eff = N_cap if model.n_max is None else min(N_cap, V * model.n_max)
+    lengths = []
+    for name in ("_times", "_derivative"):
+        def spy(series, *rest, real=getattr(dimensions, name)):
+            lengths.extend(len(x) for x in (series, *rest)
+                           if isinstance(x, list))
+            return real(series, *rest)
+        monkeypatch.setattr(dimensions, name, spy)
+    table = dim_table(model, V, N_cap)
+    assert lengths and max(lengths) <= N_eff + 1
+    ref = poly_power_oracle(model.coefficients(N_cap + 1), V, N_cap)
+    assert list(table) == ref[:N_cap + 1]
+
+
 def test_dim_table_edges():
     m = catalog("fermions")
     assert list(dim_table(m, 3, 3)) == [1, 3, 3, 1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from page_entropy.dimensions import dim_fixed_n, dim_table
 from page_entropy.entropy import (BipartitionSpec, exact_average,
-                                  exact_variance)
+                                  exact_variance, report)
 from page_entropy.haar_sampler import build_sector_basis, mc_average
 from test_local_model_properties import models
 
@@ -75,3 +75,26 @@ def test_sampled_mean_within_four_sigma_of_exact(sector, seed):
     out = mc_average(basis, 200, seed)
     ref = exact_average(model, BipartitionSpec(V, N, V_A))
     assert abs(out.mean - ref) <= 4 * out.sem + 1e-12
+
+
+# (model, V, N) with a nonempty sector at an interior filling, V >= 4 so
+# that every `report` column is defined
+interior_sectors = st.builds(
+    lambda model, V, N: (model, V, N), models, st.integers(4, 9),
+    st.integers(1, 12)).filter(
+        lambda s: (s[0].n_max is None or s[2] < s[1] * s[0].n_max)
+        and dim_fixed_n(*s) > 0)
+
+
+@SETTINGS
+@given(interior_sectors)
+def test_every_report_column_is_mirror_symmetric(sector):
+    # bit for bit, the asymptotic columns too: each is evaluated once per
+    # mirrored cut, at the fraction min(V_A, V - V_A) / V
+    model, V, N = sector
+    specs = [BipartitionSpec(V, N, v_a) for v_a in range(V + 1)]
+    reports = report(model, specs)
+    for rep, mirror in zip(reports, reversed(reports)):
+        # the two cuts differ in V_A and f alone
+        assert repr(rep._replace(V_A=mirror.V_A, f=mirror.f)) == repr(mirror)
+        assert repr(rep) == repr(report(model, [specs[rep.V_A]])[0])
