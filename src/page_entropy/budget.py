@@ -92,7 +92,7 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     that with the variance.  Calibrated on fermions to
     capped_bosons:100000, V up to 4000, with every cut's tables built anew;
     a `page` sweep steps them from cut to cut and evaluates mirrored blocks
-    once at 2N = V n_max, so its cuts cost less.
+    once at 2N = V n_max and at V_A = V/2, so its cuts cost less.
     """
     n_a_values = spec.n_a_range(model.n_max)
     if spec.V_A in (0, spec.V) or not n_a_values:
@@ -104,6 +104,10 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     return seconds + blocks * per_block * (2.5 if want_variance else 1.0)
 
 
+# This prices every cut's asymptotic columns, which `report` evaluates once
+# per mirrored pair of cuts, so a sweep takes about half the estimate.  It
+# is also the only bound on the rows a `page` sweep holds before printing
+# (about 0.8 KB a cut as CSV), so re-fit it only once rows are streamed.
 def cut_seconds(columns: int, as_json: bool) -> float:
     """Estimated run time of one cut of a request apart from its exact sums:
     the cut, its saddle-based columns and the printing of `columns` values,

@@ -42,7 +42,7 @@ def dim_table(model: LocalModel, V: int, N_cap: int) -> tuple[int, ...]:
         raise DomainError(f"N_cap must be nonnegative, got {N_cap}")
     # beyond V * n_max every entry is 0
     N_eff = N_cap if model.n_max is None else min(N_cap, V * model.n_max)
-    model.coefficient(N_eff)  # refuses a negative a_k up to the cap
+    model.coefficients(N_eff + 1)  # refuses a negative a_k up to the cap
     # A_i and R_{i-1} with i <= N_eff read P and Q only up to z^N_eff
     P, Q = model.P[:N_eff + 1], model.Q[:N_eff + 1]
     size = len(P) + len(Q) - 1  # coefficients of A = P Q; R has fewer

@@ -28,9 +28,10 @@ ascending order: a cut one site past the previous one steps that cut's
 two dimension tables by one factor of zeta = P/Q each (exact series
 products and quotients), instead of building them anew.  At
 2N = V n_max the block list of a palindromic P (fermions, spin_j, capped
-bosons) reads the same backwards; that is checked on the list itself,
-and then each mirrored pair of blocks is evaluated once and its terms
-summed twice, which fsum's correct rounding leaves bit-identical.  Within
+bosons) reads the same backwards, which is checked on the list itself,
+and at V_A = V/2 block N - N_A is block N_A with its sides swapped; then
+each mirrored pair of blocks is evaluated once and its terms summed
+twice, which fsum's correct rounding leaves bit-identical.  Within
 a cut each product d_A d_B is formed once, as a weight summed into the
 d_N the block kernel is given, and Psi, Psi' of d_N + 1 and of a block's
 larger side come from one evaluation each.  The saddle solutions at n
@@ -125,6 +126,13 @@ class BipartitionSpec:
         n_a_values = self.n_a_range(n_max)
         return ((self.V_A, n_a_values.stop - 1),
                 (self.V - self.V_A, self.N - n_a_values.start))
+
+    def refuse_empty(self, model: LocalModel) -> None:
+        """Refuse (DomainError) a sector that counting alone shows empty:
+        N above V n_max, or N not a multiple of the model's `period`."""
+        if self.N % model.period or (model.n_max is not None
+                                     and self.N > self.V * model.n_max):
+            raise _empty_sector(self.V, self.N, model)
 
     def blocks(self, model: LocalModel, build_table) -> list[tuple]:
         """(N_A, d_A, d_B) of each nonempty block, with the two `tables`
@@ -261,10 +269,12 @@ def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
             pairs = [(d_a, d_b) for _, d_a, d_b in
                      BipartitionSpec(V, N, V_A).blocks(model, table)]
             tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
-            # a palindromic block list (a palindromic P at 2N = V n_max):
-            # its leading blocks also stand for their mirror images
+            # the leading blocks also stand for their mirror images where
+            # block N - N_A is block N_A swapped (V_A = V/2) or the same (a
+            # palindromic list, from a palindromic P at 2N = V n_max)
             twice = 0
-            if all(pairs[i] == pairs[~i] for i in range(len(pairs) // 2)):
+            if 2 * V_A == V or all(pairs[i] == pairs[~i]
+                                   for i in range(len(pairs) // 2)):
                 twice = len(pairs) // 2
             blocks = [(d_a * d_b, d_a, d_b) for d_a, d_b
                       in pairs[:len(pairs) - twice]]
@@ -574,7 +584,9 @@ def report(model: LocalModel, specs,
 
     It refuses (DomainError or InfeasibleSizeError), in this order and
     before any table: `methods` that is a string or holds a key outside
-    METHODS; N above V n_max, at every cut; with an exact method, sums
+    METHODS; a sector empty by counting (`BipartitionSpec.refuse_empty`:
+    N above V n_max or not a multiple of the period), at every cut; with
+    an exact method, sums
     above the budget or at V above 4000; then the asymptotic columns,
     evaluated once per mirrored cut where it first appears, also outside
     the float range.  Then `_exact_sums` builds tables.  Each panel of a
@@ -588,10 +600,8 @@ def report(model: LocalModel, specs,
         raise DomainError(f"unknown report method(s) {', '.join(unknown)}; "
                           f"choose from {', '.join(METHODS)}")
     specs = list(specs)
-    if model.n_max is not None:  # counted, so no table is built
-        for V, N in dict.fromkeys((spec.V, spec.N) for spec in specs):
-            if N > V * model.n_max:
-                raise _empty_sector(V, N, model)
+    for spec in {(spec.V, spec.N): spec for spec in specs}.values():
+        spec.refuse_empty(model)
     want_variance = "exact_variance" in methods
     want_exact = want_variance or "exact" in methods
     if want_exact:

@@ -97,12 +97,15 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
     """Block decomposition for sampling: the cut's `BipartitionSpec.blocks`
     in N_A order.
 
-    Refuses (InfeasibleSizeError) the cut's two tables estimated above the
-    budget before building them (`budget.check_table_work`), then one
-    sample so estimated (`budget.check_run_work`), then a block side above
-    2^53; an empty sector (DomainError) builds no table.
+    Refuses a sector empty by counting (DomainError,
+    `BipartitionSpec.refuse_empty`), then (InfeasibleSizeError) the cut's
+    two tables estimated above the budget before building them
+    (`budget.check_table_work`), then one sample so estimated
+    (`budget.check_run_work`), then a block side above 2^53; any other
+    empty sector (DomainError) is refused once its tables are built.
     """
     spec = BipartitionSpec(V=V, N=N, V_A=V_A)
+    spec.refuse_empty(model)
     budget.check_table_work(model, spec.tables(model.n_max))
     cut = spec.blocks(model, dim_table)
     budget.check_run_work(cut, 1)

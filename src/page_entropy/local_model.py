@@ -5,8 +5,10 @@ by zeta(z) = sum_k a_k z^k = P(z)/Q(z): integer polynomials P, Q with
 Q(0) = 1 and no common factor.  Every catalog model has this form (fermions
 1 + z, bosons 1/(1 - z), spin-j 1 + z + ... + z^(2j)), and so does every
 `product` or `power` of them.  Everything else is derived from (P, Q):
-a_k from the linear recurrence fixed by Q (Stanley, Enumerative
-Combinatorics 1, ch. 4); n_max = deg P when Q = 1, else None; the
+a_k from one series division P/Q, which is the linear recurrence fixed
+by Q (Stanley, Enumerative Combinatorics 1, ch. 4); the period g, the gcd
+of the exponents with a nonzero coefficient in P or Q, which divides the
+charge of every nonempty sector; n_max = deg P when Q = 1, else None; the
 convergence radius, +inf when Q = 1, else the smallest positive root of Q,
 the dominant singularity of a series with a_k >= 0 (Flajolet & Sedgewick,
 Analytic Combinatorics, ch. IV); and zeta, zeta', zeta'' by Horner passes
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, checked, shown
 
-_SIGN_PROBE = 64  # a_k of unbounded models checked when built; later lazily
+_SIGN_PROBE = 64  # a_k of unbounded models checked when built; later on read
 _ROOT_TOL = 1e-9  # relative imaginary part up to which a root of Q is real
 _MAX_DEGREE = 10 ** 6  # largest catalog n_max; P is stored densely
 
@@ -36,7 +38,9 @@ _MAX_DEGREE = 10 ** 6  # largest catalog n_max; P is stored densely
 class LocalModel:
     """Immutable site model zeta = P/Q: integer coefficient lists, lowest
     degree first, with Q(0) = 1, no common factor and a_0 = P(0) >= 1 (a
-    charge-0 vacuum state, from which charges count particles)."""
+    charge-0 vacuum state, from which charges count particles).  The a_k
+    are read from one series division P/Q, the linear recurrence fixed by
+    Q (`coefficients`); a_k = 0 unless its `period` g divides k."""
 
     def __init__(self, label: str, P: Sequence[int], Q: Sequence[int] = (1,)):
         self.label = str(label)
@@ -70,26 +74,23 @@ class LocalModel:
         else:
             self.n_max = len(self.P) - 1
             self.radius = math.inf
-        self._a = [self.P[0]]
+        self.period = _period(self.P, self.Q)
         self.coefficients(_SIGN_PROBE if factors else len(self.P))
 
     def coefficient(self, k: int) -> int:
         """a_k, exact integer; 0 outside the support."""
         if k < 0 or (self.n_max is not None and k > self.n_max):
             return 0
-        a, P, Q = self._a, self.P, self.Q
-        while len(a) <= k:
-            j = len(a)
-            value = (P[j] if j < len(P) else 0) - sum(
-                Q[i] * a[j - i] for i in range(1, min(j, len(Q) - 1) + 1))
-            if value < 0:
-                raise DomainError(f"{self.label}: a_{j} is negative")
-            a.append(value)
-        return a[k]
+        return self.coefficients(k + 1)[k]
 
     def coefficients(self, count: int) -> list[int]:
-        """First `count` coefficients a_0 .. a_{count-1}."""
-        return [self.coefficient(k) for k in range(count)]
+        """First `count` coefficients a_0 .. a_{count-1}, one series
+        division of P (padded with zeros) by Q; refuses the first negative."""
+        a = _over(self.P[:max(count, 0)] + [0] * (count - len(self.P)), self.Q)
+        if a and min(a) < 0:
+            k = next(k for k, a_k in enumerate(a) if a_k < 0)
+            raise DomainError(f"{self.label}: a_{k} is negative")
+        return a
 
     def to_json(self) -> str:
         """Serialize to a JSON document (see `from_json`)."""
@@ -293,6 +294,17 @@ def _over(series: list[int], poly: list[int]) -> list[int]:
     for x in series:
         out.append((x - sum(map(mul, back, out[-deg:]))) // a_0)
     return out[deg:]
+
+
+def _period(*polys: Sequence[int]) -> int:
+    """gcd of the exponents k >= 1 with a nonzero coefficient in `polys`,
+    stopping at the first 1; 0 if all are constants."""
+    g = 0
+    for k in (k for p in polys for k in range(1, len(p)) if p[k]):
+        g = math.gcd(g, k)
+        if g == 1:
+            break
+    return g
 
 
 def _derivative(p: Sequence[int]) -> list[int]:

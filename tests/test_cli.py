@@ -1177,6 +1177,38 @@ def test_huge_and_empty_sectors_refused_before_any_table(capsys,
                               entropy.BipartitionSpec(4, 9, 0))
 
 
+def test_periodic_model_refuses_its_empty_sectors_up_front(capsys, tmp_path,
+                                                           monkeypatch):
+    # P = 1 + z^2 has period 2: an odd N is empty, and is refused before
+    # any table or saddle solve by every method, as exact always was
+    doc = tmp_path / "even.json"
+    doc.write_text(json.dumps({"label": "even", "P": [1, 0, 1]}))
+    sector = ("--model", str(doc), "--V", "400", "--N", "201")
+
+    def no_work(*args):
+        raise AssertionError("work began on an empty sector")
+
+    for module in (entropy, haar_sampler):
+        monkeypatch.setattr(module, "dim_table", no_work)
+    monkeypatch.setattr(entropy, "beta_family", no_work)
+    for argv in (("page", *sector, "--VA", "100", "--methods",
+                  "asymptotic,resolved"),
+                 ("page", *sector, "--VA", "100", "--methods", "asym_var"),
+                 ("page", *sector, "--VA", "100", "--methods", "exact"),
+                 ("variance", *sector, "--VA", "0,100"),
+                 ("mc", *sector, "--VA", "100", "--samples", "1")):
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (2, ""), argv
+        assert "empty sector: V=400, N=201 for even" in err, (argv, err)
+    monkeypatch.undo()
+    # its even sectors are those of fermions at half the charge
+    got, out, _ = run_cli(capsys, "page", "--model", str(doc), "--V", "12",
+                          "--N", "10", "--VA", "5", "--methods", "exact")
+    want = run_cli(capsys, "page", "--model", "fermions", "--V", "12",
+                   "--N", "5", "--VA", "5", "--methods", "exact")[1]
+    assert got == 0 and out.splitlines()[1:] == want.splitlines()[1:]
+
+
 def test_dims_prints_entries_beyond_the_int_digit_limit(capsys, tmp_path):
     # 1 + 10^300 z on 15 sites: d_15 = 10^4500 has 4501 digits, more than
     # str() converts by default

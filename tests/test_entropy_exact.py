@@ -12,6 +12,7 @@ import pytest
 import oracle
 import page_entropy.budget as budget
 import page_entropy.entropy as entropy
+import page_entropy.haar_sampler as haar_sampler
 from page_entropy.budget import check_exact_work, exact_work_seconds
 from page_entropy.dimensions import dim_fixed_n, dim_table
 from page_entropy.entropy import (BipartitionSpec, VarianceEstimate,
@@ -239,7 +240,8 @@ def test_report_panel_and_errors():
 
 
 _FERMIONS = catalog("fermions")
-_GAP = LocalModel("gap", [1, 0, 1])  # a_1 = 0: N = 1 has no state
+_GAP = LocalModel("gap", [1, 0, 1])  # period 2: no odd N has a state
+_GAPS = LocalModel("gaps", [1, 0, 1, 1])  # period 1, yet N = 1 is empty
 
 
 # (call, message); each raises DomainError
@@ -263,12 +265,38 @@ _REFUSALS = [
      "V_A must lie in [0, V], got 5"),
     (lambda: entropy.distinguishable_exact_average(4, -1, 2),
      "N must be nonnegative, got -1"),
-    # both tables built, but no block is nonempty
+    # counted empty: N not a multiple of the period
     (lambda: exact_average(_GAP, BipartitionSpec(3, 1, 1)),
      "empty sector: V=3, N=1 for gap"),
     (lambda: build_sector_basis(_GAP, 3, 1, 1),
      "empty sector: V=3, N=1 for gap"),
+    # both tables built, but no block is nonempty
+    (lambda: exact_average(_GAPS, BipartitionSpec(3, 1, 1)),
+     "empty sector: V=3, N=1 for gaps"),
+    (lambda: build_sector_basis(_GAPS, 3, 1, 1),
+     "empty sector: V=3, N=1 for gaps"),
 ]
+
+
+def test_sectors_off_the_period_build_no_table(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work began on an empty sector")
+
+    for module in (entropy, haar_sampler):
+        monkeypatch.setattr(module, "dim_table", no_work)
+    monkeypatch.setattr(entropy, "beta_family", no_work)
+    for call in (
+            lambda: report(_GAP, [BipartitionSpec(3, 1, 1)],
+                           ("exact", "asymptotic")),
+            # at every cut, the trivial ones too
+            lambda: report(_GAP, [BipartitionSpec(8, 4, 0),
+                                  BipartitionSpec(9, 5, 9)], ("resolved",)),
+            lambda: report(LocalModel("even_bosons", [1], [1, 0, -1]),
+                           [BipartitionSpec(6, 7, 2)],
+                           ("asymptotic_variance",)),
+            lambda: build_sector_basis(_GAP, 9, 5, 4)):
+        with pytest.raises(DomainError, match="^empty sector: V=(3|9|6)"):
+            call()
 
 
 @pytest.mark.parametrize("call,message", _REFUSALS,
@@ -367,9 +395,9 @@ SWEEP_MODELS = (("fermions", None), ("bosons", None), ("spin_j", 1),
 
 @pytest.mark.parametrize("name,param", SWEEP_MODELS)
 def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
-    # a sweep steps its tables from cut to cut and, at 2N = V n_max,
-    # evaluates each mirrored pair of blocks once; each panel still equals
-    # that of its cut alone, bit for bit
+    # a sweep steps its tables from cut to cut and, at 2N = V n_max and
+    # at V_A = V/2, evaluates each mirrored pair of blocks once; each panel
+    # still equals that of its cut alone, bit for bit
     model = catalog(name) if param is None else catalog(name, param)
     methods = ("exact", "exact_variance")
     calls = {"dim_table": 0, "_phi": 0}
@@ -391,12 +419,15 @@ def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
                                                      for v_a in v_as]
             # one table pair for each cut not next to the previous one
             assert calls["dim_table"] == 2 * (1 + (v_as[0] == 11))
-            blocks = sum(len(BipartitionSpec(V, N, cut).n_a_range(
-                model.n_max)) for cut in {spec.mirrored_cut[2]
-                                          for spec in specs} - {0})
-            mirrored = (model.n_max is not None and 2 * N == top
-                        and model.P == model.P[::-1])
-            assert (calls["_phi"] < blocks) == mirrored
+            palindrome = (model.n_max is not None and 2 * N == top
+                          and model.P == model.P[::-1])
+            evaluated = 0
+            for cut in {spec.mirrored_cut[2] for spec in specs} - {0}:
+                blocks = len(BipartitionSpec(V, N, cut).n_a_range(
+                    model.n_max))
+                halved = palindrome or 2 * cut == V
+                evaluated += (blocks + 1) // 2 if halved else blocks
+            assert calls["_phi"] == evaluated
         # Vandermonde: every cut's blocks sum to the sector dimension
         # (each variance is finished with the sector dimension d_N)
         specs = [BipartitionSpec(V, N, v_a) for v_a in range(1, V // 2 + 1)]

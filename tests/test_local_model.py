@@ -7,7 +7,10 @@ import random
 import mpmath as mp
 import pytest
 
+import oracle
 import page_entropy.cli as cli
+import page_entropy.local_model as local_model
+from page_entropy.dimensions import dim_table
 from page_entropy.errors import ConfigError, DomainError
 from page_entropy.local_model import (LocalModel, catalog, eval_zeta,
                                       from_json, power, product)
@@ -23,8 +26,7 @@ def series_oracle(model, z, terms=400):
     z = mp.mpf(z)
     top = model.n_max + 1 if model.n_max is not None else terms
     s0 = s1 = s2 = mp.mpf(0)
-    for k in range(top):
-        a = model.coefficient(k)
+    for k, a in enumerate(model.coefficients(top)):
         if a:
             s0 += a * z**k
             s1 += a * k * z**(k - 1) if k >= 1 else 0
@@ -164,11 +166,74 @@ def test_validation_rules(capsys, tmp_path):
     assert "a_70 is negative" in capsys.readouterr().err
 
 
-def test_coefficient_clamps_and_caches():
+def test_coefficient_clamps_outside_the_support():
     model = catalog("spin_j", 1)
     assert model.coefficient(-3) == 0
     assert model.coefficient(7) == 0  # beyond n_max, rule never consulted
     assert model.coefficient(2) == 1
+
+
+def test_catalog_coefficients_match_the_oracle():
+    for model in [catalog(name) for name in FIVE] + [
+            catalog("spin_j", 1.5), catalog("capped_bosons", 3)]:
+        want = oracle.coefficients(model.P, model.Q, 71)
+        for count in range(71):
+            assert model.coefficients(count) == want[:count]
+        assert model.coefficients(0) == model.coefficients(-4) == []
+        assert model.period == 1
+
+
+def test_first_negative_coefficient_is_refused_where_it_is_read():
+    # at construction: within deg P for a polynomial, within the probe
+    # for a series
+    for P, Q, k in (([1, 2, -1], [1], 2), ([1, 1, 1, -5, 9], [1], 3),
+                    ([1, -2], [1, -1], 1), ([1] + [0] * 40 + [-3], [1, -1],
+                                            41)):
+        with pytest.raises(DomainError, match=f"^neg: a_{k} is negative$"):
+            LocalModel("neg", P, Q)
+    # past the probe: (1 - 3 z^80)/(1 - z) is refused by each read that
+    # reaches a_80, and by no other
+    late = LocalModel("late", [1] + [0] * 79 + [-3], [1, -1])
+    assert late.coefficients(80) == [1] * 80
+    for read in (lambda: late.coefficients(81), lambda: late.coefficient(95),
+                 lambda: dim_table(late, 3, 80)):
+        with pytest.raises(DomainError, match="^late: a_80 is negative$"):
+            read()
+
+
+def test_each_coefficient_read_is_one_series_division(monkeypatch):
+    # no second path to the a_k: each read, the probe made when a model is
+    # built and dim_table's sign check included, divides P by Q once
+    calls = []
+
+    def counted(series, poly):
+        calls.append(len(series))
+        return over(series, poly)
+
+    over = local_model._over
+    monkeypatch.setattr(local_model, "_over", counted)
+    catalog("capped_bosons", 10 ** 6)
+    assert calls == [10 ** 6 + 1]
+    bosons = catalog("bosons")  # Q's factors are found by division too
+    del calls[:]
+    dim_table(bosons, 4, 10 ** 5)
+    assert calls == [10 ** 5 + 1]
+    spin = catalog("spin_j", 2)
+    for read in (lambda: bosons.coefficients(70),
+                 lambda: bosons.coefficient(69), lambda: spin.coefficient(3)):
+        del calls[:]
+        read()
+        assert len(calls) == 1
+
+
+def test_period_is_the_gcd_of_the_charges():
+    for P, Q, g in (([1, 0, 1], [1], 2), ([1], [1, 0, -1], 2),
+                    ([1, 0, 0, 2], [1, 0, 0, 0, 0, 0, -1], 3),
+                    ([1, 0, 1, 1], [1], 1), ([1, 0, 1], [1, -1], 1)):
+        model = LocalModel("periodic", P, Q)
+        assert model.period == g
+        assert all(a == 0 for k, a in enumerate(model.coefficients(30))
+                   if k % g)
 
 
 def test_json_round_trip_catalog():

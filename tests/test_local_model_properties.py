@@ -4,6 +4,7 @@ import mpmath as mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from page_entropy.dimensions import dim_table
 from page_entropy.local_model import LocalModel, eval_zeta, from_json
 
@@ -46,8 +47,8 @@ def series_oracle(model, z):
     with mp.workdps(25):
         zm, zk = mp.mpf(z), mp.mpf(1)
         s0 = s1 = s2 = mp.mpf(0)
-        for k in range(2000):
-            term = model.coefficient(k) * zk
+        for k, a in enumerate(model.coefficients(2000)):
+            term = a * zk
             s0, s1, s2 = s0 + term, s1 + k * term, s2 + k * (k - 1) * term
             if k > 8 and (k * k + 1) * term < 1e-20 * s0:
                 break
@@ -61,3 +62,16 @@ def test_eval_zeta_matches_mpmath_series(model, frac):
     z = frac * 0.9 * min(model.radius, 2.0)
     for got, want in zip(eval_zeta(model, z), series_oracle(model, z)):
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@SETTINGS
+@given(models)
+def test_coefficients_match_the_oracle_and_cache_nothing(model):
+    # every read is one series division of P by Q; none is stored
+    state = {key: list(value) if isinstance(value, list) else value
+             for key, value in vars(model).items()}
+    want = oracle.coefficients(model.P, model.Q, 71)
+    for count in range(71):
+        assert model.coefficients(count) == want[:count]
+    assert [model.coefficient(k) for k in range(-2, 71)] == [0, 0] + want
+    assert vars(model) == state

@@ -57,8 +57,7 @@ def mp_zeta(model, z, terms=600):
     top = model.n_max + 1 if model.n_max is not None else terms
     s0 = s1 = mp.mpf(0)
     power, lower = mp.mpf(1), mp.mpf(0)  # z**k and z**(k - 1)
-    for k in range(top):
-        a = model.coefficient(k)
+    for k, a in enumerate(model.coefficients(top)):
         if a:
             s0 += a * power
             s1 += a * k * lower
