@@ -9,6 +9,7 @@ Python 3.11, where each matched measured times within 2x either way.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import InfeasibleSizeError
@@ -29,8 +30,18 @@ def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
     distinct = {spec.mirrored_cut: spec for spec in specs}
     _refuse_above_budget(
         f"exact sums of {len(distinct)} distinct cut(s)",
-        lambda: sum(exact_work_seconds(model, spec, want_variance)
-                    for spec in distinct.values()))
+        lambda: _exact_request_seconds(model, distinct.values(),
+                                       want_variance))
+
+
+def _exact_request_seconds(model: LocalModel, specs,
+                           want_variance: bool) -> float:
+    """The sum of `exact_work_seconds` over `specs`, bit for bit, with each
+    `_dim_bits_bound` built once per distinct argument (a page sweep asks
+    for the same few at every cut)."""
+    bound = functools.cache(functools.partial(_dim_bits_bound, model))
+    return sum(_cut_work_seconds(model, spec, want_variance, bound)
+               for spec in specs)
 
 
 def check_labeled_work(V: int, N: int) -> None:
@@ -47,12 +58,15 @@ def check_table_work(model: LocalModel, tables, rows: int = 0,
     """Refuse building the dimension tables `tables`, (V, N_cap) pairs, up
     front: raises InfeasibleSizeError if their `_table_work_seconds`, plus
     `_render_seconds` for printing `rows` entries of them (`_JSON_FACTOR`
-    times that as JSON), exceed BUDGET_S."""
+    times that as JSON), exceed BUDGET_S.  The two share one
+    `_dim_bits_bound`."""
     factor = _JSON_FACTOR if as_json else 1.0
-    printing = [(lambda: factor * _render_seconds(model, tables, rows),
+    bound = functools.cache(functools.partial(_dim_bits_bound, model))
+    printing = [(lambda: factor * _render_seconds(tables, rows, bound),
                  f"to print {rows} rows")] if rows else []
     _refuse_above_budget("dimension tables",
-                         lambda: _table_work_seconds(model, tables), *printing)
+                         lambda: _table_work_seconds(model, tables, bound),
+                         *printing)
 
 
 def check_run_work(blocks, n_samples: int) -> None:
@@ -94,11 +108,19 @@ def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     a `page` sweep steps them from cut to cut and evaluates mirrored blocks
     once at 2N = V n_max and at V_A = V/2, so its cuts cost less.
     """
+    return _cut_work_seconds(model, spec, want_variance,
+                             functools.partial(_dim_bits_bound, model))
+
+
+def _cut_work_seconds(model: LocalModel, spec, want_variance: bool,
+                      bound) -> float:
+    """`exact_work_seconds`, with bound(N) standing for _dim_bits_bound(
+    model, N)."""
     n_a_values = spec.n_a_range(model.n_max)
     if spec.V_A in (0, spec.V) or not n_a_values:
         return 0.0
-    seconds = _table_work_seconds(model, spec.tables(model.n_max))
-    words = _dim_bits_bound(model, spec.N)(spec.V, spec.N) / 64.0
+    seconds = _table_work_seconds(model, spec.tables(model.n_max), bound)
+    words = bound(spec.N)(spec.V, spec.N) / 64.0
     per_block = _block_seconds(words)
     blocks = n_a_values.stop - n_a_values.start  # len() stops at 2^63
     return seconds + blocks * per_block * (2.5 if want_variance else 1.0)
@@ -133,14 +155,15 @@ def _block_seconds(words: float) -> float:
     return 4e-6 + 2.5e-8 * words ** 1.6
 
 
-def _table_work_seconds(model: LocalModel, tables) -> float:
+def _table_work_seconds(model: LocalModel, tables, bound) -> float:
     """Estimated run time of `dim_table` over `tables`, (V, N_cap) pairs.
 
     Each table takes N_eff * (reach + 2) big-int steps of 0.35 us + 4 ns
     per 64-bit word, reach = min(deg PQ, N_eff) (calibrated with
-    `exact_work_seconds`).
+    `exact_work_seconds`), bound(N) standing for _dim_bits_bound(model,
+    N).
     """
-    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
+    bits = bound(max(cap for _, cap in tables))
     deg_pq = len(model.P) + len(model.Q) - 2
     seconds = 0.0
     for sites, cap in tables:
@@ -150,14 +173,14 @@ def _table_work_seconds(model: LocalModel, tables) -> float:
     return seconds
 
 
-def _render_seconds(model: LocalModel, tables, rows: int) -> float:
+def _render_seconds(tables, rows: int, bound) -> float:
     """Estimated time to build and print `rows` CSV rows (N, d_N) of the
     tables: 4 us + 0.6 us * w + 7.5 ns * w^2 a row for w-word entries, w
     taken from the largest table's bound, since decimal conversion is
-    superlinear in w.  Calibrated with entries of 1 to 190 words; `dims`
-    for bosons V=4, N=1e6 took 6.0 s against 5.6 s estimated, tables
-    included."""
-    bits = _dim_bits_bound(model, max(cap for _, cap in tables))
+    superlinear in w, bound(N) standing for _dim_bits_bound(model, N).
+    Calibrated with entries of 1 to 190 words; `dims` for bosons V=4,
+    N=1e6 took 6.0 s against 5.6 s estimated, tables included."""
+    bits = bound(max(cap for _, cap in tables))
     words = max(bits(sites, cap) for sites, cap in tables) / 64.0
     return rows * (4e-6 + 6e-7 * words + 7.5e-9 * words ** 2)
 

@@ -26,19 +26,58 @@ in d_A, d_B and `math.fsum` is correctly rounded, so block order cannot
 matter), and the sector's distinct cuts min(V_A, V - V_A) are swept in
 ascending order: a cut one site past the previous one steps that cut's
 two dimension tables by one factor of zeta = P/Q each (exact series
-products and quotients), instead of building them anew.  At
-2N = V n_max the block list of a palindromic P (fermions, spin_j, capped
-bosons) reads the same backwards, which is checked on the list itself,
-and at V_A = V/2 block N - N_A is block N_A with its sides swapped; then
-each mirrored pair of blocks is evaluated once and its terms summed
-twice, which fsum's correct rounding leaves bit-identical.  Within
-a cut each product d_A d_B is formed once, as a weight summed into the
-d_N the block kernel is given, and Psi, Psi' of d_N + 1 and of a block's
-larger side come from one evaluation each.  The saddle solutions at n
-and n* depend on the filling alone and are solved once.  The asymptotic
-columns are evaluated once per mirrored cut too, at the correctly
-rounded fraction min(V_A, V - V_A) / V (one int / int true division),
-which the two cuts share; 1 - fl(V_A / V) would cancel as V_A nears V.
+products and quotients), instead of building them anew, and reads its
+blocks from them by index.  At 2N = V n_max the tables of a palindromic
+P (fermions, spin_j, capped bosons) read the same backwards over the
+cut's N_A, which is checked on the tables themselves, and at V_A = V/2
+block N - N_A is block N_A with its sides swapped; then each mirrored
+pair of blocks is evaluated once and its terms summed twice, which
+fsum's correct rounding leaves bit-identical.  d_N and Psi, Psi' of
+d_N + 1 are taken once per sector, from the weights of its first cut.
+The saddle solutions at n and n* depend on the filling alone and are
+solved once.  The asymptotic columns are evaluated once per mirrored
+cut too, at the correctly rounded fraction min(V_A, V - V_A) / V (one
+int / int true division), which the two cuts share; 1 - fl(V_A / V)
+would cancel as V_A nears V.
+
+A swept cut forms each weight w = d_A d_B once but evaluates only the
+blocks of its window, w > w_max / 2^64 (`_WINDOW_BITS`): the weights
+form a law of width O(sqrt(V_A)) in N_A, so at large cuts most blocks
+add far less than an ulp.  The window's sums stand only under a
+certificate that they are the sums over all blocks, bit for bit.  Let
+M = (d_N - sum of the kept w) / d_N (an exact big-int difference, one
+true division), phi_max = ln(d_N + 1) + 1, b the cut's number of
+blocks (mirrored ones counted twice), and
+
+    B = (M (1 + 2^-40) + b 2^-1070) phi_max.
+
+Every left-out term lies in [-B, B] all told, so if fsum(kept + [B])
+and fsum(kept + [-B]) both equal fsum(kept), the full sum rounds to
+the same double: fsum rounds correctly, hence monotonically, and the
+test is two-sided, so no sign of a term is needed.  With the variance
+the square terms pass the same test with phi_max^2 + 3 in place of
+phi_max; the numerator is fsum(squares) - mean^2 of the two certified
+sums.  Otherwise the threshold drops by 16 bits (`_WIDEN_BITS`) and only
+the newly kept blocks are evaluated; at the end that is every block.
+The bounds, for big = max(d_A, d_B) <= d_N and small = min(d_A, d_B):
+
+- |phi| <= phi_max: 0 <= Psi(d_N + 1) - Psi(big + 1) < ln(d_N + 1), as
+  Psi increases, Psi(2) > 0 and Psi(x) < ln x; and 0 <= (small - 1) /
+  (2 big) < 1/2.
+- |phi^2 + chi| <= phi_max^2 + 3: with Psi'(x + 1) < 1/x, big
+  Psi'(big + 1) <= 1, so chi's first term (small + big) / big times it
+  is at most 2; (d_N + 1) Psi'(d_N + 1) <= 2, as Psi'(x) < 1/x + 1/x^2;
+  and s1 (s1 + b2) / b2^2 < 3/4, as s1 / b2 < 1/2 (`_phi`).  The
+  branches past 900 bits take 1.0 for the two products, inside these
+  bounds too.
+- Rounding: each term is fl(fl(w / d_N) x) with |x| below the bound
+  above by at least 1/2, far more than the float error of Psi; the
+  2^-40 covers the relative roundings of rho, of each product and of M
+  and B, and the b 2^-1070 the absolute error (up to 2^-1075 each) of a
+  rho or product that underflows.
+
+Labeled particles stream their N + 1 blocks through the same kernel with
+no window (`distinguishable_exact_average`).
 
 A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
 sampler and the run-time estimate.  The per-cut value records are named
@@ -48,6 +87,7 @@ tuples, cheap to build once per cut of a long page curve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import erfc
@@ -69,6 +109,21 @@ KRONECKER_TOL = 1e-12
 # (one V_A = 1 table took 19 MB at V = 2e4 and 74 MB at V = 4e4), while
 # the budget estimates those cuts at only 0.05 s and 0.17 s.
 _EXACT_V_LIMIT = 4000
+
+# A cut's exact sums first evaluate only the blocks whose weight d_A d_B
+# exceeds 2^-64 of the cut's largest: each term left out is then below
+# 2^-64 of the largest one, 11 bits under the 53 of a double, so the
+# certificate (module docstring) nearly always holds at once, while at
+# large V_A most blocks lie further out than that.
+_WINDOW_BITS = 64
+
+# Each failed certificate lowers the threshold by this many bits.
+_WIDEN_BITS = 16
+
+# A term whose rho or product is subnormal carries an absolute rounding
+# error of up to 2^-1075 rather than a relative one; this much per block
+# (times phi_max) covers it in the certificate's bound.
+_UNDERFLOW_SLACK = 2.0 ** -1070
 
 _TWO_PI = 2.0 * math.pi
 
@@ -265,50 +320,125 @@ def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
     sums = {}
     for (V, N), cuts in sectors.items():
         tables = {}  # sites -> its table, for the two sides of the last cut
+        sector = None  # (d_N, its polygammas, phi_max), from the first cut
         for V_A in sorted(cuts):
-            pairs = [(d_a, d_b) for _, d_a, d_b in
-                     BipartitionSpec(V, N, V_A).blocks(model, table)]
+            spec = BipartitionSpec(V, N, V_A)
+            n_a_values = spec.n_a_range(model.n_max)
+            if not n_a_values:
+                raise _empty_sector(V, N, model)
+            table_a, table_b = (table(model, *args)
+                                for args in spec.tables(model.n_max))
             tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
+            lo, hi = n_a_values.start, n_a_values.stop - 1
             # the leading blocks also stand for their mirror images where
             # block N - N_A is block N_A swapped (V_A = V/2) or the same (a
-            # palindromic list, from a palindromic P at 2N = V n_max)
-            twice = 0
-            if 2 * V_A == V or all(pairs[i] == pairs[~i]
-                                   for i in range(len(pairs) // 2)):
-                twice = len(pairs) // 2
-            blocks = [(d_a * d_b, d_a, d_b) for d_a, d_b
-                      in pairs[:len(pairs) - twice]]
-            d_n = sum(w for w, _, _ in blocks + blocks[:twice])
-            mean, numerator = _block_sums(blocks, d_n, twice, want_variance)
-            sums[V, N, V_A] = (mean, _variance_estimate(numerator, d_n)
+            # palindromic table pair, from a palindromic P at 2N = V n_max)
+            twice = len(n_a_values) // 2
+            side_a, side_b = table_a[lo:hi + 1], table_b[N - hi:N - lo + 1]
+            if 2 * V_A != V and (side_a != side_a[::-1]
+                                 or side_b != side_b[::-1]):
+                twice = 0
+            weights = [table_a[n_a] * table_b[N - n_a]
+                       for n_a in range(lo, hi + 1 - twice)]
+            if sector is None:
+                d_n = sum(weights) + sum(weights[:twice])
+                if not d_n:
+                    raise _empty_sector(V, N, model)
+                sector = (d_n, _polygammas(d_n, want_variance),
+                          ln_big(d_n + 1) + 1.0)
+            mean, numerator = _window_sums(weights, table_a, table_b, lo, N,
+                                           twice, *sector)
+            sums[V, N, V_A] = (mean, _variance_estimate(numerator, sector[0])
                                if want_variance else None)
-            del pairs, blocks  # freed before the next sector's tables
+            # freed before the next sector's tables
+            del table_a, table_b, side_a, side_b, weights
     return sums
 
 
-def _block_sums(blocks, d_n: int, twice: int, want_variance: bool):
-    """(mean, variance numerator) of the `blocks`, (weight, d_A, d_B), read
-    once in order (a generator will do), the first `twice` of them counted
-    twice (fsum's correct rounding makes that the full list's sum bit for
-    bit); d_n is the caller's sum of all weights, so rho = weight / d_n."""
+def _window_sums(weights, table_a, table_b, lo: int, N: int, twice: int,
+                 d_n: int, polygammas, phi_max: float):
+    """(mean, variance numerator) of one cut, whose evaluated block i has
+    d_A = table_a[lo + i], d_B = table_b[N - lo - i] and the weight
+    weights[i] (0 for an empty block), the first `twice` counted twice:
+    the sums of the blocks above the window's threshold, which widens
+    until the certificate holds (module docstring)."""
+    w_max = max(weights)
+    blocks = len(weights) + twice
+    variance = polygammas[1] is not None
+    mean_terms, square_terms = [], []
+    rest = d_n  # d_N minus the kept weights, each as often as it counts
+    above, shift = w_max, _WINDOW_BITS
+    while True:
+        floor = w_max >> shift
+        new = [i for i, w in enumerate(weights) if floor < w <= above]
+        doubled = bisect_left(new, twice)
+        mean_new, square_new = _block_terms(
+            ((weights[i], table_a[lo + i], table_b[N - lo - i]) for i in new),
+            d_n, doubled, *polygammas)
+        mean_terms += mean_new
+        square_terms += square_new
+        rest -= sum(weights[i] for i in new) + sum(weights[i]
+                                                  for i in new[:doubled])
+        slack = (rest / d_n * (1.0 + 2.0 ** -40) + blocks * _UNDERFLOW_SLACK
+                 if rest else 0.0)
+        mean = _settled(mean_terms, slack * phi_max)
+        squares = (_settled(square_terms, slack * (phi_max * phi_max + 3.0))
+                   if variance else 0.0)
+        if mean is not None and squares is not None:
+            return mean, (squares - mean * mean if variance else 0.0)
+        above, shift = floor, shift + _WIDEN_BITS
+
+
+def _settled(terms: list, bound: float) -> Optional[float]:
+    """fsum(terms), or None where adding some value in [-bound, bound] to
+    their exact sum would round to another double (fsum rounds correctly,
+    hence monotonically, so the two ends decide)."""
+    total = math.fsum(terms)
+    if bound and not (math.fsum([*terms, bound]) == total
+                      == math.fsum([*terms, -bound])):
+        return None
+    return total
+
+
+def _polygammas(d_n: int, want_variance: bool) -> tuple:
+    """(Psi(d_N + 1), (d_N + 1) Psi'(d_N + 1) or None without the variance)
+    of a sector, for `_block_terms`."""
     psi_n, trigamma = polygamma_of_dim(d_n)
-    trigamma_n = None
-    if want_variance:  # (d_N + 1) Psi'(d_N + 1), whose limit is 1
-        trigamma_n = (float(d_n + 1) * trigamma if d_n.bit_length() <= 900
-                      else 1.0)
+    if not want_variance:
+        return psi_n, None
+    # (d_N + 1) Psi'(d_N + 1), whose limit is 1
+    return psi_n, (float(d_n + 1) * trigamma if d_n.bit_length() <= 900
+                   else 1.0)
+
+
+def _block_terms(blocks, d_n: int, twice: int, psi_n: float,
+                 trigamma_n: Optional[float]) -> tuple[list, list]:
+    """The mean terms rho phi and, given trigamma_n (see `_phi`), the square
+    terms rho (phi^2 + chi) of the `blocks`, (weight, d_A, d_B), read once
+    in order (a generator will do), those of the first `twice` listed
+    twice; rho = weight / d_n."""
     mean_terms = []
     square_terms = []
     for weight, d_a, d_b in blocks:
         rho = weight / d_n
         phi, chi = _phi(d_a, d_b, psi_n, trigamma_n)
         mean_terms.append(rho * phi)
-        if want_variance:
+        if trigamma_n is not None:
             square_terms.append(rho * (phi * phi + chi))
-    mean_terms += mean_terms[:twice]
-    square_terms += square_terms[:twice]
+    return (mean_terms + mean_terms[:twice],
+            square_terms + square_terms[:twice])
+
+
+def _block_sums(blocks, d_n: int, twice: int, want_variance: bool):
+    """(mean, variance numerator) of all the `blocks`, (weight, d_A, d_B),
+    read once in order (a generator will do), the first `twice` of them
+    counted twice (fsum's correct rounding makes that the full list's sum
+    bit for bit); d_n is the caller's sum of all weights."""
+    mean_terms, square_terms = _block_terms(
+        blocks, d_n, twice, *_polygammas(d_n, want_variance))
     mean = math.fsum(mean_terms)
-    numerator = math.fsum(square_terms) - mean * mean if want_variance else 0.0
-    return mean, numerator
+    return mean, (math.fsum(square_terms) - mean * mean if want_variance
+                  else 0.0)
 
 
 def _phi(d_a: int, d_b: int, psi_n: float,
@@ -507,7 +637,8 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
                         n: float) -> AsymptoticVariance:
     """Leading-order variance: prefactor * V^(3/2) * exp(-beta V).
 
-    The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2.
+    The shape factor f(1-f) is reduced by 1/(2 pi) exactly at f = 1/2;
+    the prefactor is divided by the model's period g.
     Returned with the log side channel since the value underflows quickly.
     """
     return _asymptotic_variance(_Saddles(model), V, f, n)
@@ -519,8 +650,11 @@ def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
     sol = saddles.at(n, "asymptotic_variance")
     at_half = abs(f - 0.5) < KRONECKER_TOL
     shape = f * (1.0 - f) - (1.0 / _TWO_PI if at_half else 0.0)
+    # the variance goes as 1/d_N, and a model of period g has g saddle
+    # points, so g times the one-saddle d_N (`beta_family`)
     prefactor = (math.sqrt(_TWO_PI) * sol.beta1 * sol.beta1
-                 / abs(sol.beta2) ** 1.5 * shape * V ** 1.5)
+                 / abs(sol.beta2) ** 1.5 * shape * V ** 1.5
+                 / saddles.model.period)
     exponent = -sol.beta * V
     if prefactor > 0.0:
         log_value = math.log(prefactor) + exponent

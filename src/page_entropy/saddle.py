@@ -33,7 +33,10 @@ class SaddleSolution:
     """beta family at one filling: beta and its first two n-derivatives.
 
     beta1 = -ln z0 and beta2 = -z0'/z0 in closed form; alpha is the
-    prefactor sqrt(-beta2 / 2 pi) of the leading dimension asymptotics.
+    prefactor g sqrt(-beta2 / 2 pi) of the leading dimension asymptotics,
+    g the model's `period`: a model of period g has g saddle points on the
+    circle |z| = z0, each adding the same share to [z^N] zeta^V (Flajolet
+    & Sedgewick, Analytic Combinatorics (2009), VIII.8).
     At a support boundary (n -> 0 or n -> n_max) the derivatives diverge:
     the record carries the analytic beta value, signed infinities, and
     at_boundary=True.
@@ -107,7 +110,7 @@ def beta_family(model: LocalModel, n: float) -> SaddleSolution:
     ratio = f1 / f
     psi2 = n / (z0 * z0) + f2 / f - ratio * ratio
     beta2 = -1.0 / (z0 * z0 * psi2)
-    alpha = math.sqrt(max(-beta2, 0.0) / (2.0 * math.pi))
+    alpha = model.period * math.sqrt(max(-beta2, 0.0) / (2.0 * math.pi))
     return SaddleSolution(n=n, z0=z0, beta=beta, beta1=beta1, beta2=beta2,
                           alpha=alpha)
 

@@ -18,10 +18,10 @@ from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
                                   exact_average, resolve_x1, resolve_x2,
                                   resolved_average, x1_powerlaw, x2_powerlaw)
 from page_entropy.errors import DomainError, NumericalError, checked
-from page_entropy.local_model import catalog
+from page_entropy.local_model import LocalModel, catalog
 from page_entropy.numerics import erfcx, exp_times_erfc
 from page_entropy.saddle import asymptotic_form, beta_family, ln_dim_asymptotic
-from test_local_model_properties import SETTINGS
+from test_local_model_properties import SETTINGS, models
 
 TWO_PI = 2.0 * math.pi
 
@@ -533,3 +533,39 @@ def test_every_public_asymptotic_form_carries_the_one_guard():
     assert {name for name in takes_numbers - guarded
             if exports[name].__code__ is not check} == {
         "build_sector_basis", "distinguishable_exact_average"}
+
+
+def _spread(model: LocalModel, g: int) -> LocalModel:
+    """P(z^g) / Q(z^g): the model whose charges are g times those of
+    `model`."""
+    def spread(coeffs):
+        out = [0] * (g * (len(coeffs) - 1) + 1)
+        out[::g] = coeffs
+        return out
+    return LocalModel(f"{model.label}^{g}", spread(model.P), spread(model.Q))
+
+
+@example(LocalModel("fermions", [1, 1]), 2, 0.5, 0.25)  # P = 1 + z^2
+@example(LocalModel("random", [1, 2, 3], [1, -1]), 3, 0.6, 0.4)
+@example(LocalModel("random", [2, 0, 1, 1], [1, -2]), 2, 0.1, 0.5)
+@SETTINGS
+@given(models.filter(lambda model: model.period == 1), st.sampled_from([2, 3]),
+       st.floats(0.05, 0.95), st.floats(0.05, 0.5))
+def test_periodic_models_carry_their_factor_g(model, g, u, f):
+    # the sector g N of P(z^g)/Q(z^g) is the sector N of P/Q relabeled, so
+    # with the factor g of its g saddle points alpha, ln_dim_asymptotic and
+    # asym_var are those of P/Q at filling n
+    periodic = _spread(model, g)
+    assert periodic.period == g
+    n = u * model.n_max if model.n_max else 4.0 * u
+    V = 100.0
+    base = beta_family(model, n)
+    assert math.isclose(beta_family(periodic, g * n).alpha, base.alpha,
+                        rel_tol=1e-10)
+    assert math.isclose(ln_dim_asymptotic(periodic, V, g * n),
+                        ln_dim_asymptotic(model, V, n), rel_tol=1e-10)
+    if abs(base.beta1) > 1e-3:  # beta1^2 is accurate to 1e-10 relative
+        got = asymptotic_variance(periodic, V, f, g * n)
+        want = asymptotic_variance(model, V, f, n)
+        assert math.isclose(got.prefactor, want.prefactor, rel_tol=1e-10)
+        assert math.isclose(got.value, want.value, rel_tol=1e-10)

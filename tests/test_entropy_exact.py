@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -358,6 +359,45 @@ def test_estimate_counts_each_mirrored_pair_once():
     check_exact_work(fermions, sweep + sweep[::-1], want_variance=False)
     with pytest.raises(InfeasibleSizeError, match="2001 distinct"):
         check_exact_work(fermions, sweep, want_variance=True)  # ~123 s
+
+
+def test_checked_estimate_is_the_plain_sum_and_builds_each_bound_once(
+        monkeypatch):
+    # check_exact_work builds each _dim_bits_bound once per distinct
+    # argument within one call, and its total is still the plain sum of
+    # exact_work_seconds over the distinct cuts, bit for bit
+    rng = random.Random(7)
+    requests = []
+    for model in (catalog("fermions"), catalog("bosons"),
+                  catalog("spin_j", 1), catalog("capped_bosons", 3)):
+        for V, N in ((40, 20), (400, 200), (300, 500), (4000, 2000)):
+            every = range(V + 1)
+            for cuts in (every, rng.sample(every, 5), [V // 2, V // 2]):
+                specs = [BipartitionSpec(V, N, v_a) for v_a in cuts]
+                requests += [(model, specs, False), (model, specs, True)]
+    for model, specs, want_variance in requests:
+        distinct = {spec.mirrored_cut: spec for spec in specs}.values()
+        plain = sum(exact_work_seconds(model, spec, want_variance)
+                    for spec in distinct)
+        assert budget._exact_request_seconds(model, distinct,
+                                             want_variance) == plain
+    built = Counter()
+    real = budget._dim_bits_bound
+
+    def counted(model, N):
+        built[N] += 1
+        return real(model, N)
+    monkeypatch.setattr(budget, "_dim_bits_bound", counted)
+    # spin-1 at N = 500 on 300 sites: the larger table cap moves with the
+    # cut, so the 151 distinct cuts ask for many distinct bounds
+    sweep = [BipartitionSpec(300, 500, v_a) for v_a in range(301)]
+    check_exact_work(catalog("spin_j", 1), sweep, want_variance=True)
+    assert 10 < len(built) < 151
+    assert set(built.values()) == {1}
+    # the table and printing estimates of `dims` share one bound too
+    built.clear()
+    budget.check_table_work(catalog("bosons"), ((4, 1000),), rows=1001)
+    assert built == Counter({1000: 1})
 
 
 REQUEST_METHODS = (
