@@ -134,8 +134,13 @@ def cut_seconds(columns: int, as_json: bool) -> float:
     """Estimated run time of one cut of a request apart from its exact sums:
     the cut, its saddle-based columns and the printing of `columns` values,
     12 us + 7 us a column, `_JSON_FACTOR` times that as JSON.  `page` sweeps
-    at V = 1e5 took 17-34 us a cut (CSV) and 36-69 us (JSON) with 1 to 3
-    columns on fermions, bosons and spin-1."""
+    at V = 2e4 took 11-18 us a cut (CSV) and 36-65 us (JSON) with 1 to 3
+    columns on fermions, bosons and spin-1 (in-process, best of 7): the
+    asymptotic columns are evaluated once per mirrored pair of cuts, from
+    constants solved once per sector, and a CSV row of numbers is one %
+    format.  So CSV is priced about 2x high.  It is not re-fit yet: this
+    estimate is also the only bound on the rows a sweep buffers before it
+    prints them (about 0.8 KB a cut as CSV), until rows are streamed."""
     return (1.2e-5 + 7e-6 * columns) * (_JSON_FACTOR if as_json else 1.0)
 
 

@@ -454,9 +454,30 @@ def render_csv(result) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(result["header"])
-    for row in result["rows"]:
-        writer.writerow([_format_cell(cell) for cell in row])
-    return buffer.getvalue()
+    rows = result["rows"]
+    line = _line_format(rows)
+    if line is None:
+        for row in rows:
+            writer.writerow([_format_cell(cell) for cell in row])
+        return buffer.getvalue()
+    return buffer.getvalue() + "".join([line % tuple(row) for row in rows])
+
+
+# a column of only ints or only floats -> its cell's % format, the same
+# text as `_format_cell`, which no CSV quoting can change
+_COLUMN_FORMATS = {frozenset((int,)): "%d", frozenset((float,)): "%.17g"}
+
+
+def _line_format(rows):
+    """The % format of one CSV line of `rows` if each column holds only
+    int or only float cells (by exact type: a bool or numpy scalar is
+    neither), else None."""
+    try:
+        formats = [_COLUMN_FORMATS.get(frozenset(map(type, column)))
+                   for column in zip(*rows, strict=True)]
+    except ValueError:  # rows of unequal length
+        return None
+    return None if None in formats else ",".join(formats) + "\n"
 
 
 def render_json(result) -> str:

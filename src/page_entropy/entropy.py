@@ -34,11 +34,18 @@ block N - N_A is block N_A with its sides swapped; then each mirrored
 pair of blocks is evaluated once and its terms summed twice, which
 fsum's correct rounding leaves bit-identical.  d_N and Psi, Psi' of
 d_N + 1 are taken once per sector, from the weights of its first cut.
-The saddle solutions at n and n* depend on the filling alone and are
-solved once.  The asymptotic columns are evaluated once per mirrored
-cut too, at the correctly rounded fraction min(V_A, V - V_A) / V (one
-int / int true division), which the two cuts share; 1 - fl(V_A / V)
-would cancel as V_A nears V.
+
+The asymptotic columns of a sector are one page curve (`_SectorCurve`):
+on its first nontrivial cut it solves the constants its columns share,
+each once (the saddle solutions at n and n*, sqrt(V), V^1.5, the f = 1/2
+deficit, the variance head and exponent, the X1 and X2 arguments), and
+then evaluates each mirrored cut once, at the correctly rounded fraction
+f = min(V_A, V - V_A) / V (one int / int true division), which the two
+cuts share with one log1p(-f); 1 - fl(V_A / V) would cancel as V_A
+nears V.  Every constant is the left-to-right prefix of the expression
+it stands in, so a cut of the curve and the one-cut functions
+(`asymptotic_terms`, `resolved_average`, `asymptotic_variance`, each a
+curve of one cut) agree bit for bit.
 
 A swept cut forms each weight w = d_A d_B once but evaluates only the
 blocks of its window, w > w_max / 2^64 (`_WINDOW_BITS`): the weights
@@ -477,22 +484,7 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
     (tolerance 1e-12); the constant picks up an extra -1/2 only at f = 1/2
     and n = n* simultaneously.
     """
-    return _asymptotic_terms(_Saddles(model), V, f, n)
-
-
-def _asymptotic_terms(saddles: _Saddles, V: float, f: float,
-                      n: float) -> AsymptoticTerms:
-    f = _normalized_fraction(f)
-    sol = saddles.at(n, "asymptotic_terms")
-    at_half = abs(f - 0.5) < KRONECKER_TOL
-    star = saddles.star
-    at_star = star is not None and abs(n - star) < KRONECKER_TOL
-    a = sol.beta * f
-    b = -abs(sol.beta1) / math.sqrt(_TWO_PI * abs(sol.beta2)) if at_half else 0.0
-    c = 0.5 * (f + math.log1p(-f) - (1.0 if at_half and at_star else 0.0))
-    value = a * V + b * math.sqrt(V) + c
-    return AsymptoticTerms(a=a, b=b, c=c, value=value,
-                           at_half_f=at_half, at_n_star=at_star)
+    return _one_cut(model, V, f, n, "asymptotic")
 
 
 def asymptotic_average(model: LocalModel, spec: BipartitionSpec) -> float:
@@ -509,21 +501,8 @@ def resolved_average(model: LocalModel, V: float, f: float, n: float) -> float:
     through f = 1/2 (sqrt(V) deficit) and n = n* (extra -1/2); valid for
     all 0 < f < 1 at moderate V.
     """
-    return _resolved_average(_Saddles(model), V, f, n)
-
-
-def _resolved_average(saddles: _Saddles, V: float, f: float,
-                      n: float) -> float:
-    if V < 4:
-        raise DomainError("resolved_average needs V >= 4")
-    f = _normalized_fraction(f)
-    sol = saddles.at(n, "resolved_average")
-    value = sol.beta * f * V + 0.5 * (f + math.log1p(-f))
-    if sol.beta1 != 0.0:
-        value += _resolve_x2(saddles, V, f, n)
-    if saddles.star is not None:
-        value -= 0.5 * _resolve_x1(saddles, V, f, n)
-    return value
+    _refuse_small(V)
+    return _one_cut(model, V, f, n, "resolved")
 
 
 # -- Kronecker-delta resolution kernels -------------------------------------
@@ -560,11 +539,8 @@ def _x2_kernel(V: float, df: float, beta: float, ab1: float,
 @asymptotic_form
 def resolve_x1(model: LocalModel, V: float, f: float, n: float) -> float:
     """Double-delta crossover factor X1 in [0, 1] at the physical scaling."""
-    return _resolve_x1(_Saddles(model), V, _normalized_fraction(f), n)
-
-
-def _resolve_x1(saddles: _Saddles, V: float, f: float, n: float) -> float:
-    star, sol_star = saddles.peak()
+    f = _normalized_fraction(f)
+    star, sol_star = _Saddles(model).peak()
     return _x1_kernel((f - 0.5) * V, (n - star) * math.sqrt(V),
                       sol_star.beta, abs(sol_star.beta2))
 
@@ -576,11 +552,7 @@ def resolve_x2(model: LocalModel, V: float, f: float, n: float) -> float:
     Undefined where beta'(n) = 0 (i.e. exactly at n*): the kernel divides
     by |beta'|; callers there are on the delta itself.
     """
-    return _resolve_x2(_Saddles(model), V, f, n)
-
-
-def _resolve_x2(saddles: _Saddles, V: float, f: float, n: float) -> float:
-    sol = saddles.at(n, "resolve_x2")
+    sol = _Saddles(model).at(n, "resolve_x2")
     if sol.beta1 == 0.0:
         raise NumericalError("X2 is undefined at beta'(n) = 0 (n = n*)")
     return _x2_kernel(V, abs(_normalized_fraction(f) - 0.5), sol.beta,
@@ -641,29 +613,7 @@ def asymptotic_variance(model: LocalModel, V: float, f: float,
     the prefactor is divided by the model's period g.
     Returned with the log side channel since the value underflows quickly.
     """
-    return _asymptotic_variance(_Saddles(model), V, f, n)
-
-
-def _asymptotic_variance(saddles: _Saddles, V: float, f: float,
-                         n: float) -> AsymptoticVariance:
-    f = _normalized_fraction(f)
-    sol = saddles.at(n, "asymptotic_variance")
-    at_half = abs(f - 0.5) < KRONECKER_TOL
-    shape = f * (1.0 - f) - (1.0 / _TWO_PI if at_half else 0.0)
-    # the variance goes as 1/d_N, and a model of period g has g saddle
-    # points, so g times the one-saddle d_N (`beta_family`)
-    prefactor = (math.sqrt(_TWO_PI) * sol.beta1 * sol.beta1
-                 / abs(sol.beta2) ** 1.5 * shape * V ** 1.5
-                 / saddles.model.period)
-    exponent = -sol.beta * V
-    if prefactor > 0.0:
-        log_value = math.log(prefactor) + exponent
-        value = math.exp(log_value) if log_value > -745.0 else 0.0
-    else:
-        log_value = None
-        value = 0.0
-    return AsymptoticVariance(value=value, prefactor=prefactor,
-                              exponent=exponent, log_value=log_value)
+    return _one_cut(model, V, f, n, "asymptotic_variance")
 
 
 # -- distinguishable (labeled) particles -------------------------------------
@@ -703,6 +653,118 @@ def distinguishable_asymptotic(V: float, N: float,
     return DistinguishableTerms(c1=c1, c2=c2, c3=c3, value=value)
 
 
+# -- the page curve of one sector ---------------------------------------------
+
+# the asymptotic columns of a curve, in the order it evaluates them, each
+# with the public function that names it in a refusal
+_CURVE_COLUMNS = {"asymptotic": "asymptotic_terms",
+                  "resolved": "resolved_average",
+                  "asymptotic_variance": "asymptotic_variance"}
+
+# each column at the trivial cuts V_A = 0 and V
+_TRIVIAL_COLUMNS = (AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False, False), 0.0,
+                    AsymptoticVariance(0.0, 0.0, 0.0, None))
+
+
+class _SectorCurve:
+    """The asymptotic columns of one sector, V sites at the filling n, over
+    its cuts: `wanted` flags them in `_CURVE_COLUMNS` order.  The first
+    `columns` call solves the constants of the wanted columns, each once;
+    a request whose cuts are all trivial solves nothing."""
+
+    def __init__(self, saddles: _Saddles, V, n: float, wanted):
+        self.saddles, self.V, self.n, self.wanted = saddles, V, n, wanted
+        self.solved = False
+
+    def _solve(self) -> None:
+        """Refuse V < 4 for `resolved` and a filling on the boundary, in
+        column order (the boundary named by the first wanted column's
+        public function), then solve the wanted columns' constants."""
+        asymptotic, resolved, variance = self.wanted
+        self.v = v = float(self.V)  # past the float range: OverflowError
+        for (key, where), wanted in zip(_CURVE_COLUMNS.items(),
+                                        self.wanted):
+            if wanted:
+                if key == "resolved":
+                    _refuse_small(v)
+                sol = self.saddles.at(self.n, where)
+        if asymptotic or resolved:
+            self.beta, self.root_v = sol.beta, math.sqrt(v)
+            star = self.saddles.star
+        if asymptotic:
+            self.at_star = (star is not None
+                            and abs(self.n - star) < KRONECKER_TOL)
+            # b, the sqrt(V) coefficient at f = 1/2
+            self.deficit = (-abs(sol.beta1)
+                            / math.sqrt(_TWO_PI * abs(sol.beta2)))
+        if resolved:
+            self.x2 = ((sol.beta, abs(sol.beta1), abs(sol.beta2))
+                       if sol.beta1 != 0.0 else None)
+            self.x1 = None
+            if star is not None:
+                sol_star = self.saddles.at(star)
+                self.x1 = ((self.n - star) * self.root_v, sol_star.beta,
+                           abs(sol_star.beta2))
+        if variance:
+            # the variance goes as 1/d_N, and a model of period g has g
+            # saddle points, so g times the one-saddle d_N (`beta_family`)
+            self.head = (math.sqrt(_TWO_PI) * sol.beta1 * sol.beta1
+                         / abs(sol.beta2) ** 1.5)
+            self.v15, self.period = v ** 1.5, self.saddles.model.period
+            self.exponent = -sol.beta * v
+        self.solved = True
+
+    def columns(self, f: float) -> list:
+        """[asymptotic, resolved, asymptotic_variance] of the cut whose
+        smaller side is the fraction f in (0, 1/2], None where not wanted."""
+        if not self.solved:
+            self._solve()
+        asymptotic, resolved, variance = self.wanted
+        at_half = abs(f - 0.5) < KRONECKER_TOL
+        out = [None, None, None]
+        if asymptotic or resolved:
+            a = self.beta * f
+            edge = f + math.log1p(-f)
+        if asymptotic:
+            b = self.deficit if at_half else 0.0
+            c = 0.5 * (edge - (1.0 if at_half and self.at_star else 0.0))
+            out[0] = AsymptoticTerms(a, b, c, a * self.v + b * self.root_v + c,
+                                     at_half, self.at_star)
+        if resolved:
+            value = a * self.v + 0.5 * edge
+            if self.x2 is not None:
+                value += _x2_kernel(self.v, abs(f - 0.5), *self.x2)
+            if self.x1 is not None:
+                value -= 0.5 * _x1_kernel((f - 0.5) * self.v, *self.x1)
+            out[1] = value
+        if variance:
+            shape = f * (1.0 - f) - (1.0 / _TWO_PI if at_half else 0.0)
+            prefactor = self.head * shape * self.v15 / self.period
+            log_value, value = None, 0.0
+            if prefactor > 0.0:
+                log_value = math.log(prefactor) + self.exponent
+                if log_value > -745.0:
+                    value = math.exp(log_value)
+            out[2] = AsymptoticVariance(value, prefactor, self.exponent,
+                                        log_value)
+        return out
+
+
+def _one_cut(model: LocalModel, V: float, f: float, n: float, column: str):
+    """The `column` (a `_CURVE_COLUMNS` key) of the one-cut curve of `model`
+    at V, fraction f (mapped to min(f, 1 - f) first) and n."""
+    f = _normalized_fraction(f)
+    wanted = [key == column for key in _CURVE_COLUMNS]
+    curve = _SectorCurve(_Saddles(model), V, n, wanted)
+    return curve.columns(f)[wanted.index(True)]
+
+
+def _refuse_small(V: float) -> None:
+    """The resolved form's size limit."""
+    if V < 4:
+        raise DomainError("resolved_average needs V >= 4")
+
+
 # -- combined report ----------------------------------------------------------
 
 # the panel entries `report` computes, by method key
@@ -722,10 +784,11 @@ def report(model: LocalModel, specs,
     N above V n_max or not a multiple of the period), at every cut; with
     an exact method, sums
     above the budget or at V above 4000; then the asymptotic columns,
-    evaluated once per mirrored cut where it first appears, also outside
-    the float range.  Then `_exact_sums` builds tables.  Each panel of a
-    page curve equals that of its cut alone, and the mirrored cuts V_A
-    and V - V_A differ in V_A and f alone."""
+    evaluated by each sector's `_SectorCurve` once per mirrored cut where
+    it first appears, also outside the float range.  Then `_exact_sums`
+    builds tables.  Each panel of a page curve equals that of its cut
+    alone, and the mirrored cuts V_A and V - V_A differ in V_A and f
+    alone."""
     if isinstance(methods, str):
         raise DomainError(f"report methods must be a sequence of method "
                           f"keys, got the string {methods!r}")
@@ -737,7 +800,8 @@ def report(model: LocalModel, specs,
     for spec in {(spec.V, spec.N): spec for spec in specs}.values():
         spec.refuse_empty(model)
     want_variance = "exact_variance" in methods
-    want_exact = want_variance or "exact" in methods
+    want_mean = "exact" in methods
+    want_exact = want_variance or want_mean
     if want_exact:
         budget.check_exact_work(model, specs, want_variance)
         if any(spec.V > _EXACT_V_LIMIT for spec in specs
@@ -745,50 +809,34 @@ def report(model: LocalModel, specs,
             raise InfeasibleSizeError(
                 f"exact sum limited to V <= {_EXACT_V_LIMIT}")
     saddles = _Saddles(model)
-    columns = {}  # mirrored cut -> its (asym, resolved, asym_var)
-    cuts = []  # (f, n, mirrored cut) of each spec
+    wanted = [key in methods for key in _CURVE_COLUMNS]
+    trivial = [zero if flag else None
+               for zero, flag in zip(_TRIVIAL_COLUMNS, wanted)]
+    curves = {}  # (V, N) -> its _SectorCurve
+    columns = {}  # mirrored cut -> its [asymptotic, resolved, asym_var]
+    cuts = []  # (V, N, V_A, f, n, mirrored cut) of each spec
     for spec in specs:
-        f, n, cut = spec.f, spec.n, spec.mirrored_cut
-        cuts.append((f, n, cut))
+        V, N, V_A = spec.V, spec.N, spec.V_A
+        curve = curves.get((V, N))
+        if curve is None:
+            curve = curves[V, N] = _SectorCurve(saddles, V, spec.n, wanted)
+        smaller = min(V_A, V - V_A)
+        cut = (V, N, smaller)
         if cut not in columns:
-            columns[cut] = in_float_range(lambda: _asymptotic_columns(
-                saddles, cut, n, methods), V=spec.V)
+            columns[cut] = trivial if not smaller else in_float_range(
+                lambda: curve.columns(smaller / V), V=V)
+        cuts.append((V, N, V_A, V_A / V, curve.n, cut))
     sums = _exact_sums(model, specs, want_variance) if want_exact else {}
     # a cut without sums is a boundary cut, or no exact method was asked
     no_sums = (0.0, VarianceEstimate(0.0, None, 0.0))
     reports = []
-    for spec, (f, n, cut) in zip(specs, cuts):
+    for V, N, V_A, f, n, cut in cuts:
         mean, var = sums.get(cut, no_sums)
         asym, resolved, asym_var = columns[cut]
         reports.append(EntropyReport(
-            spec.V, spec.N, spec.V_A, f, n,
-            mean if "exact" in methods else None, asym, resolved,
+            V, N, V_A, f, n, mean if want_mean else None, asym, resolved,
             var if want_variance else None, asym_var))
     return reports
-
-
-def _asymptotic_columns(saddles: _Saddles, cut: tuple[int, int, int],
-                        n: float, methods) -> list:
-    """The asymptotic, resolved and asymptotic_variance columns of `report`
-    (None where not in `methods`) of a mirrored cut (V, N, min(V_A, V -
-    V_A)) at filling n, evaluated at the correctly rounded fraction
-    min(V_A, V - V_A) / V, which the cuts V_A and V - V_A share."""
-    V, _, smaller = cut
-    kernels = {"asymptotic": _asymptotic_terms,
-               "resolved": _resolved_average,
-               "asymptotic_variance": _asymptotic_variance}
-    if not smaller:  # one side is trivial
-        zeros = {"asymptotic": AsymptoticTerms(0.0, 0.0, 0.0, 0.0, False,
-                                               False),
-                 "resolved": 0.0,
-                 "asymptotic_variance": AsymptoticVariance(0.0, 0.0, 0.0,
-                                                           None)}
-        return [zeros[key] if key in methods else None for key in kernels]
-    # float(V) before f: past the float range, smaller / V underflows
-    v = float(V)
-    f = smaller / V
-    return [kernel(saddles, v, f, n) if key in methods else None
-            for key, kernel in kernels.items()]
 
 
 # -- helpers ------------------------------------------------------------------

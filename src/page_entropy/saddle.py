@@ -152,9 +152,11 @@ def in_float_range(compute, **at):
     float or a record with a `value`, or a list of those and None."""
     try:
         result = compute()
-        values = result if isinstance(result, list) else (result,)
-        if all(math.isfinite(x if isinstance(x, float) else x.value)
-               for x in values if x is not None):
+        for x in result if isinstance(result, list) else (result,):
+            if x is not None and not math.isfinite(
+                    x if isinstance(x, float) else x.value):
+                break
+        else:  # called once per cut of a page curve: no generator
             return result
     except OverflowError:
         pass

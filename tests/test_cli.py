@@ -111,20 +111,45 @@ def test_mirrored_page_rows_share_every_value_cell(capsys, V):
 
 def test_page_evaluates_each_asymptotic_column_once_per_mirrored_cut(
         capsys, monkeypatch):
-    # the 3999 nontrivial cuts of V = 4000 are 2000 mirrored cuts
-    kernels = ("_asymptotic_terms", "_resolved_average",
-               "_asymptotic_variance")
-    calls = dict.fromkeys(kernels, 0)
-    for key in kernels:
-        def counted(*args, key=key, fn=getattr(entropy, key)):
-            calls[key] += 1
-            return fn(*args)
-        monkeypatch.setattr(entropy, key, counted)
+    # the 3999 nontrivial cuts of V = 4000 are 2000 mirrored cuts, each
+    # evaluated by one call of the sector curve's per-cut method
+    calls = []
+
+    def counted(curve, f, fn=entropy._SectorCurve.columns):
+        calls.append(f)
+        return fn(curve, f)
+    monkeypatch.setattr(entropy._SectorCurve, "columns", counted)
     code, out, _ = run_cli(capsys, "page", "--model", "spin_j:1",
                            "--V", "4000", "--n", "1", "--methods",
                            "asymptotic,resolved,asym_var")
     assert code == 0 and len(parse_csv(out)[1]) == 4001
-    assert calls == dict.fromkeys(kernels, 2000)
+    assert len(calls) == len(set(calls)) == 2000
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    # the boundary filling is named by the first requested column's function
+    ("--model bosons --V 5 --N 0 --methods asymptotic,resolved,asym_var", 2,
+     "", "asymptotic_terms is undefined at the filling boundary n=0.0"),
+    ("--model bosons --V 5 --N 0 --methods resolved,asym_var", 2, "",
+     "resolved_average is undefined at the filling boundary n=0.0"),
+    ("--model bosons --V 5 --N 0 --methods asym_var", 2, "",
+     "asymptotic_variance is undefined at the filling boundary n=0.0"),
+    # resolved's V >= 4 comes before its own boundary check, not before an
+    # earlier column's
+    ("--model fermions --V 3 --N 1 --methods resolved", 2, "",
+     "resolved_average needs V >= 4"),
+    ("--model bosons --V 3 --N 0 --methods resolved,asym_var", 2, "",
+     "resolved_average needs V >= 4"),
+    ("--model bosons --V 3 --N 0 --methods asymptotic,resolved", 2, "",
+     "asymptotic_terms is undefined at the filling boundary n=0.0"),
+    # trivial cuts alone solve nothing, so refuse nothing
+    ("--model fermions --V 3 --N 1 --VA 0,3 --methods resolved", 0,
+     "V_A,f,resolved\n0,0,0\n3,1,0\n", ""),
+])
+def test_page_asymptotic_refusals_keep_their_text_and_order(capsys, argv,
+                                                            code, out, err):
+    assert run_cli(capsys, "page", *argv.split()) == (
+        code, out, f"config error: {err}\n" if err else "")
 
 
 def test_page_method_selection_and_aliases(capsys):
@@ -1223,3 +1248,72 @@ def test_dims_prints_entries_beyond_the_int_digit_limit(capsys, tmp_path):
                 else json.loads(out)["rows"][-1]["d_N"])
         assert last == "1" + "0" * 4500
         assert sys.get_int_max_str_digits() == limit
+
+
+def _csv_writer_text(result) -> str:
+    """`result` printed by `csv.writer` with `cli._format_cell` per cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(result["header"])
+    for row in result["rows"]:
+        writer.writerow([cli._format_cell(cell) for cell in row])
+    return buffer.getvalue()
+
+
+_INTS = st.one_of(st.integers(), st.builds(  # past 4300 digits
+    lambda digits, sign: sign * (10 ** digits + 7), st.integers(4290, 4400),
+    st.sampled_from([1, -1])))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072e-308, math.inf, -math.inf,
+     math.nan]))
+_CELLS = {
+    "int": _INTS,
+    "float": _FLOATS,
+    "any": st.one_of(
+        _INTS, _FLOATS, st.none(), st.booleans(),
+        st.builds(np.float64, st.floats()),
+        st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+        st.text(st.sampled_from('ab,"\n\r '), max_size=4)),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A CSV result whose columns each draw one kind of cell: only ints,
+    only floats, or any cell at all, in rows that are lists or tuples."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=4))
+    row = draw(st.sampled_from([list, tuple]))
+    rows = [row(draw(_CELLS[kind]) for kind in kinds)
+            for _ in range(draw(st.integers(0, 5)))]
+    return {"header": [f"c{i}" for i in range(len(kinds))], "rows": rows}
+
+
+@pytest.mark.parametrize("table", [
+    {"header": ["x"], "rows": [[None]]},  # csv.writer prints ""
+    {"header": ["x"], "rows": [[1.5], [2]]},
+    {"header": ["x"], "rows": [[1.5], [-0.0], [math.nan]]},
+    {"header": [], "rows": [[], ()]},
+    {"header": ["V_A", "f"], "rows": [[True, 0.5], [2, -0.0]]},
+    {"header": ["V_A", "f"], "rows": [(np.int64(3), np.float64(0.5))]},
+    {"header": ["V_A", "f"], "rows": [(1, 0.5), (2, None)]},
+    {"header": ["N", "d_N"], "rows": [[0, 10 ** 5000], [1, -(10 ** 4301)]]},
+    {"header": ["a", "b"], "rows": []},
+])
+def test_render_csv_corners_print_what_csv_writer_prints(table):
+    _check_render_csv(table)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_tables())
+def test_render_csv_prints_what_csv_writer_prints(table):
+    _check_render_csv(table)
+
+
+def _check_render_csv(table) -> None:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as `cli._emit` prints
+    try:
+        assert cli.render_csv(table) == _csv_writer_text(table)
+    finally:
+        sys.set_int_max_str_digits(limit)

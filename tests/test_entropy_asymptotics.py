@@ -15,12 +15,14 @@ from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
                                   asymptotic_variance,
                                   distinguishable_asymptotic,
                                   distinguishable_exact_average,
-                                  exact_average, resolve_x1, resolve_x2,
-                                  resolved_average, x1_powerlaw, x2_powerlaw)
+                                  exact_average, report, resolve_x1,
+                                  resolve_x2, resolved_average, x1_powerlaw,
+                                  x2_powerlaw)
 from page_entropy.errors import DomainError, NumericalError, checked
 from page_entropy.local_model import LocalModel, catalog
 from page_entropy.numerics import erfcx, exp_times_erfc
-from page_entropy.saddle import asymptotic_form, beta_family, ln_dim_asymptotic
+from page_entropy.saddle import (asymptotic_form, beta_family,
+                                 ln_dim_asymptotic, n_star)
 from test_local_model_properties import SETTINGS, models
 
 TWO_PI = 2.0 * math.pi
@@ -131,6 +133,27 @@ def test_resolved_tracks_exact_spin1():
         r = resolved_average(m, V, v_a / V, N / V)
         e = exact_average(m, BipartitionSpec(V, N, v_a))
         assert abs(r - e) < 0.05
+
+
+@pytest.mark.parametrize("name,param", [("fermions", None), ("spin_j", 1)])
+def test_resolved_curve_meets_the_exact_sums_at_rate_one_over_v(name, param):
+    # inside the double-scaling windows V_A = V/2 + j sqrt(V) and
+    # N = V n_max / 2 + m sqrt(V), where the three-term form misses by O(1),
+    # the resolved curve's largest gap to the exact sums falls like 1/V
+    model = catalog(name, param)
+    worst = []
+    for V in (250, 1000, 4000):
+        gaps = []
+        for m in (0.0, 0.5, 1.0):
+            N = round(V * model.n_max / 2 + m * math.sqrt(V))
+            specs = [BipartitionSpec(V, N, round(V / 2 + j * math.sqrt(V)))
+                     for j in (0.0, 0.25, 0.5, 1.0, 2.0)]
+            gaps += [abs(rep.exact_mean - rep.resolved) for rep in
+                     report(model, specs, ("exact", "resolved"))]
+        worst.append(max(gaps))
+    # fermions read 2.0e-3, 5.1e-4, 1.25e-4; spin-1 9.6e-4, 2.4e-4, 5.9e-5
+    assert worst[0] < 3e-3
+    assert all(coarse >= 3.0 * fine for coarse, fine in zip(worst, worst[1:]))
 
 
 def test_x1_bounds_and_mirror_symmetry():
@@ -569,3 +592,54 @@ def test_periodic_models_carry_their_factor_g(model, g, u, f):
         want = asymptotic_variance(model, V, f, n)
         assert math.isclose(got.prefactor, want.prefactor, rel_tol=1e-10)
         assert math.isclose(got.value, want.value, rel_tol=1e-10)
+
+
+def _identical(x, y) -> bool:
+    """x and y are the same value bit for bit: floats equal with the same
+    sign (0.0 is not -0.0), records field by field, else equal."""
+    if isinstance(x, tuple):
+        return type(x) is type(y) and all(map(_identical, x, y))
+    if isinstance(x, float):
+        return (type(y) is float and x == y
+                and math.copysign(1.0, x) == math.copysign(1.0, y))
+    return x == y
+
+
+@example(catalog("fermions"), 1, 4000, None, 0.3)  # f = 1/2 and n = n*
+@example(catalog("fermions"), 1, 4000, 0.4, 0.45)
+@example(catalog("spin_j", 1), 1, 300, None, 0.1)
+@example(catalog("bosons"), 1, 1000, 0.25, 0.01)  # no n*, no X1
+@example(catalog("bosons"), 1, 4, 0.25, 0.5)  # the smallest V
+@example(LocalModel("fermions", [1, 1]), 2, 400, None, 0.25)  # P = 1 + z^2
+@example(catalog("capped_bosons", 3), 2, 10 ** 6, 0.7, 0.999)
+@SETTINGS
+@given(models, st.sampled_from([1, 2]), st.integers(4, 10 ** 6),
+       st.one_of(st.none(), st.floats(0.05, 0.95)), st.floats(0.0, 1.0))
+def test_report_columns_equal_the_one_cut_functions(base, g, V, fill, cut):
+    # a page curve solves its constants once for all its cuts; each cut's
+    # records must still be those of the one-cut functions, bit for bit.
+    # fill None takes the sector nearest n* (n* itself where V n* is a
+    # multiple of g), else n = fill n_max (4 fill for unbounded models).
+    model = _spread(base, g) if g > 1 else base
+    star = n_star(model)
+    if fill is None and star is not None:
+        target = star
+    elif model.n_max is not None:
+        target = fill * model.n_max
+    else:
+        target = 4.0 * (fill or 0.5)
+    N = g * round(target * V / g)
+    N = max(g, N if model.n_max is None else min(N, V * model.n_max - g))
+    cuts = sorted({0, 1, V // 2, V - V // 2, round(cut * V),
+                   V - round(cut * V), V - 1, V})
+    n = N / V
+    reports = report(model, [BipartitionSpec(V, N, v_a) for v_a in cuts],
+                     ("asymptotic", "resolved", "asymptotic_variance"))
+    for rep in reports:
+        if rep.V_A in (0, V):
+            continue
+        f = min(rep.V_A, V - rep.V_A) / V
+        assert _identical(rep.asymptotic, asymptotic_terms(model, V, f, n))
+        assert _identical(rep.resolved, resolved_average(model, V, f, n))
+        assert _identical(rep.asymptotic_variance,
+                          asymptotic_variance(model, V, f, n))
