@@ -10,8 +10,8 @@ eigenstates follow the same curves.
 
 from .dimensions import dim_fixed_n, dim_table, extended_binomial_closed
 from .entropy import (AsymptoticTerms, AsymptoticVariance, BipartitionSpec,
-                      DistinguishableTerms, EntropyReport, VarianceEstimate,
-                      asymptotic_average, asymptotic_terms,
+                      DistinguishableTerms, EntropyReport, Sector,
+                      VarianceEstimate, asymptotic_average, asymptotic_terms,
                       asymptotic_variance, distinguishable_asymptotic,
                       distinguishable_exact_average, exact_average,
                       exact_variance, report, resolve_x1, resolve_x2,
@@ -34,8 +34,8 @@ __all__ = [
     "AsymptoticTerms", "AsymptoticVariance", "BipartitionSpec",
     "ConfigError", "CutEntropies", "DistinguishableTerms", "DomainError",
     "EntropyReport", "InfeasibleSizeError", "LocalModel", "McSummary",
-    "MidSpectrumReport", "NumericalError", "SaddleSolution", "SectorBasis",
-    "SectorHamiltonian", "VarianceEstimate",
+    "MidSpectrumReport", "NumericalError", "SaddleSolution", "Sector",
+    "SectorBasis", "SectorHamiltonian", "VarianceEstimate",
     "asymptotic_average", "asymptotic_terms", "asymptotic_variance",
     "beta_family", "build_bose_hubbard", "build_sector_basis",
     "build_spin1_xxz", "catalog", "dim_fixed_n", "dim_table",

@@ -19,29 +19,22 @@ BUDGET_S = 60.0
 _JSON_FACTOR = 2.0  # printing as JSON takes about twice as long as CSV
 
 
-def check_exact_work(model: LocalModel, specs, want_variance: bool) -> None:
-    """Refuse exact sums over `specs`, the cuts of one request, up front.
-
-    A request computes the sums of a cut and of its mirror V - V_A once
-    (see `entropy._exact_sums`), so each mirrored pair, like a repeated
-    cut, is counted once.  Raises InfeasibleSizeError if the summed
-    `exact_work_seconds` exceed BUDGET_S.
+def check_exact_work(model: LocalModel, sectors, want_variance: bool) -> None:
+    """Refuse exact sums over `sectors`, the `entropy.Sector` records of one
+    request, up front: InfeasibleSizeError if `exact_work_seconds` summed
+    over each distinct record's distinct mirrored cuts min(V_A, V - V_A),
+    in order of first appearance, exceed BUDGET_S.  A request sweeps each
+    distinct record once, the cuts V_A and V - V_A as one (see
+    `entropy._exact_sums`).  Each `_dim_bits_bound` is built once per
+    distinct argument (a page sweep asks for the same few at every cut).
     """
-    distinct = {spec.mirrored_cut: spec for spec in specs}
-    _refuse_above_budget(
-        f"exact sums of {len(distinct)} distinct cut(s)",
-        lambda: _exact_request_seconds(model, distinct.values(),
-                                       want_variance))
-
-
-def _exact_request_seconds(model: LocalModel, specs,
-                           want_variance: bool) -> float:
-    """The sum of `exact_work_seconds` over `specs`, bit for bit, with each
-    `_dim_bits_bound` built once per distinct argument (a page sweep asks
-    for the same few at every cut)."""
+    cuts = [(rec, rec.mirrored_cuts) for rec in dict.fromkeys(sectors)]
     bound = functools.cache(functools.partial(_dim_bits_bound, model))
-    return sum(_cut_work_seconds(model, spec, want_variance, bound)
-               for spec in specs)
+    _refuse_above_budget(
+        f"exact sums of {sum(len(mirrored) for _, mirrored in cuts)} "
+        f"distinct cut(s)",
+        lambda: sum(_cut_work_seconds(model, sector, V_A, want_variance, bound)
+                    for sector, mirrored in cuts for V_A in mirrored))
 
 
 def check_labeled_work(V: int, N: int) -> None:
@@ -101,35 +94,31 @@ def check_saddle_work(model: LocalModel, fillings: int) -> None:
 def exact_work_seconds(model: LocalModel, spec, want_variance: bool) -> float:
     """Estimated run time of one cut's exact sums, from sizes alone.
 
-    The cut's two dimension tables (`BipartitionSpec.tables`) cost their
+    The cut's two dimension tables (`entropy.Sector.cut_tables`) cost their
     `_table_work_seconds`; each N_A block takes `_block_seconds`, 2.5 times
     that with the variance.  Calibrated on fermions to
     capped_bosons:100000, V up to 4000, with every cut's tables built anew;
     a `page` sweep steps them from cut to cut and evaluates mirrored blocks
     once at 2N = V n_max and at V_A = V/2, so its cuts cost less.
     """
-    return _cut_work_seconds(model, spec, want_variance,
+    return _cut_work_seconds(model, spec.sector, spec.V_A, want_variance,
                              functools.partial(_dim_bits_bound, model))
 
 
-def _cut_work_seconds(model: LocalModel, spec, want_variance: bool,
-                      bound) -> float:
-    """`exact_work_seconds`, with bound(N) standing for _dim_bits_bound(
-    model, N)."""
-    n_a_values = spec.n_a_range(model.n_max)
-    if spec.V_A in (0, spec.V) or not n_a_values:
+def _cut_work_seconds(model: LocalModel, sector, V_A: int,
+                      want_variance: bool, bound) -> float:
+    """`exact_work_seconds` of the cut V_A of an `entropy.Sector`, with
+    bound(N) standing for _dim_bits_bound(model, N)."""
+    n_a_values, tables = sector.cut_tables(V_A, model.n_max)
+    if V_A in (0, sector.V) or not n_a_values:
         return 0.0
-    seconds = _table_work_seconds(model, spec.tables(model.n_max), bound)
-    words = bound(spec.N)(spec.V, spec.N) / 64.0
+    seconds = _table_work_seconds(model, tables, bound)
+    words = bound(sector.N)(sector.V, sector.N) / 64.0
     per_block = _block_seconds(words)
     blocks = n_a_values.stop - n_a_values.start  # len() stops at 2^63
     return seconds + blocks * per_block * (2.5 if want_variance else 1.0)
 
 
-# This prices every cut's asymptotic columns, which `report` evaluates once
-# per mirrored pair of cuts, so a sweep takes about half the estimate.  It
-# is also the only bound on the rows a `page` sweep holds before printing
-# (about 0.8 KB a cut as CSV), so re-fit it only once rows are streamed.
 def cut_seconds(columns: int, as_json: bool) -> float:
     """Estimated run time of one cut of a request apart from its exact sums:
     the cut, its saddle-based columns and the printing of `columns` values,
@@ -140,7 +129,7 @@ def cut_seconds(columns: int, as_json: bool) -> float:
     constants solved once per sector, and a CSV row of numbers is one %
     format.  So CSV is priced about 2x high.  It is not re-fit yet: this
     estimate is also the only bound on the rows a sweep buffers before it
-    prints them (about 0.8 KB a cut as CSV), until rows are streamed."""
+    prints them (about 0.6 KB a cut as CSV), until rows are streamed."""
     return (1.2e-5 + 7e-6 * columns) * (_JSON_FACTOR if as_json else 1.0)
 
 

@@ -268,9 +268,9 @@ def _get_cuts(merged, V: int, default):
 
 
 def _cut_request(merged, columns: int):
-    """(model, specs, meta) of a `page` or `variance` request: one
-    BipartitionSpec per --VA cut size (default: every V_A), refused with
-    their `columns` printed values above the budget before any is built."""
+    """(model, sectors, meta) of a `page` or `variance` request: one
+    `entropy.Sector` of its --VA cut sizes (default: every V_A), refused
+    with their `columns` printed values above the budget before it exists."""
     model = _get_model(merged)
     V = _require(merged, "V")
     N = _get_particles(merged, V)
@@ -278,8 +278,8 @@ def _cut_request(merged, columns: int):
     # counted without len(), which stops at 2^63 for a range
     budget.check_cut_work(V + 1 if merged.get("VA") is None else len(cuts),
                           columns, merged.get("format") == "json")
-    specs = [ent.BipartitionSpec(V=V, N=N, V_A=v_a) for v_a in cuts]
-    return model, specs, {"model": model.label, "V": V, "N": N}
+    sector = ent.Sector(V, N, cuts)
+    return model, [sector], {"model": model.label, "V": V, "N": N}
 
 
 # -- commands ----------------------------------------------------------------
@@ -304,11 +304,12 @@ def _cmd_beta(merged):
 
 def _cmd_page(merged):
     methods = merged.get("methods") or _PAGE_METHODS
-    model, specs, meta = _cut_request(merged, len(methods))
+    model, sectors, meta = _cut_request(merged, len(methods))
     wanted = {_PAGE_COLUMNS[method] for method in methods}
     entries = [_PAGE_COLUMNS[m] for m in _PAGE_METHODS
                if _PAGE_COLUMNS[m] in wanted]
-    reports = ent.report(model, specs, tuple(key for key, _, _ in entries))
+    reports = ent.report(model, sectors,
+                         tuple(key for key, _, _ in entries))
     if merged.get("format") == "json":  # a row entry per report key
         header = ["V_A", "f"] + [key for key, _, _ in entries]
         rows = [[rep.V_A, rep.f] + [
@@ -332,7 +333,7 @@ def _cmd_scaling(merged):
     header = ["V", "inv_V", "N", "V_A", "exact", "asymptotic", "sqrt_coeff"]
     if not 0.0 < f < 1.0:
         raise ConfigError(f"--f must lie in (0, 1); got {f}")
-    specs = []
+    sectors = []  # one per V, of its one cut
     for V in sizes:
         try:
             v_a = f * V
@@ -341,10 +342,10 @@ def _cmd_scaling(merged):
         if abs(v_a - round(v_a)) > 1e-9:
             raise ConfigError(f"f*V must be an integer for the exact sum; "
                               f"f={f}, V={V}")
-        specs.append(ent.BipartitionSpec(V=V, N=_get_particles(merged, V),
-                                         V_A=round(v_a)))
+        sectors.append(ent.Sector(V, _get_particles(merged, V),
+                                  (round(v_a),)))
     rows = []
-    for rep in ent.report(model, specs, ("exact", "asymptotic")):
+    for rep in ent.report(model, sectors, ("exact", "asymptotic")):
         V, exact, terms = rep.V, rep.exact_mean, rep.asymptotic
         sqrt_coeff = (exact - terms.a * V - terms.c) / math.sqrt(V)
         rows.append([V, 1.0 / V, rep.N, rep.V_A, exact, terms.value,
@@ -354,10 +355,10 @@ def _cmd_scaling(merged):
 
 
 def _cmd_variance(merged):
-    model, specs, meta = _cut_request(merged, columns=4)
+    model, sectors, meta = _cut_request(merged, columns=4)
     header = ["V_A", "f", "exact_variance", "log_exact_variance",
               "asymptotic_variance", "log_asymptotic_variance"]
-    reports = ent.report(model, specs,
+    reports = ent.report(model, sectors,
                          ("exact_variance", "asymptotic_variance"))
     rows = [[rep.V_A, rep.f, rep.exact_variance.value,
              rep.exact_variance.log_value, rep.asymptotic_variance.value,

@@ -19,21 +19,22 @@ rounded at any magnitude); logs enter only where a value itself underflows,
 e.g. the 1/(d_N + 1) variance prefactor, which is why variance results
 carry a log-value side channel.
 
-A request over many cuts of one sector (a page curve) is one `report`
-call, which solves each shared quantity once.  The exact sums of the cuts
-V_A and V - V_A are the same bit for bit (the block kernels are symmetric
-in d_A, d_B and `math.fsum` is correctly rounded, so block order cannot
-matter), and the sector's distinct cuts min(V_A, V - V_A) are swept in
-ascending order: a cut one site past the previous one steps that cut's
-two dimension tables by one factor of zeta = P/Q each (exact series
-products and quotients), instead of building them anew, and reads its
-blocks from them by index.  At 2N = V n_max the tables of a palindromic
-P (fermions, spin_j, capped bosons) read the same backwards over the
-cut's N_A, which is checked on the tables themselves, and at V_A = V/2
-block N - N_A is block N_A with its sides swapped; then each mirrored
-pair of blocks is evaluated once and its terms summed twice, which
-fsum's correct rounding leaves bit-identical.  d_N and Psi, Psi' of
-d_N + 1 are taken once per sector, from the weights of its first cut.
+A request is `Sector` records, a sector (V, N) and its cuts V_A each (a
+page curve: range(V + 1)); `report` solves each shared quantity once per
+record.  The exact sums of the cuts V_A and V - V_A are the same bit for
+bit (the block kernels are symmetric in d_A, d_B and `math.fsum` is
+correctly rounded, so block order cannot matter), and the sector's
+distinct cuts min(V_A, V - V_A) are swept in ascending order: a cut one
+site past the previous one steps that cut's two dimension tables by one
+factor of zeta = P/Q each (exact series products and quotients), instead
+of building them anew, and reads its blocks from them by index.  At
+2N = V n_max the tables of a palindromic P (fermions, spin_j, capped
+bosons) read the same backwards over the cut's N_A, which is checked on
+the tables themselves, and at V_A = V/2 block N - N_A is block N_A with
+its sides swapped; then each mirrored pair of blocks is evaluated once
+and its terms summed twice, which fsum's correct rounding leaves
+bit-identical.  d_N and Psi, Psi' of d_N + 1 are taken once per sector,
+from the weights of its first cut.
 
 The asymptotic columns of a sector are one page curve (`_SectorCurve`):
 on its first nontrivial cut it solves the constants its columns share,
@@ -86,9 +87,7 @@ The bounds, for big = max(d_A, d_B) <= d_N and small = min(d_A, d_B):
 Labeled particles stream their N + 1 blocks through the same kernel with
 no window (`distinguishable_exact_average`).
 
-A cut's blocks and tables come from its `BipartitionSpec`, as in the Haar
-sampler and the run-time estimate.  The per-cut value records are named
-tuples, cheap to build once per cut of a long page curve.
+Every cut's N_A and tables come from its record's `Sector.cut_tables`.
 """
 
 from __future__ import annotations
@@ -135,23 +134,27 @@ _UNDERFLOW_SLACK = 2.0 ** -1070
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class BipartitionSpec:
-    """A contiguous bipartition of a fixed-N sector: V sites, V_A of them in A."""
-    V: int
-    N: int
-    V_A: int
+class Sector(NamedTuple("Sector", [("V", int), ("N", int), ("cuts", tuple)])):
+    """A fixed-N sector, V sites and N particles, and the cuts V_A of one
+    request over it in request order: a `range` (a page sweep) or a tuple
+    (any other iterable is kept as one, order and repeats too).  Each cut
+    is refused (DomainError) unless V, N and V_A are ints with V >= 1,
+    0 <= V_A <= V and N >= 0, a range's by its first and last values."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (type(self.V) is type(self.N) is type(self.V_A) is int):
-            raise DomainError(f"need integer V, N and V_A, got {self.V!r}, "
-                              f"{self.N!r}, {self.V_A!r}")
-        if self.V < 1:
-            raise DomainError(f"V must be >= 1, got {self.V}")
-        if not 0 <= self.V_A <= self.V:
-            raise DomainError(f"V_A must lie in [0, V], got {self.V_A}")
-        if self.N < 0:
-            raise DomainError(f"N must be nonnegative, got {self.N}")
+    def __new__(cls, V: int, N: int, cuts):
+        cuts = cuts if type(cuts) is range else tuple(cuts)
+        for V_A in (*cuts[:1], *cuts[-1:]) if type(cuts) is range else cuts:
+            if not (type(V) is type(N) is type(V_A) is int):
+                raise DomainError(f"need integer V, N and V_A, got {V!r}, "
+                                  f"{N!r}, {V_A!r}")
+            if V < 1:
+                raise DomainError(f"V must be >= 1, got {V}")
+            if not 0 <= V_A <= V:
+                raise DomainError(f"V_A must lie in [0, V], got {V_A}")
+            if N < 0:
+                raise DomainError(f"N must be nonnegative, got {N}")
+        return super().__new__(cls, V, N, cuts)
 
     @property
     def n(self) -> float:
@@ -162,32 +165,24 @@ class BipartitionSpec:
                               f"float range") from None
 
     @property
-    def f(self) -> float:
-        return self.V_A / self.V
+    def mirrored_cuts(self):
+        """The distinct mirrored cuts min(V_A, V - V_A) of `cuts`, in order
+        of first appearance: 0 .. V // 2 for the sweep range(V + 1)."""
+        V = self.V
+        if self.cuts == range(V + 1):
+            return range(V // 2 + 1)
+        return list(dict.fromkeys([min(v_a, V - v_a) for v_a in self.cuts]))
 
-    @property
-    def mirrored_cut(self) -> tuple[int, int, int]:
-        """Key shared by the cuts V_A and V - V_A of one sector."""
-        return self.V, self.N, min(self.V_A, self.V - self.V_A)
-
-    def n_a_range(self, n_max: Optional[int]) -> range:
-        """All N_A with nonempty blocks on both sides of the cut; empty only
-        for an empty sector (N above V n_max)."""
+    def cut_tables(self, V_A: int, n_max: Optional[int]) -> tuple:
+        """(N_A of the blocks nonempty on both sides, (sites, N_cap) of the
+        A and B tables they read) of the cut V_A, n_max (or None) a site's
+        cap; no N_A only for N above V n_max."""
+        V, N = self.V, self.N
         if n_max is None:
-            lo = 0 if self.V_A < self.V else self.N
-            hi = self.N if self.V_A > 0 else 0
+            lo, hi = (0 if V_A < V else N), (N if V_A > 0 else 0)
         else:
-            lo = max(0, self.N - (self.V - self.V_A) * n_max)
-            hi = min(self.N, self.V_A * n_max)
-        return range(lo, hi + 1)
-
-    def tables(self, n_max: Optional[int]) -> tuple[tuple[int, int], ...]:
-        """The (sites, N_cap) of the A and B dimension tables that the blocks
-        of `n_a_range` read: A up to the top N_A, B up to N minus the lowest
-        N_A, so both caps are at most sites x n_max."""
-        n_a_values = self.n_a_range(n_max)
-        return ((self.V_A, n_a_values.stop - 1),
-                (self.V - self.V_A, self.N - n_a_values.start))
+            lo, hi = max(0, N - (V - V_A) * n_max), min(N, V_A * n_max)
+        return range(lo, hi + 1), ((V_A, hi), (V - V_A, N - lo))
 
     def refuse_empty(self, model: LocalModel) -> None:
         """Refuse (DomainError) a sector that counting alone shows empty:
@@ -196,16 +191,38 @@ class BipartitionSpec:
                                      and self.N > self.V * model.n_max):
             raise _empty_sector(self.V, self.N, model)
 
+
+@dataclass(frozen=True)
+class BipartitionSpec:
+    """A contiguous bipartition of a fixed-N sector: V sites, V_A of them in A."""
+    V: int
+    N: int
+    V_A: int
+
+    def __post_init__(self):
+        Sector(self.V, self.N, (self.V_A,))  # a record's checks and messages
+
+    @property
+    def sector(self) -> Sector:
+        """This cut as a one-cut request."""
+        return Sector(self.V, self.N, (self.V_A,))
+
+    @property
+    def n(self) -> float:
+        return self.sector.n
+
+    @property
+    def f(self) -> float:
+        return self.V_A / self.V
+
     def blocks(self, model: LocalModel, build_table) -> list[tuple]:
-        """(N_A, d_A, d_B) of each nonempty block, with the two `tables`
-        built by build_table(model, sites, N_cap).  A sector with no
-        nonempty block is refused (DomainError); an empty range of N_A
-        (N above V n_max) builds no table."""
-        n_a_values = self.n_a_range(model.n_max)
+        """(N_A, d_A, d_B) of each nonempty block, from the two tables of
+        `Sector.cut_tables` built by build_table(model, sites, N_cap).  A
+        cut with none is refused (DomainError), with no N_A before a table."""
+        n_a_values, tables = self.sector.cut_tables(self.V_A, model.n_max)
         blocks = []
         if n_a_values:
-            table_a, table_b = (build_table(model, *args)
-                                for args in self.tables(model.n_max))
+            table_a, table_b = (build_table(model, *args) for args in tables)
             blocks = [(n_a, table_a[n_a], table_b[self.N - n_a]) for n_a in
                       n_a_values if table_a[n_a] and table_b[self.N - n_a]]
         if not blocks:
@@ -277,7 +294,7 @@ def exact_average(model: LocalModel, spec: BipartitionSpec) -> float:
     exact integers); raises on an empty sector.  A one-cut `report`: 0 at
     the trivial cuts V_A = 0 and V.
     """
-    return report(model, (spec,), ("exact",))[0].exact_mean
+    return report(model, (spec.sector,), ("exact",))[0].exact_mean
 
 
 def exact_variance(model: LocalModel, spec: BipartitionSpec) -> VarianceEstimate:
@@ -287,7 +304,7 @@ def exact_variance(model: LocalModel, spec: BipartitionSpec) -> VarianceEstimate
     stays finite as long as the scaled numerator is positive.  A one-cut
     `report`: VarianceEstimate(0.0, None, 0.0) at the trivial cuts.
     """
-    return report(model, (spec,), ("exact_variance",))[0].exact_variance
+    return report(model, (spec.sector,), ("exact_variance",))[0].exact_variance
 
 
 def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
@@ -305,14 +322,12 @@ def _variance_estimate(numerator: float, d_n: int) -> VarianceEstimate:
                             numerator=numerator)
 
 
-def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
+def _exact_sums(model: LocalModel, sector: Sector,
+                want_variance: bool) -> dict:
     """{mirrored cut: (mean, VarianceEstimate or None)} of the cuts
-    0 < V_A < V in `specs`, one request's, each sector's swept as above."""
-    sectors = {}  # (V, N) -> its distinct cuts min(V_A, V - V_A) > 0
-    for spec in specs:
-        V, N, cut = spec.mirrored_cut
-        if cut:
-            sectors.setdefault((V, N), set()).add(cut)
+    0 < V_A < V of `sector`, swept as above."""
+    V, N = sector.V, sector.N
+    tables = {}  # sites -> its table, for the two sides of the last cut
 
     def table(model, sites, N_cap):
         if sites not in tables:
@@ -325,40 +340,33 @@ def _exact_sums(model: LocalModel, specs, want_variance: bool) -> dict:
         return tables[sites]
 
     sums = {}
-    for (V, N), cuts in sectors.items():
-        tables = {}  # sites -> its table, for the two sides of the last cut
-        sector = None  # (d_N, its polygammas, phi_max), from the first cut
-        for V_A in sorted(cuts):
-            spec = BipartitionSpec(V, N, V_A)
-            n_a_values = spec.n_a_range(model.n_max)
-            if not n_a_values:
+    shared = None  # (d_N, its polygammas, phi_max), from the first cut
+    for V_A in sorted(cut for cut in sector.mirrored_cuts if cut):
+        n_a_values, sides = sector.cut_tables(V_A, model.n_max)
+        table_a, table_b = (table(model, *args) for args in sides)
+        tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
+        lo, hi = n_a_values.start, n_a_values.stop - 1
+        # the leading blocks also stand for their mirror images where
+        # block N - N_A is block N_A swapped (V_A = V/2) or the same (a
+        # palindromic table pair, from a palindromic P at 2N = V n_max)
+        twice = len(n_a_values) // 2
+        side_a, side_b = table_a[lo:hi + 1], table_b[N - hi:N - lo + 1]
+        if 2 * V_A != V and (side_a != side_a[::-1]
+                             or side_b != side_b[::-1]):
+            twice = 0
+        weights = [table_a[n_a] * table_b[N - n_a]
+                   for n_a in range(lo, hi + 1 - twice)]
+        if shared is None:
+            d_n = sum(weights) + sum(weights[:twice])
+            if not d_n:
                 raise _empty_sector(V, N, model)
-            table_a, table_b = (table(model, *args)
-                                for args in spec.tables(model.n_max))
-            tables = {sites: tables[sites] for sites in (V_A, V - V_A)}
-            lo, hi = n_a_values.start, n_a_values.stop - 1
-            # the leading blocks also stand for their mirror images where
-            # block N - N_A is block N_A swapped (V_A = V/2) or the same (a
-            # palindromic table pair, from a palindromic P at 2N = V n_max)
-            twice = len(n_a_values) // 2
-            side_a, side_b = table_a[lo:hi + 1], table_b[N - hi:N - lo + 1]
-            if 2 * V_A != V and (side_a != side_a[::-1]
-                                 or side_b != side_b[::-1]):
-                twice = 0
-            weights = [table_a[n_a] * table_b[N - n_a]
-                       for n_a in range(lo, hi + 1 - twice)]
-            if sector is None:
-                d_n = sum(weights) + sum(weights[:twice])
-                if not d_n:
-                    raise _empty_sector(V, N, model)
-                sector = (d_n, _polygammas(d_n, want_variance),
-                          ln_big(d_n + 1) + 1.0)
-            mean, numerator = _window_sums(weights, table_a, table_b, lo, N,
-                                           twice, *sector)
-            sums[V, N, V_A] = (mean, _variance_estimate(numerator, sector[0])
-                               if want_variance else None)
-            # freed before the next sector's tables
-            del table_a, table_b, side_a, side_b, weights
+            shared = (d_n, _polygammas(d_n, want_variance),
+                      ln_big(d_n + 1) + 1.0)
+        mean, numerator = _window_sums(weights, table_a, table_b, lo, N,
+                                       twice, *shared)
+        sums[V_A] = (mean, _variance_estimate(numerator, shared[0])
+                     if want_variance else None)
+        del side_a, side_b, weights  # freed before the next cut's
     return sums
 
 
@@ -490,7 +498,7 @@ def asymptotic_terms(model: LocalModel, V: float, f: float,
 def asymptotic_average(model: LocalModel, spec: BipartitionSpec) -> float:
     """Value of the large-V mean decomposition for a concrete bipartition,
     as a one-cut `report` gives it: 0 at the trivial cuts V_A = 0 and V."""
-    return report(model, (spec,), ("asymptotic",))[0].asymptotic.value
+    return report(model, (spec.sector,), ("asymptotic",))[0].asymptotic.value
 
 
 @asymptotic_form
@@ -622,7 +630,7 @@ def distinguishable_exact_average(V: int, N: int, V_A: int) -> float:
     """Exact mean entropy for N labeled particles on V sites, V_A in A: 0 at
     V_A = 0 and V, else the block sum with d_A = V_A^N_A, weights C(N, N_A)
     d_A d_B and d_N = V^N, refused above `budget.check_labeled_work`."""
-    BipartitionSpec(V, N, V_A)  # refuses a float, bool or out-of-range size
+    Sector(V, N, (V_A,))  # refuses a float, bool or out-of-range size
     if V_A in (0, V):
         return 0.0
     budget.check_labeled_work(V, N)
@@ -772,23 +780,23 @@ METHODS = ("exact", "asymptotic", "resolved", "exact_variance",
            "asymptotic_variance")
 
 
-def report(model: LocalModel, specs,
+def report(model: LocalModel, sectors,
            methods: tuple[str, ...] = METHODS) -> list[EntropyReport]:
-    """The requested mean/variance panel of every cut in `specs`, the
-    bipartitions of one request, in their order; 0 for every method at the
-    boundary cuts V_A = 0 and V, where one side is trivial.
+    """The requested mean/variance panel of each cut of `sectors`, the
+    `Sector` records of one request, in request order; 0 for every method
+    at the boundary cuts V_A = 0 and V, where one side is trivial.
 
     It refuses (DomainError or InfeasibleSizeError), in this order and
     before any table: `methods` that is a string or holds a key outside
-    METHODS; a sector empty by counting (`BipartitionSpec.refuse_empty`:
-    N above V n_max or not a multiple of the period), at every cut; with
-    an exact method, sums
-    above the budget or at V above 4000; then the asymptotic columns,
-    evaluated by each sector's `_SectorCurve` once per mirrored cut where
-    it first appears, also outside the float range.  Then `_exact_sums`
-    builds tables.  Each panel of a page curve equals that of its cut
-    alone, and the mirrored cuts V_A and V - V_A differ in V_A and f
-    alone."""
+    METHODS; a record with cuts whose sector is empty by counting
+    (`Sector.refuse_empty`); with an exact method, sums above the budget
+    or at V above 4000; then each record's asymptotic columns, evaluated
+    by its `_SectorCurve` once per mirrored cut where it first appears,
+    in one float-range guard (once its first nontrivial cut has solved
+    the constants, a cut can only overflow or give inf or NaN).  Then
+    `_exact_sums` sweeps each distinct record once.  Each panel equals
+    that of its cut alone, and the mirrored cuts V_A and V - V_A differ in
+    V_A and f alone."""
     if isinstance(methods, str):
         raise DomainError(f"report methods must be a sequence of method "
                           f"keys, got the string {methods!r}")
@@ -796,46 +804,45 @@ def report(model: LocalModel, specs,
     if unknown:
         raise DomainError(f"unknown report method(s) {', '.join(unknown)}; "
                           f"choose from {', '.join(METHODS)}")
-    specs = list(specs)
-    for spec in {(spec.V, spec.N): spec for spec in specs}.values():
-        spec.refuse_empty(model)
+    sectors = [sector for sector in sectors if sector.cuts]
+    for sector in sectors:
+        sector.refuse_empty(model)
     want_variance = "exact_variance" in methods
     want_mean = "exact" in methods
     want_exact = want_variance or want_mean
     if want_exact:
-        budget.check_exact_work(model, specs, want_variance)
-        if any(spec.V > _EXACT_V_LIMIT for spec in specs
-               if spec.mirrored_cut[2]):
+        budget.check_exact_work(model, sectors, want_variance)
+        if any(sector.V > _EXACT_V_LIMIT and any(sector.mirrored_cuts)
+               for sector in sectors):
             raise InfeasibleSizeError(
                 f"exact sum limited to V <= {_EXACT_V_LIMIT}")
     saddles = _Saddles(model)
     wanted = [key in methods for key in _CURVE_COLUMNS]
     trivial = [zero if flag else None
                for zero, flag in zip(_TRIVIAL_COLUMNS, wanted)]
-    curves = {}  # (V, N) -> its _SectorCurve
-    columns = {}  # mirrored cut -> its [asymptotic, resolved, asym_var]
-    cuts = []  # (V, N, V_A, f, n, mirrored cut) of each spec
-    for spec in specs:
-        V, N, V_A = spec.V, spec.N, spec.V_A
-        curve = curves.get((V, N))
-        if curve is None:
-            curve = curves[V, N] = _SectorCurve(saddles, V, spec.n, wanted)
-        smaller = min(V_A, V - V_A)
-        cut = (V, N, smaller)
-        if cut not in columns:
-            columns[cut] = trivial if not smaller else in_float_range(
-                lambda: curve.columns(smaller / V), V=V)
-        cuts.append((V, N, V_A, V_A / V, curve.n, cut))
-    sums = _exact_sums(model, specs, want_variance) if want_exact else {}
+    curves = {}  # each distinct record -> (n, {mirrored cut: its columns})
+    for sector in dict.fromkeys(sectors):
+        V, cuts = sector.V, sector.mirrored_cuts
+        curve = _SectorCurve(saddles, V, sector.n, wanted)
+        curves[sector] = curve.n, dict(zip(cuts, in_float_range(
+            lambda: [curve.columns(cut / V) if cut else trivial
+                     for cut in cuts], V=V)))
     # a cut without sums is a boundary cut, or no exact method was asked
     no_sums = (0.0, VarianceEstimate(0.0, None, 0.0))
-    reports = []
-    for V, N, V_A, f, n, cut in cuts:
-        mean, var = sums.get(cut, no_sums)
-        asym, resolved, asym_var = columns[cut]
-        reports.append(EntropyReport(
-            V, N, V_A, f, n, mean if want_mean else None, asym, resolved,
-            var if want_variance else None, asym_var))
+    panels = {}  # each distinct record -> {mirrored cut: its panel from n}
+    for sector, (n, columns) in curves.items():
+        sums = _exact_sums(model, sector, want_variance) if want_exact else {}
+        panels[sector] = {
+            cut: (n, mean if want_mean else None, asym, resolved,
+                  var if want_variance else None, asym_var)
+            for cut, (asym, resolved, asym_var) in columns.items()
+            for mean, var in [sums.get(cut, no_sums)]}
+    reports, make = [], EntropyReport._make
+    for sector in sectors:
+        V, N, panel = sector.V, sector.N, panels[sector]
+        reports += [make((V, N, v_a, v_a / V,
+                          *panel[v_a if v_a + v_a <= V else V - v_a]))
+                    for v_a in sector.cuts]
     return reports
 
 

@@ -98,15 +98,16 @@ def build_sector_basis(model: LocalModel, V: int, N: int,
     in N_A order.
 
     Refuses a sector empty by counting (DomainError,
-    `BipartitionSpec.refuse_empty`), then (InfeasibleSizeError) the cut's
+    `Sector.refuse_empty`), then (InfeasibleSizeError) the cut's
     two tables estimated above the budget before building them
     (`budget.check_table_work`), then one sample so estimated
     (`budget.check_run_work`), then a block side above 2^53; any other
     empty sector (DomainError) is refused once its tables are built.
     """
     spec = BipartitionSpec(V=V, N=N, V_A=V_A)
-    spec.refuse_empty(model)
-    budget.check_table_work(model, spec.tables(model.n_max))
+    sector = spec.sector
+    sector.refuse_empty(model)
+    budget.check_table_work(model, sector.cut_tables(V_A, model.n_max)[1])
     cut = spec.blocks(model, dim_table)
     budget.check_run_work(cut, 1)
     for n_a, d_a, d_b in cut:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .errors import DomainError, NumericalError, checked, finite_real
@@ -148,15 +149,16 @@ def asymptotic_form(kernel):
 def in_float_range(compute, **at):
     """compute(), refused (DomainError) where the asymptotic forms leave the
     float range at the named values `at`: a math call or float(V) raises
-    OverflowError, or a value is inf or NaN.  compute() gives one value, a
-    float or a record with a `value`, or a list of those and None."""
+    OverflowError, or a value is inf or NaN.  compute() gives a float, a
+    record with a `value`, or a list of rows (cuts) of those and None, each
+    column of one kind."""
     try:
         result = compute()
-        for x in result if isinstance(result, list) else (result,):
-            if x is not None and not math.isfinite(
-                    x if isinstance(x, float) else x.value):
-                break
-        else:  # called once per cut of a page curve: no generator
+        rows = result if isinstance(result, list) else [(result,)]
+        if all(column[0] is None or all(map(math.isfinite, (
+                column if isinstance(column[0], float)
+                else map(attrgetter("value"), column))))
+               for column in zip(*rows)):
             return result
     except OverflowError:
         pass

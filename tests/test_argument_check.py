@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import page_entropy
-from page_entropy import (BipartitionSpec, LocalModel, build_bose_hubbard,
+from page_entropy import (BipartitionSpec, LocalModel, Sector,
+                          build_bose_hubbard,
                           build_sector_basis, build_spin1_xxz, catalog,
                           report)
 from page_entropy.errors import DomainError
@@ -148,7 +149,7 @@ _REFUSALS = [
      "seed must be nonnegative, got -1"),
     (lambda: page_entropy.sample_entropies(_BASIS, 0, -1),
      "count must be nonnegative, got -1"),
-    (lambda: report(_FERMIONS, [BipartitionSpec(6, 3, 2)], "exact"),
+    (lambda: report(_FERMIONS, [Sector(6, 3, (2,))], "exact"),
      "report methods must be a sequence of method keys, got the string "
      "'exact'"),
     (lambda: build_bose_hubbard(4, 0, 1.0, -3),
@@ -186,6 +187,53 @@ _REFUSALS = [
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
+
+
+# (V, N, cuts) of a bad Sector record, its first bad cut V_A (a tuple's
+# in order, a range's first or last value) and the message that
+# BipartitionSpec(V, N, V_A) gives too
+_BAD_RECORDS = [
+    ((4.0, 2, (1,)), 1, "need integer V, N and V_A, got 4.0, 2, 1"),
+    ((True, 2, (1,)), 1, "need integer V, N and V_A, got True, 2, 1"),
+    ((-4, 2, (1,)), 1, "V must be >= 1, got -4"),
+    ((4, 2.0, (1,)), 1, "need integer V, N and V_A, got 4, 2.0, 1"),
+    ((4, False, (1,)), 1, "need integer V, N and V_A, got 4, False, 1"),
+    ((4, -1, (1,)), 1, "N must be nonnegative, got -1"),
+    ((4, 2, (1, 2.5)), 2.5, "need integer V, N and V_A, got 4, 2, 2.5"),
+    ((4, 2, [3, True, 1.5]), True,
+     "need integer V, N and V_A, got 4, 2, True"),
+    ((4, 2, (2, -1, 9)), -1, "V_A must lie in [0, V], got -1"),
+    ((4, 2, (4, 5, 2)), 5, "V_A must lie in [0, V], got 5"),
+    ((4, -1, (5,)), 5, "V_A must lie in [0, V], got 5"),
+    ((4, 2, range(6)), 5, "V_A must lie in [0, V], got 5"),
+    ((4, 2, range(-1, 5)), -1, "V_A must lie in [0, V], got -1"),
+    ((4, 2, range(5, -1, -1)), 5, "V_A must lie in [0, V], got 5"),
+    ((4, 2, range(4, -2, -1)), -1, "V_A must lie in [0, V], got -1"),
+    ((4.0, 2, range(5)), 0, "need integer V, N and V_A, got 4.0, 2, 0"),
+    ((0, 2, range(1)), 0, "V must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("record,cut,message", _BAD_RECORDS,
+                         ids=[repr(record) for record, _, _ in _BAD_RECORDS])
+def test_bad_records_get_the_one_cut_messages(record, cut, message):
+    V, N, _ = record
+    for call in (lambda: Sector(*record), lambda: BipartitionSpec(V, N, cut)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_records_keep_the_cuts_as_given():
+    # a range stays one (checked by its ends), anything else becomes a
+    # tuple in its order with its repeats; each record's cuts are its rows
+    assert Sector(10, 5, range(11)).cuts == range(11)
+    assert Sector(10, 5, [7, 3, 7, 0, 10]).cuts == (7, 3, 7, 0, 10)
+    assert Sector(10, 5, range(10 ** 30)[:11]).cuts == range(11)
+    assert Sector(10, 5, ()).cuts == ()
+    assert [rep.V_A for rep in report(
+        _FERMIONS, [Sector(10, 5, [7, 3, 7, 0, 10]), Sector(4, 2, range(
+            4, -1, -2))], ("asymptotic",))] == [7, 3, 7, 0, 10, 4, 2, 0]
 
 
 def _int_isinstance_calls(tree):

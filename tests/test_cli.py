@@ -126,6 +126,52 @@ def test_page_evaluates_each_asymptotic_column_once_per_mirrored_cut(
     assert len(calls) == len(set(calls)) == 2000
 
 
+def test_a_request_builds_no_spec_per_cut(capsys, monkeypatch):
+    # the request is one sector record: the 4001-cut asymptotic page builds
+    # no BipartitionSpec and checks the float range once, and the exact
+    # sweep at most one spec per distinct mirrored cut, plus a constant
+    counts = {"specs": 0, "guards": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(entropy.BipartitionSpec, "__post_init__", counted(
+        "specs", entropy.BipartitionSpec.__post_init__))
+    monkeypatch.setattr(entropy, "in_float_range",
+                        counted("guards", entropy.in_float_range))
+    code, out, _ = run_cli(capsys, "page", "--model", "spin_j:1",
+                           "--V", "4000", "--n", "1", "--methods",
+                           "asymptotic,resolved,asym_var")
+    assert code == 0 and len(parse_csv(out)[1]) == 4001
+    assert counts == {"specs": 0, "guards": 1}
+    counts.update(specs=0, guards=0)
+    code, out, _ = run_cli(capsys, "page", "--model", "fermions",
+                           "--V", "400", "--n", "0.5")
+    assert code == 0 and len(parse_csv(out)[1]) == 401
+    assert counts["specs"] <= 201 + 2 and counts["guards"] == 1
+
+
+def test_kronecker_decisions_hold_at_large_v(capsys):
+    # at V = 10^7 the cut V/2 + 1 lies 1e-7 off f = 1/2, and N = V/2 + 1
+    # lies 1e-7 off n* = 1/2: neither takes the sqrt(V) deficit or the
+    # extra -1/2 of the point itself, as a tolerance of 1e-6 would give
+    # them (3053830.9610585128 and 3465735.3059737221)
+    page = ("page", "--model", "fermions", "--V", "10000000", "--methods",
+            "asymptotic")
+    for argv, rows in (
+            (("--n", "0.3", "--VA", "5000000,5000001"),
+             [["5000000", "0.5", "3053831.5719227651"],
+              ["5000001", "0.50000009999999995", "3054320.8028366249"]]),
+            (("--N", "5000001", "--VA", "5000000"),
+             [["5000000", "0.5", "3465735.8059737221"]]),
+            (("--N", "5000000", "--VA", "5000000"),
+             [["5000000", "0.5", "3465735.3062261362"]])):
+        code, out, err = run_cli(capsys, *page, *argv)
+        assert (code, err) == (0, "") and parse_csv(out)[1] == rows, argv
+
+
 @pytest.mark.parametrize("argv,code,out,err", [
     # the boundary filling is named by the first requested column's function
     ("--model bosons --V 5 --N 0 --methods asymptotic,resolved,asym_var", 2,
@@ -598,7 +644,7 @@ def _independent_output(argv, name, V, N, cuts):
         keys = ["exact_variance", "asymptotic_variance"]
         header = ["V_A", "f", "exact_variance", "log_exact_variance",
                   "asymptotic_variance", "log_asymptotic_variance"]
-    reports = [entropy.report(model, [entropy.BipartitionSpec(V, N, v_a)],
+    reports = [entropy.report(model, [entropy.Sector(V, N, (v_a,))],
                               tuple(keys))[0]
                for v_a in (range(V + 1) if cuts is None else cuts)]
     if command == "page" and fmt == "json":

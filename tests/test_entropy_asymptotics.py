@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import page_entropy
 from page_entropy.entropy import (BipartitionSpec, DistinguishableTerms,
-                                  asymptotic_average, asymptotic_terms,
+                                  Sector, asymptotic_average, asymptotic_terms,
                                   asymptotic_variance,
                                   distinguishable_asymptotic,
                                   distinguishable_exact_average,
@@ -146,10 +146,10 @@ def test_resolved_curve_meets_the_exact_sums_at_rate_one_over_v(name, param):
         gaps = []
         for m in (0.0, 0.5, 1.0):
             N = round(V * model.n_max / 2 + m * math.sqrt(V))
-            specs = [BipartitionSpec(V, N, round(V / 2 + j * math.sqrt(V)))
-                     for j in (0.0, 0.25, 0.5, 1.0, 2.0)]
+            sector = Sector(V, N, [round(V / 2 + j * math.sqrt(V))
+                                   for j in (0.0, 0.25, 0.5, 1.0, 2.0)])
             gaps += [abs(rep.exact_mean - rep.resolved) for rep in
-                     report(model, specs, ("exact", "resolved"))]
+                     report(model, [sector], ("exact", "resolved"))]
         worst.append(max(gaps))
     # fermions read 2.0e-3, 5.1e-4, 1.25e-4; spin-1 9.6e-4, 2.4e-4, 5.9e-5
     assert worst[0] < 3e-3
@@ -630,16 +630,24 @@ def test_report_columns_equal_the_one_cut_functions(base, g, V, fill, cut):
         target = 4.0 * (fill or 0.5)
     N = g * round(target * V / g)
     N = max(g, N if model.n_max is None else min(N, V * model.n_max - g))
-    cuts = sorted({0, 1, V // 2, V - V // 2, round(cut * V),
-                   V - round(cut * V), V - 1, V})
+    # records whose cut lists are unsorted, hold mirrored pairs and the
+    # trivial cuts 0 and V, and repeat cuts: each panel is that of its cut
+    # alone, in the record's order
+    cuts = [round(cut * V), 0, V - 1, V // 2, V, 1, V - V // 2,
+            V - round(cut * V)]
     n = N / V
-    reports = report(model, [BipartitionSpec(V, N, v_a) for v_a in cuts],
-                     ("asymptotic", "resolved", "asymptotic_variance"))
-    for rep in reports:
-        if rep.V_A in (0, V):
-            continue
-        f = min(rep.V_A, V - rep.V_A) / V
-        assert _identical(rep.asymptotic, asymptotic_terms(model, V, f, n))
-        assert _identical(rep.resolved, resolved_average(model, V, f, n))
-        assert _identical(rep.asymptotic_variance,
-                          asymptotic_variance(model, V, f, n))
+    methods = ("asymptotic", "resolved", "asymptotic_variance")
+    for sector in (Sector(V, N, cuts), Sector(V, N, cuts[::-1] + cuts[:3])):
+        reports = report(model, [sector], methods)
+        assert [rep.V_A for rep in reports] == list(sector.cuts)
+        for rep in reports:
+            assert _identical(rep, report(model, [Sector(V, N, (rep.V_A,))],
+                                          methods)[0])
+            if rep.V_A in (0, V):
+                continue
+            f = min(rep.V_A, V - rep.V_A) / V
+            assert _identical(rep.asymptotic,
+                              asymptotic_terms(model, V, f, n))
+            assert _identical(rep.resolved, resolved_average(model, V, f, n))
+            assert _identical(rep.asymptotic_variance,
+                              asymptotic_variance(model, V, f, n))

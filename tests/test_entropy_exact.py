@@ -16,9 +16,9 @@ import page_entropy.entropy as entropy
 import page_entropy.haar_sampler as haar_sampler
 from page_entropy.budget import check_exact_work, exact_work_seconds
 from page_entropy.dimensions import dim_fixed_n, dim_table
-from page_entropy.entropy import (BipartitionSpec, VarianceEstimate,
-                                  asymptotic_average, exact_average,
-                                  exact_variance, report)
+from page_entropy.entropy import (BipartitionSpec, Sector,
+                                  VarianceEstimate, asymptotic_average,
+                                  exact_average, exact_variance, report)
 from page_entropy.errors import DomainError, InfeasibleSizeError
 from page_entropy.haar_sampler import build_sector_basis, mc_average
 from page_entropy.local_model import LocalModel, catalog, from_json
@@ -224,14 +224,14 @@ def test_distinguishable_exact_sum_refused_above_the_budget():
 
 def test_report_panel_and_errors():
     m = catalog("fermions")
-    [rep] = report(m, [BipartitionSpec(8, 4, 2)])
+    [rep] = report(m, [Sector(8, 4, (2,))])
     assert rep.exact_mean is not None
     assert rep.asymptotic is not None and rep.asymptotic.a > 0
     assert rep.resolved is not None
     assert rep.exact_variance.value >= 0
     # both exact methods come from one pass over the blocks, unchanged
     for spec in (BipartitionSpec(8, 4, 2), BipartitionSpec(9, 4, 5)):
-        [rep] = report(m, [spec], ("exact", "exact_variance"))
+        [rep] = report(m, [spec.sector], ("exact", "exact_variance"))
         assert rep.exact_mean == exact_average(m, spec)
         assert rep.exact_variance == exact_variance(m, spec)
     with pytest.raises(DomainError):
@@ -287,14 +287,13 @@ def test_sectors_off_the_period_build_no_table(monkeypatch):
         monkeypatch.setattr(module, "dim_table", no_work)
     monkeypatch.setattr(entropy, "beta_family", no_work)
     for call in (
-            lambda: report(_GAP, [BipartitionSpec(3, 1, 1)],
+            lambda: report(_GAP, [Sector(3, 1, (1,))],
                            ("exact", "asymptotic")),
-            # at every cut, the trivial ones too
-            lambda: report(_GAP, [BipartitionSpec(8, 4, 0),
-                                  BipartitionSpec(9, 5, 9)], ("resolved",)),
+            # once per record, one of trivial cuts too
+            lambda: report(_GAP, [Sector(8, 4, (0,)), Sector(9, 5, (9,))],
+                           ("resolved",)),
             lambda: report(LocalModel("even_bosons", [1], [1, 0, -1]),
-                           [BipartitionSpec(6, 7, 2)],
-                           ("asymptotic_variance",)),
+                           [Sector(6, 7, (2,))], ("asymptotic_variance",)),
             lambda: build_sector_basis(_GAP, 9, 5, 4)):
         with pytest.raises(DomainError, match="^empty sector: V=(3|9|6)"):
             call()
@@ -310,7 +309,7 @@ def test_refusals_name_their_cause(call, message):
 def test_report_refuses_unknown_method_keys():
     # the page column names are not report keys
     with pytest.raises(DomainError) as err:
-        report(catalog("fermions"), [BipartitionSpec(10, 5, 3)],
+        report(catalog("fermions"), [Sector(10, 5, (3,))],
                ("exact_var", "asymptotic", "asym"))
     message = str(err.value)
     assert "exact_var, asym;" in message
@@ -324,7 +323,7 @@ def test_report_refuses_unknown_method_keys():
 def test_single_cut_calls_read_a_one_cut_report(model, V, N):
     for v_a in range(V + 1):  # the trivial cuts 0 and V too
         spec = BipartitionSpec(V, N, v_a)
-        [rep] = report(model, [spec])
+        [rep] = report(model, [Sector(V, N, (v_a,))])
         assert exact_average(model, spec) == rep.exact_mean
         assert exact_variance(model, spec) == rep.exact_variance
         assert asymptotic_average(model, spec) == rep.asymptotic.value
@@ -350,22 +349,27 @@ def test_exact_sums_refused_before_any_table():
 
 def test_estimate_counts_each_mirrored_pair_once():
     fermions = catalog("fermions")
-    sweep = [BipartitionSpec(4000, 2000, v_a) for v_a in range(4001)]
-    half = sum(exact_work_seconds(fermions, spec, want_variance=False)
-               for spec in sweep[:2001])
+    half = sum(exact_work_seconds(fermions, BipartitionSpec(4000, 2000, v_a),
+                                  want_variance=False)
+               for v_a in range(2001))
     # the page sweep computes V_A and V - V_A once: about 55 s, not 110 s
     assert half < 60.0 < 2 * half
-    check_exact_work(fermions, sweep, want_variance=False)
-    check_exact_work(fermions, sweep + sweep[::-1], want_variance=False)
+    sweep = Sector(4000, 2000, range(4001))
+    check_exact_work(fermions, [sweep], want_variance=False)
+    check_exact_work(fermions, [Sector(4000, 2000, [*range(4001),
+                                                    *range(4000, -1, -1)])],
+                     want_variance=False)
+    check_exact_work(fermions, [sweep, sweep], want_variance=False)
     with pytest.raises(InfeasibleSizeError, match="2001 distinct"):
-        check_exact_work(fermions, sweep, want_variance=True)  # ~123 s
+        check_exact_work(fermions, [sweep], want_variance=True)  # ~123 s
 
 
 def test_checked_estimate_is_the_plain_sum_and_builds_each_bound_once(
         monkeypatch):
     # check_exact_work builds each _dim_bits_bound once per distinct
     # argument within one call, and its total is still the plain sum of
-    # exact_work_seconds over the distinct cuts, bit for bit
+    # exact_work_seconds over the distinct cuts in order of first
+    # appearance, bit for bit
     rng = random.Random(7)
     requests = []
     for model in (catalog("fermions"), catalog("bosons"),
@@ -373,14 +377,20 @@ def test_checked_estimate_is_the_plain_sum_and_builds_each_bound_once(
         for V, N in ((40, 20), (400, 200), (300, 500), (4000, 2000)):
             every = range(V + 1)
             for cuts in (every, rng.sample(every, 5), [V // 2, V // 2]):
-                specs = [BipartitionSpec(V, N, v_a) for v_a in cuts]
-                requests += [(model, specs, False), (model, specs, True)]
-    for model, specs, want_variance in requests:
-        distinct = {spec.mirrored_cut: spec for spec in specs}.values()
-        plain = sum(exact_work_seconds(model, spec, want_variance)
-                    for spec in distinct)
-        assert budget._exact_request_seconds(model, distinct,
-                                             want_variance) == plain
+                sector = Sector(V, N, cuts)
+                requests += [(model, sector, False), (model, sector, True)]
+    estimates = []
+    monkeypatch.setattr(budget, "_refuse_above_budget",
+                        lambda subject, estimate: estimates.append(
+                            estimate()))
+    for model, sector, want_variance in requests:
+        distinct = {min(v_a, sector.V - v_a): v_a for v_a in sector.cuts}
+        plain = sum(exact_work_seconds(model, BipartitionSpec(
+            sector.V, sector.N, v_a), want_variance)
+                    for v_a in distinct.values())
+        check_exact_work(model, [sector], want_variance)
+        assert estimates.pop() == plain
+    monkeypatch.undo()
     built = Counter()
     real = budget._dim_bits_bound
 
@@ -390,8 +400,8 @@ def test_checked_estimate_is_the_plain_sum_and_builds_each_bound_once(
     monkeypatch.setattr(budget, "_dim_bits_bound", counted)
     # spin-1 at N = 500 on 300 sites: the larger table cap moves with the
     # cut, so the 151 distinct cuts ask for many distinct bounds
-    sweep = [BipartitionSpec(300, 500, v_a) for v_a in range(301)]
-    check_exact_work(catalog("spin_j", 1), sweep, want_variance=True)
+    sweep = Sector(300, 500, range(301))
+    check_exact_work(catalog("spin_j", 1), [sweep], want_variance=True)
     assert 10 < len(built) < 151
     assert set(built.values()) == {1}
     # the table and printing estimates of `dims` share one bound too
@@ -411,21 +421,24 @@ def test_report_memo_is_bit_identical_and_serves_one_model():
     # the sums a request shares across its mirrored (2 and 7), repeated
     # (4, 2) and boundary (0, 9) cuts leave every panel bit-identical
     model = catalog("spin_j", 1)
-    specs = [BipartitionSpec(9, 6, v_a) for v_a in (2, 7, 4, 5, 0, 4, 9, 2)]
+    cuts = (2, 7, 4, 5, 0, 4, 9, 2)
+    sector = Sector(9, 6, cuts)
     for methods, _ in REQUEST_METHODS:
-        assert report(model, specs, methods) == \
-            [report(model, [spec], methods)[0] for spec in specs]
-    assert report(model, specs) == [report(model, [spec])[0]
-                                    for spec in specs]
+        assert report(model, [sector], methods) == \
+            [report(model, [Sector(9, 6, (v_a,))], methods)[0]
+             for v_a in cuts]
+    assert report(model, [sector]) == [report(model, [Sector(9, 6, (v_a,))])[0]
+                                       for v_a in cuts]
     # what one request shares does not reach the next model's request
     fermions = catalog("fermions")
-    cuts = [BipartitionSpec(9, 4, v_a) for v_a in (3, 6, 3)]
-    spin_reps = report(model, cuts, ("exact", "exact_variance"))
-    fermion_reps = report(fermions, cuts, ("exact", "exact_variance"))
-    assert fermion_reps == [report(fermions, [spec],
+    cuts = Sector(9, 4, (3, 6, 3))
+    spin_reps = report(model, [cuts], ("exact", "exact_variance"))
+    fermion_reps = report(fermions, [cuts], ("exact", "exact_variance"))
+    assert fermion_reps == [report(fermions, [Sector(9, 4, (v_a,))],
                                    ("exact", "exact_variance"))[0]
-                            for spec in cuts]
-    assert fermion_reps[0].exact_mean == exact_average(fermions, cuts[0])
+                            for v_a in cuts.cuts]
+    assert fermion_reps[0].exact_mean == exact_average(
+        fermions, BipartitionSpec(9, 4, 3))
     assert fermion_reps[0] != spin_reps[0]
 
 
@@ -449,32 +462,31 @@ def test_swept_sums_equal_per_cut_reports(monkeypatch, name, param):
     V = 14
     top = V * (model.n_max or 2)
     for N in (top // 2, top // 2 - 3, 5):
-        alone = [report(model, [BipartitionSpec(V, N, v_a)], methods)[0]
+        alone = [report(model, [Sector(V, N, (v_a,))], methods)[0]
                  for v_a in range(V + 1)]
         for v_as in (range(V + 1), (9, 2, 5, 4, 12, 0, 3),
                      (11, 6, 2, 13, 9)):
             calls.update(dict.fromkeys(calls, 0))
-            specs = [BipartitionSpec(V, N, v_a) for v_a in v_as]
-            assert report(model, specs, methods) == [alone[v_a]
-                                                     for v_a in v_as]
+            sector = Sector(V, N, v_as)
+            assert report(model, [sector], methods) == [alone[v_a]
+                                                        for v_a in v_as]
             # one table pair for each cut not next to the previous one
             assert calls["dim_table"] == 2 * (1 + (v_as[0] == 11))
             palindrome = (model.n_max is not None and 2 * N == top
                           and model.P == model.P[::-1])
             evaluated = 0
-            for cut in {spec.mirrored_cut[2] for spec in specs} - {0}:
-                blocks = len(BipartitionSpec(V, N, cut).n_a_range(
-                    model.n_max))
+            for cut in set(sector.mirrored_cuts) - {0}:
+                blocks = len(sector.cut_tables(cut, model.n_max)[0])
                 halved = palindrome or 2 * cut == V
                 evaluated += (blocks + 1) // 2 if halved else blocks
             assert calls["_phi"] == evaluated
         # Vandermonde: every cut's blocks sum to the sector dimension
         # (each variance is finished with the sector dimension d_N)
-        specs = [BipartitionSpec(V, N, v_a) for v_a in range(1, V // 2 + 1)]
+        sector = Sector(V, N, range(1, V // 2 + 1))
         d_n = dim_fixed_n(model, V, N)
         assert all(var.numerator > 0.0
                    and var == entropy._variance_estimate(var.numerator, d_n)
-                   for _, var in entropy._exact_sums(model, specs,
+                   for _, var in entropy._exact_sums(model, sector,
                                                      True).values())
 
 
@@ -523,7 +535,7 @@ PINNED_SWEEPS = (
 @pytest.mark.parametrize("spec,V,N,pinned", PINNED_SWEEPS)
 def test_pinned_sweeps_straddling_the_short_series_cut(spec, V, N, pinned):
     model = from_json(spec) if isinstance(spec, dict) else catalog(*spec)
-    reps = report(model, [BipartitionSpec(V, N, v_a) for v_a in range(V + 1)],
+    reps = report(model, [Sector(V, N, range(V + 1))],
                   ("exact", "exact_variance"))
     assert {v_a: (reps[v_a].exact_mean, reps[v_a].exact_variance.value)
             for v_a in pinned} == pinned
@@ -546,42 +558,42 @@ def test_block_kernel_streams_blocks_with_its_callers_d_n(N, V_A, twice):
     assert streamed == entropy._block_sums(half, d_n, twice, True)
     assert streamed == entropy._block_sums(blocks, d_n, 0, True)
     mean, numerator = streamed
-    assert entropy._exact_sums(model, [BipartitionSpec(8, N, V_A)],
-                               True) == {
-        (8, N, V_A): (mean, entropy._variance_estimate(numerator, d_n))}
+    assert entropy._exact_sums(model, Sector(8, N, (V_A,)), True) == {
+        V_A: (mean, entropy._variance_estimate(numerator, d_n))}
 
 
 def test_report_skips_only_the_cut_checks_its_request_made(monkeypatch):
     checks = []
     real_check = budget.check_exact_work
 
-    def counted(model, specs, want_variance):
-        checks.append((len(specs), want_variance))
-        return real_check(model, specs, want_variance)
+    def counted(model, sectors, want_variance):
+        checks.append(([len(sector.cuts) for sector in sectors],
+                       want_variance))
+        return real_check(model, sectors, want_variance)
 
     monkeypatch.setattr(budget, "check_exact_work", counted)
     model = catalog("spin_j", 1)
-    specs = [BipartitionSpec(9, 6, v_a) for v_a in (2, 7, 4, 5, 0, 4, 9, 2)]
+    cuts = (2, 7, 4, 5, 0, 4, 9, 2)
     for methods, want_variance in REQUEST_METHODS:
         checks.clear()
-        for spec in specs:
-            report(model, [spec], methods)
+        for v_a in cuts:
+            report(model, [Sector(9, 6, (v_a,))], methods)
         # each single-cut request checks its own cut ...
         assert checks == ([] if want_variance is None
-                          else [(1, want_variance)] * len(specs))
+                          else [([1], want_variance)] * len(cuts))
         checks.clear()
-        report(model, specs, methods)
+        report(model, [Sector(9, 6, cuts)], methods)
         # ... and a whole request is checked once, none without an exact
         # method
         assert checks == ([] if want_variance is None
-                          else [(len(specs), want_variance)])
+                          else [([len(cuts)], want_variance)])
 
     def no_table(*args):
         raise AssertionError("a table was built before the request's check")
 
     monkeypatch.setattr(entropy, "dim_table", no_table)
-    sweep = [BipartitionSpec(4000, 2000, v_a) for v_a in range(4001)]
+    sweep = Sector(4000, 2000, range(4001))
     checks.clear()
     with pytest.raises(InfeasibleSizeError, match="2001 distinct"):
-        report(catalog("fermions"), sweep, ("exact", "exact_variance"))
-    assert checks == [(4001, True)]
+        report(catalog("fermions"), [sweep], ("exact", "exact_variance"))
+    assert checks == [([4001], True)]

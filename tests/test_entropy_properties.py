@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from page_entropy.dimensions import dim_fixed_n, dim_table
-from page_entropy.entropy import (BipartitionSpec, exact_average,
+from page_entropy.entropy import (BipartitionSpec, Sector, exact_average,
                                   exact_variance, report)
 from page_entropy.haar_sampler import build_sector_basis, mc_average
 from test_local_model_properties import models
@@ -92,9 +92,9 @@ def test_every_report_column_is_mirror_symmetric(sector):
     # bit for bit, the asymptotic columns too: each is evaluated once per
     # mirrored cut, at the fraction min(V_A, V - V_A) / V
     model, V, N = sector
-    specs = [BipartitionSpec(V, N, v_a) for v_a in range(V + 1)]
-    reports = report(model, specs)
+    reports = report(model, [Sector(V, N, range(V + 1))])
     for rep, mirror in zip(reports, reversed(reports)):
         # the two cuts differ in V_A and f alone
         assert repr(rep._replace(V_A=mirror.V_A, f=mirror.f)) == repr(mirror)
-        assert repr(rep) == repr(report(model, [specs[rep.V_A]])[0])
+        assert repr(rep) == repr(report(model,
+                                        [Sector(V, N, (rep.V_A,))])[0])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import page_entropy.entropy as entropy
 from page_entropy.dimensions import dim_fixed_n, dim_table
-from page_entropy.entropy import BipartitionSpec, report
+from page_entropy.entropy import BipartitionSpec, Sector, report
 from page_entropy.errors import DomainError
 from page_entropy.local_model import LocalModel, catalog
 from test_local_model_properties import SETTINGS, models
@@ -25,8 +25,7 @@ def sweep(model, V, N, cuts=None):
     """(exact mean, exact variance) of each cut of one request over
     `cuts` (every V_A by default)."""
     cuts = range(V + 1) if cuts is None else cuts
-    reps = report(model, [BipartitionSpec(V, N, v_a) for v_a in cuts],
-                  METHODS)
+    reps = report(model, [Sector(V, N, cuts)], METHODS)
     return [(rep.exact_mean, rep.exact_variance) for rep in reps]
 
 
